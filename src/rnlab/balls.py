@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from .graphs import BudgetExceeded
+
 # Relative slack applied before flooring.  Ratios are evaluated through
 # exp() of float log-weight differences, so a ratio that is exactly 2 in
 # exact arithmetic can arrive as 1.9999999999999984; without the slack the
@@ -245,7 +247,9 @@ class _RefinementSearch:
         if target is None:
             self.leaves += 1
             if self.leaves > self.MAX_LEAVES:
-                raise RuntimeError("canonical search exceeded its leaf budget")
+                raise BudgetExceeded(
+                    f"canonical search exceeded its leaf budget of {self.MAX_LEAVES}"
+                )
             rank = sorted(range(n), key=lambda v: colors[v])
             perm = [0] * n
             for newid, v in enumerate(rank):

@@ -11,10 +11,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import generators
 from .distances import PropertySpec, absolute_distance, distance_to_property
 from .graphs import graph_to_json, load_graph, save_graph
-from .local import estimate_matching, local_independent_set
+from .local import estimate_matching, independent_set_estimate
 from .oracles import OracleConfig, RadonNikodymOracle, observe, uniform_query
 from .partitions import (
     PartitionInfeasible,
@@ -92,15 +94,11 @@ def cmd_sample(args) -> int:
     counts: dict[str, int] = {}
     if args.oracle == "rn":
         oracle = RadonNikodymOracle(G, args.r, args.t, seed=args.seed)
-        roots = oracle.sample_roots(args.queries)
-        from .balls import canonicalize
-
-        for root in roots.tolist():
-            key = canonicalize(oracle.ball_at(root)).hex()
-            counts[key] = counts.get(key, 0) + 1
+        roots, per_root = np.unique(oracle.sample_roots(args.queries), return_counts=True)
+        for tid, c in zip(oracle.index.types(roots).tolist(), per_root.tolist()):
+            key = oracle.index.keys[tid].hex()
+            counts[key] = counts.get(key, 0) + c
     else:
-        import numpy as np
-
         from .balls import canonicalize
 
         rng = np.random.Generator(np.random.Philox(key=args.seed))
@@ -191,8 +189,8 @@ def cmd_partition(args) -> int:
 def cmd_estimate(args) -> int:
     G = load_graph(args.graph)
     if args.what == "independence":
-        J, value = local_independent_set(G, args.epsilon, seed=args.seed)
-        _emit({"value": value, "witness_size": len(J)}, args.out)
+        J, value, guaranteed = independent_set_estimate(G, args.epsilon, seed=args.seed)
+        _emit({"value": value, "witness_size": len(J), "guaranteed": guaranteed}, args.out)
     else:
         try:
             value = estimate_matching(G, args.epsilon, seed=args.seed)

@@ -54,16 +54,71 @@ class TooLarge(GraphError):
     """An operation was asked to materialize or search beyond its size cap."""
 
 
+class BudgetExceeded(GraphError):
+    """A search ran out of its step, leaf or enumeration budget."""
+
+
 def _log_sum_exp(values: np.ndarray) -> float:
     m = float(np.max(values))
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-class WeightedGraph:
+_TWO64 = float(2**64)
+
+
+class AliasSampler:
+    """Walker alias table over a finite distribution, fed by raw 64-bit words."""
+
+    def __init__(self, probs: np.ndarray):
+        probs = np.asarray(probs, dtype=np.float64)
+        n = len(probs)
+        # the loops run on Python lists: indexing numpy scalars costs more,
+        # and float arithmetic gives the same bits either way
+        scaled = (probs * (n / probs.sum())).tolist()
+        prob = [1.0] * n
+        alias = list(range(n))
+        small = [i for i in range(n) if scaled[i] < 1.0]
+        large = [i for i in range(n) if scaled[i] >= 1.0]
+        while small and large:
+            s = small.pop()
+            l = large.pop()
+            prob[s] = scaled[s]
+            alias[s] = l
+            scaled[l] = scaled[l] - (1.0 - scaled[s])
+            (small if scaled[l] < 1.0 else large).append(l)
+        self.prob = np.array(prob, dtype=np.float64)
+        self.alias = np.array(alias, dtype=np.int64)
+        self.n = n
+
+    def pick(self, word_index: np.ndarray, word_coin: np.ndarray) -> np.ndarray:
+        u = word_index / _TWO64
+        idx = np.minimum((u * self.n).astype(np.int64), self.n - 1)
+        coin = word_coin / _TWO64
+        return np.where(coin < self.prob[idx], idx, self.alias[idx])
+
+
+class _DerivedCache:
+    """Structures derived from an immutable graph (its alias table, its ball
+    indexes), built on first use and kept on the graph so they die with it."""
+
+    def derived(self, key, build):
+        value = self._derived.get(key)
+        if value is None:
+            # setdefault keeps the first of two concurrent builds
+            value = self._derived.setdefault(key, build())
+        return value
+
+
+class WeightedGraph(_DerivedCache):
     """Explicit graph in CSR form with per-vertex log-weights.
 
     Instances are immutable; build them through :func:`build_graph` which
     validates degrees, simplicity and the edge ratio bound.
+
+    Both graph classes share one sampling and orbit protocol:
+    ``roots_from_words`` turns raw 64-bit words into roots drawn by the
+    vertex distribution, and ``orbit_ids``/``orbit_count`` number the vertex
+    orbits densely (every vertex is its own orbit when none are known).
     """
 
     def __init__(
@@ -85,6 +140,7 @@ class WeightedGraph:
             arr.setflags(write=False)
         self._log_z: Optional[float] = None
         self._probs: Optional[np.ndarray] = None
+        self._derived: dict = {}
 
     @property
     def n(self) -> int:
@@ -139,19 +195,33 @@ class WeightedGraph:
     def orbit_reps(self) -> Optional[list[tuple[int, float]]]:
         if self._orbit_labels is None:
             return None
-        reps: dict[int, int] = {}
-        masses: dict[int, float] = {}
-        p = self.probabilities
-        for v, lab in enumerate(self._orbit_labels):
-            lab = int(lab)
-            reps.setdefault(lab, v)
-            masses[lab] = masses.get(lab, 0.0) + float(p[v])
-        return [(reps[lab], masses[lab]) for lab in sorted(reps)]
+        _, first, dense = self._orbit_index()
+        masses = np.bincount(dense, weights=self.probabilities)
+        return list(zip(first.tolist(), masses.tolist()))
 
-    def orbit_of(self, v: int) -> Optional[int]:
+    @property
+    def orbit_count(self) -> int:
+        return self.n if self._orbit_labels is None else len(self._orbit_index()[1])
+
+    def orbit_ids(self, vertices) -> np.ndarray:
+        """Dense orbit id of each vertex; id k is the orbit of orbit_reps()[k]."""
+        vertices = np.asarray(vertices, dtype=np.int64)
         if self._orbit_labels is None:
-            return None
-        return int(self._orbit_labels[v])
+            return vertices
+        return self._orbit_index()[2][vertices]
+
+    def _orbit_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted labels, first vertex of each label, dense id of each vertex."""
+        return self.derived(
+            "orbits",
+            lambda: np.unique(self._orbit_labels, return_index=True, return_inverse=True),
+        )
+
+    def roots_from_words(self, w0: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Roots drawn by the vertex distribution: w0 and w1 feed the alias
+        table; w2 is unused here and offsets roots within a layer on trees."""
+        sampler = self.derived("alias", lambda: AliasSampler(self.probabilities))
+        return sampler.pick(w0, w1)
 
     def structurally_equal(self, other: "WeightedGraph") -> bool:
         return (
@@ -279,7 +349,7 @@ def cycle_ratio_product(G, cycle) -> float:
     return math.exp(walk_log_ratio(G, cycle, closed=True))
 
 
-class LayeredBinaryTree:
+class LayeredBinaryTree(_DerivedCache):
     """Complete binary tree with per-layer weights, stored implicitly.
 
     Vertices use heap indexing: root 0, children of v are 2v+1 and 2v+2,
@@ -303,6 +373,7 @@ class LayeredBinaryTree:
         masses = np.exp(layer_log_mass - self.log_z)
         masses.setflags(write=False)
         self.layer_masses = masses
+        self._derived: dict = {}
 
     @property
     def edge_count(self) -> int:
@@ -342,6 +413,31 @@ class LayeredBinaryTree:
 
     def orbit_of(self, v: int) -> int:
         return self.layer(v)
+
+    @property
+    def orbit_count(self) -> int:
+        return self.depth
+
+    def orbit_ids(self, vertices) -> np.ndarray:
+        return np.array([self.layer(int(v)) for v in vertices], dtype=np.int64)
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Per-vertex distribution, for trees small enough to materialize."""
+        if self.depth > 22:
+            raise TooLarge(f"refusing to list 2^{self.depth} - 1 vertex masses")
+        return np.array([self.p(v) for v in range(self.n)])
+
+    def roots_from_words(self, w0: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Roots drawn by the vertex distribution: a layer from the alias
+        table over layer masses (w0, w1), then a uniform offset within it (w2)."""
+        if self.n >= 2**62:
+            raise GraphError("sampling supports at most 2^62 vertices")
+        sampler = self.derived("alias", lambda: AliasSampler(self.layer_masses))
+        layers = sampler.pick(w0, w1)
+        sizes = np.int64(1) << layers.astype(np.int64)
+        offsets = (w2 % sizes.astype(np.uint64)).astype(np.int64)
+        return (sizes - 1) + offsets
 
     def materialize(self) -> WeightedGraph:
         """Explicit copy for small depths; primarily used to cross-check."""

@@ -128,6 +128,19 @@ def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, 
     per-component solvers give out; after that a seeded greedy pass runs with
     an explicit warning and no accuracy claim.
     """
+    J, value, guaranteed = independent_set_estimate(G, epsilon, seed=seed)
+    if not guaranteed:
+        warnings.warn(
+            "partitioning failed at every component bound; "
+            "greedy fallback carries no accuracy guarantee",
+            stacklevel=2,
+        )
+    return J, value
+
+
+def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozenset, float, bool]:
+    """local_independent_set without the warning, plus whether the result
+    carries the accuracy guarantee: False exactly when the greedy pass ran."""
     probs = G.probabilities
     for K_target in _escalating_targets(G.n, epsilon):
         try:
@@ -149,12 +162,7 @@ def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, 
         J = frozenset(chosen)
         if not is_independent(G, J):
             raise AssertionError("component union is not independent")
-        return J, float(sum(probs[v] for v in J))
-    warnings.warn(
-        "partitioning failed at every component bound; "
-        "greedy fallback carries no accuracy guarantee",
-        stacklevel=2,
-    )
+        return J, float(sum(probs[v] for v in J)), True
     rng = np.random.default_rng(seed)
     order = rng.permutation(G.n)
     taken: set[int] = set()
@@ -168,7 +176,7 @@ def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, 
         for u in G.neighbors(v):
             blocked.add(int(u))
     J = frozenset(taken)
-    return J, float(sum(probs[v] for v in J))
+    return J, float(sum(probs[v] for v in J)), False
 
 
 UNIFORM_TOLERANCE = 1e-9

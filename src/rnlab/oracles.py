@@ -1,29 +1,33 @@
-"""Sampling and observation oracles.
+"""Sampling and observation oracles, and the per-graph ball-type index.
 
 The relative-weight oracle samples a root by the hidden vertex distribution
 and returns its radius-r ball with truncated relative labels.  Query i always
 draws from a fixed 4-word block of a counter-based random stream, so batches
 can be produced in parallel or replayed one index at a time with identical
 results.
+
+A ball's type (its canonical key) is fixed by the graph, so the work of
+finding it is done once per graph: :class:`BallIndex` maps each root (each
+orbit, where the graph knows its orbits) to a dense type id and is kept on
+the graph object.  The tester, the exact and empirical statistics, the
+oracle and ``rnlab sample`` all read types through it.
 """
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .balls import FixedPointLabel, LabeledBall, extract_ball, truncate_label, unrooted_key
-from .graphs import GraphError, LayeredBinaryTree, WeightedGraph
+from . import balls
+from .balls import CanonicalBallKey, LabeledBall, extract_ball, truncate_label, unrooted_key
+from .graphs import AliasSampler, BudgetExceeded, GraphError
 
 WORDS_PER_QUERY = 4
-_TWO64 = float(2**64)
-
-
-class BudgetExceeded(GraphError):
-    pass
 
 
 @dataclass
@@ -34,32 +38,115 @@ class OracleConfig:
     seed: int = 0
 
 
-class AliasSampler:
-    """Walker alias table over a finite distribution, fed by raw 64-bit words."""
+class BallIndex:
+    """Ball types of one graph at radius r and label depth t, filled lazily.
 
-    def __init__(self, probs: np.ndarray):
-        probs = np.asarray(probs, dtype=np.float64)
-        n = len(probs)
-        scaled = probs * (n / probs.sum())
-        self.prob = np.ones(n)
-        self.alias = np.arange(n)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            (small if scaled[l] < 1.0 else large).append(l)
-        self.n = n
+    What it caches: a dense type id per queried root, stored per orbit when
+    the graph knows its orbits (per vertex otherwise); one canonical key and
+    one representative root per type; a raw-ball -> type memo, so a ball seen
+    before is never canonicalized again; and per-type predicate flags, keyed
+    by the predicate's spec (a frozen ``PropertySpec`` for the tester).
 
-    def pick(self, word_index: np.ndarray, word_coin: np.ndarray) -> np.ndarray:
-        u = word_index / _TWO64
-        idx = np.minimum((u * self.n).astype(np.int64), self.n - 1)
-        coin = word_coin / _TWO64
-        return np.where(coin < self.prob[idx], idx, self.alias[idx])
+    Lifetime: one index per (graph, r, t), created by :func:`ball_index` on
+    first use and kept in the graph's derived-structure dict, so it lives
+    exactly as long as the graph object.  Nothing is filled eagerly.
+
+    Memory: one int32 per vertex or orbit, one key and one root per type,
+    and one memo entry per distinct raw ball; the memo is dropped once
+    every vertex or orbit has its type.  The
+    representative ball of a type is re-extracted at its root when a
+    predicate first needs it: keeping a ball object per type keeps its label
+    objects alive, which on cold sweeps doubled the garbage collector's runs.
+
+    A miss extracts the ball and canonicalizes it; an entry is stored only
+    after both succeed, so a lookup that raises (``BudgetExceeded`` from the
+    canonical search, say) raises again next time.  Fills hold a lock and
+    are idempotent, so concurrent callers see the same type ids.
+    """
+
+    def __init__(self, G, r: int, t: int):
+        # a weak reference: the graph owns the index, and without a cycle
+        # the graph is freed by reference counting as soon as it is dropped
+        self._graph = weakref.ref(G)
+        self.r = int(r)
+        self.t = int(t)
+        self.keys: list[CanonicalBallKey] = []
+        self.roots: list[int] = []
+        self._type_of_orbit = np.full(G.orbit_count, -1, dtype=np.int32)
+        self._untyped = G.orbit_count
+        self._type_of_raw: dict[tuple, int] = {}
+        self._type_of_key: dict[CanonicalBallKey, int] = {}
+        self._flags: dict[object, list[bool]] = {}
+        self._lock = threading.RLock()
+
+    def _graph_or_raise(self):
+        G = self._graph()
+        if G is None:
+            raise GraphError("the graph of this ball index has been freed")
+        return G
+
+    def types(self, roots) -> np.ndarray:
+        """Type id of the ball at each root."""
+        G = self._graph_or_raise()
+        orbits = G.orbit_ids(roots)
+        types = self._type_of_orbit[orbits]
+        missing = types < 0
+        if missing.any():
+            with self._lock:
+                fill = self._type_of_orbit
+                # one root per untyped orbit, the first in input order
+                todo, first = np.unique(orbits[missing], return_index=True)
+                reps = np.asarray(roots)[missing][first]
+                keep = fill[todo] < 0  # another thread may have typed some
+                # extract_ball is this module's global and canonicalize is
+                # looked up on balls at call time, so wrappers installed on
+                # either module see every miss
+                found = [
+                    self._type_of(extract_ball(G, root, self.r, self.t), root)
+                    for root in reps[keep].tolist()
+                ]
+                fill[todo[keep]] = found
+                self._untyped -= len(found)
+                if self._untyped == 0:
+                    # every orbit has its type, so no later call of types()
+                    # reads the memo: free it, as a full sweep ends
+                    self._type_of_raw.clear()
+                types = fill[orbits]
+        return types
+
+    def type_of_ball(self, ball: LabeledBall, root: int) -> int:
+        """Type id of the ball extracted from this graph at root."""
+        with self._lock:
+            return self._type_of(ball, root)
+
+    def _type_of(self, ball: LabeledBall, root: int) -> int:
+        raw = (ball.depths, ball.edges, ball.labels)
+        tid = self._type_of_raw.get(raw)
+        if tid is None:
+            key = balls.canonicalize(ball)
+            tid = self._type_of_key.get(key)
+            if tid is None:
+                tid = len(self.keys)
+                self.keys.append(key)
+                self.roots.append(root)
+                self._type_of_key[key] = tid
+            self._type_of_raw[raw] = tid
+        return tid
+
+    def flags(self, spec, predicate: Callable[[LabeledBall], bool]) -> np.ndarray:
+        """predicate(representative ball) for every type known so far,
+        evaluated once per (spec, type); spec names the predicate."""
+        G = self._graph_or_raise()
+        with self._lock:
+            done = self._flags.setdefault(spec, [])
+            for root in self.roots[len(done):]:
+                done.append(bool(predicate(extract_ball(G, root, self.r, self.t))))
+            return np.array(done, dtype=bool)
+
+
+def ball_index(G, r: int, t: int) -> BallIndex:
+    """The graph's BallIndex at (r, t), created on first use."""
+    return G.derived(("balls", int(r), int(t)), lambda: BallIndex(G, r, t))
 
 
 def _raw_words(seed: int, start_query: int, count: int) -> np.ndarray:
@@ -72,9 +159,10 @@ def _raw_words(seed: int, start_query: int, count: int) -> np.ndarray:
 class RadonNikodymOracle:
     """Samples roots by the vertex distribution and serves labeled balls.
 
-    Works on explicit graphs (alias table over all vertices) and on
-    implicitly represented layered trees (alias table over layers plus a
-    uniform index within the layer).
+    Works on any graph with the sampling protocol (``roots_from_words``):
+    explicit graphs draw vertices from an alias table, implicitly represented
+    layered trees draw a layer and then a uniform index within it.  The alias
+    table and the ball index belong to the graph, so oracles are cheap.
     """
 
     def __init__(self, G, r: int, t: int, seed: int = 0):
@@ -82,63 +170,27 @@ class RadonNikodymOracle:
         self.r = int(r)
         self.t = int(t)
         self.seed = int(seed)
-        self._ball_cache: dict = {}
-        if isinstance(G, LayeredBinaryTree):
-            self._layer_alias = AliasSampler(G.layer_masses)
-            self._mode = "layered"
-            if G.n >= 2**62:
-                raise GraphError("sampling supports at most 2^62 vertices")
-        else:
-            self._vertex_alias = AliasSampler(G.probabilities)
-            self._mode = "explicit"
+        self.index = ball_index(G, r, t)
 
     def sample_roots(self, count: int, start_query: int = 0) -> np.ndarray:
         """Roots for queries [start_query, start_query + count)."""
         words = _raw_words(self.seed, start_query, count)
-        w0 = words[0::WORDS_PER_QUERY]
-        w1 = words[1::WORDS_PER_QUERY]
-        if self._mode == "explicit":
-            return self._vertex_alias.pick(w0, w1)
-        layers = self._layer_alias.pick(w0, w1)
-        w2 = words[2::WORDS_PER_QUERY]
-        sizes = (np.int64(1) << layers.astype(np.int64))
-        offsets = (w2 % sizes.astype(np.uint64)).astype(np.int64)
-        return (sizes - 1) + offsets
+        return self.G.roots_from_words(
+            words[0::WORDS_PER_QUERY], words[1::WORDS_PER_QUERY], words[2::WORDS_PER_QUERY]
+        )
 
     def query(self, index: int) -> LabeledBall:
         root = int(self.sample_roots(1, start_query=index)[0])
         return self.ball_at(root)
 
     def ball_at(self, root: int) -> LabeledBall:
-        cache_key = self.G.orbit_of(root) if hasattr(self.G, "orbit_of") else None
-        if cache_key is None:
-            cache_key = ("v", root)
-        ball = self._ball_cache.get(cache_key)
-        if ball is None:
-            ball = extract_ball(self.G, root, self.r, self.t)
-            self._ball_cache[cache_key] = ball
-        return ball
+        return extract_ball(self.G, root, self.r, self.t)
 
 
 def rn_query(G, r: int, t: int, rng: np.random.Generator) -> LabeledBall:
-    """One-off query drawing two uniforms from the caller's generator."""
-    sampler = getattr(G, "_rnlab_alias", None)
-    if sampler is None or sampler.n != getattr(G, "n", -1):
-        if isinstance(G, LayeredBinaryTree):
-            sampler = AliasSampler(G.layer_masses)
-        else:
-            sampler = AliasSampler(G.probabilities)
-        try:
-            G._rnlab_alias = sampler
-        except AttributeError:
-            pass
+    """One-off query drawing three words from the caller's generator."""
     w = rng.integers(0, 2**64, size=3, dtype=np.uint64)
-    if isinstance(G, LayeredBinaryTree):
-        layer = int(sampler.pick(w[0:1], w[1:2])[0])
-        size = 1 << layer
-        root = (size - 1) + int(w[2] % size)
-    else:
-        root = int(sampler.pick(w[0:1], w[1:2])[0])
+    root = int(G.roots_from_words(w[0:1], w[1:2], w[2:3])[0])
     return extract_ball(G, root, r, t)
 
 

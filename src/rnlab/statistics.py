@@ -3,7 +3,12 @@
 A statistic maps canonical ball keys to probability mass.  Exact statistics
 walk every vertex (or one representative per orbit, which is what makes
 astronomically large layered trees tractable); empirical statistics count
-oracle queries.
+oracle queries.  Both read ball types from the graph's
+:class:`~rnlab.oracles.BallIndex`: a root (or orbit) typed before on the same
+graph at the same (r, t) is not extracted again, and a raw ball seen before
+is not canonicalized again.  Masses are summed per type id with
+``bincount``, in sweep order or sorted-root order, and keys appear in the
+order their types are first met there.
 """
 from __future__ import annotations
 
@@ -13,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# canonicalize is not called here; bench/layertrace.py wraps this name
 from .balls import CanonicalBallKey, canonicalize, extract_ball
-from .graphs import GraphError, WeightedGraph
-from .oracles import OracleConfig, RadonNikodymOracle
+from .graphs import GraphError
+from .oracles import BallIndex, OracleConfig, RadonNikodymOracle, ball_index
 
 
 class ParamMismatch(GraphError):
@@ -75,42 +81,43 @@ class BallStatistics:
 MAX_EXACT_SWEEP = 5_000_000
 
 
+def _key_weights(index: BallIndex, types: np.ndarray, masses: np.ndarray) -> dict:
+    """Mass per canonical key, summed in input order, keys in the order their
+    types first occur in ``types``."""
+    totals = np.bincount(types, weights=masses)
+    ids, first = np.unique(types, return_index=True)
+    return {index.keys[i]: float(totals[i]) for i in ids[np.argsort(first)].tolist()}
+
+
 def exact_stats(G, r: int, t: int, use_orbits: bool = True) -> BallStatistics:
     """Exact ball statistic by full sweep, or by orbit representatives when
     the graph carries an orbit labeling."""
-    weights: dict[bytes, float] = {}
-    ball_memo: dict = {}
-
-    def key_of(root: int):
-        ball = extract_ball(G, root, r, t)
-        raw = (ball.depths, ball.edges, ball.labels)
-        key = ball_memo.get(raw)
-        if key is None:
-            key = canonicalize(ball)
-            ball_memo[raw] = key
-        return key
-
+    index = ball_index(G, r, t)
     reps = G.orbit_reps() if use_orbits else None
     if reps is not None:
-        for rep, mass in reps:
-            key = key_of(rep)
-            weights[key] = weights.get(key, 0.0) + mass
+        roots = np.array([rep for rep, _ in reps], dtype=object)
+        masses = np.array([mass for _, mass in reps], dtype=np.float64)
+        types = index.types(roots)
     else:
         if G.n > MAX_EXACT_SWEEP:
             raise GraphError(
                 f"exact sweep over {G.n} vertices refused; provide orbits"
             )
-        probs = G.probabilities if isinstance(G, WeightedGraph) else None
-        for v in range(G.n):
-            key = key_of(v)
-            mass = float(probs[v]) if probs is not None else G.p(v)
-            weights[key] = weights.get(key, 0.0) + mass
+        masses = G.probabilities
+        if G.orbit_count == G.n:
+            types = index.types(np.arange(G.n))
+        else:
+            # every vertex on its own, without the orbit shortcut
+            types = np.array(
+                [index.type_of_ball(extract_ball(G, v, r, t), v) for v in range(G.n)],
+                dtype=np.int64,
+            )
     return BallStatistics(
         radius=r,
         digits=t,
         degree_bound=G.d,
         ratio_bound=G.K,
-        weights=weights,
+        weights=_key_weights(index, types, masses),
         total_queries=0,
     )
 
@@ -119,25 +126,14 @@ def empirical_stats(G, config: OracleConfig) -> BallStatistics:
     """Sampled ball statistic through the relative-weight oracle."""
     oracle = RadonNikodymOracle(G, config.radius, config.depth, seed=config.seed)
     roots = oracle.sample_roots(config.query_budget)
-    weights: dict[bytes, float] = {}
-    key_memo: dict = {}
     uniq, counts = np.unique(roots, return_counts=True)
-    inv_budget = 1.0 / config.query_budget
-    for root, count in zip(uniq.tolist(), counts.tolist()):
-        cache = G.orbit_of(root) if hasattr(G, "orbit_of") else None
-        if cache is None:
-            cache = ("v", root)
-        key = key_memo.get(cache)
-        if key is None:
-            key = canonicalize(oracle.ball_at(root))
-            key_memo[cache] = key
-        weights[key] = weights.get(key, 0.0) + count * inv_budget
+    types = oracle.index.types(uniq)
     return BallStatistics(
         radius=config.radius,
         digits=config.depth,
         degree_bound=G.d,
         ratio_bound=G.K,
-        weights=weights,
+        weights=_key_weights(oracle.index, types, counts * (1.0 / config.query_budget)),
         total_queries=config.query_budget,
     )
 

@@ -3,7 +3,10 @@ observation-based decision.
 
 The sampled tester is one-sided by construction: a violating ball is a
 forbidden configuration sitting wholly inside the sampled radius, and members
-of a subgraph-closed property contain none, ever.
+of a subgraph-closed property contain none, ever.  Ball types and per-type
+violation flags come from the graph's :class:`~rnlab.oracles.BallIndex`, so
+repeated tests on one graph extract, canonicalize and check each ball type
+once.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# canonicalize is not called here; bench/layertrace.py wraps this name
 from .balls import canonicalize
 from .distances import PropertySpec, UnsupportedProperty, _has_subgraph_copy, _is_bipartite, _is_k_colorable
 from .oracles import RadonNikodymOracle, cycle_key, induced_cycle_lengths
@@ -86,27 +90,16 @@ def test_property(
     c = budget if budget is not None else default_budget(epsilon)
     tau = epsilon / 4.0
     oracle = RadonNikodymOracle(G, r, t, seed=seed)
-    roots = oracle.sample_roots(c)
-    uniq, counts = np.unique(roots, return_counts=True)
-    flag_memo: dict = {}
-    key_memo: dict = {}
-    evidence: dict[str, list] = {}
-    bad = 0
-    for root, count in zip(uniq.tolist(), counts.tolist()):
-        cache = G.orbit_of(root) if hasattr(G, "orbit_of") else None
-        if cache is None:
-            cache = ("v", root)
-        if cache not in flag_memo:
-            ball = oracle.ball_at(root)
-            flag_memo[cache] = ball_violates(P, ball.n, ball.edges)
-            key_memo[cache] = canonicalize(ball).hex()
-        flag = flag_memo[cache]
-        key = key_memo[cache]
-        if key not in evidence:
-            evidence[key] = [0, flag]
-        evidence[key][0] += count
-        if flag:
-            bad += count
+    uniq, counts = np.unique(oracle.sample_roots(c), return_counts=True)
+    types = oracle.index.types(uniq)
+    violating = oracle.index.flags(P, lambda ball: ball_violates(P, ball.n, ball.edges))
+    # integer counts: float sums are exact far beyond any budget
+    per_type = np.bincount(types, weights=counts, minlength=len(violating))
+    bad = int(per_type[violating].sum())
+    evidence = {
+        oracle.index.keys[i].hex(): (int(per_type[i]), bool(violating[i]))
+        for i in np.unique(types).tolist()
+    }
     frac = bad / c
     verdict = "REJECT" if frac > tau else "ACCEPT"
     return TestVerdict(
@@ -123,7 +116,7 @@ def test_property(
             "seed": seed,
         },
         violating_fraction=frac,
-        evidence={k: tuple(v) for k, v in sorted(evidence.items())},
+        evidence=dict(sorted(evidence.items())),
     )
 
 

@@ -255,6 +255,19 @@ class TestEstimate:
         obj = json.loads(out)
         assert 0.4 <= obj["value"] <= 0.5 + 1e-9
         assert obj["witness_size"] >= 20
+        assert obj["guaranteed"] is True
+
+    def test_independence_greedy_fallback_is_not_guaranteed(self, graph_file, capsys):
+        # no partition certificate exists on this expander at epsilon 0.2
+        g = graph_file(gen_random_regular(60, 3, seed=1))
+        rc, out = run(
+            capsys,
+            ["estimate", "--what", "independence", "--graph", g, "--epsilon", "0.2"],
+        )
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["guaranteed"] is False
+        assert obj["witness_size"] > 0
 
     def test_matching(self, graph_file, capsys):
         g = graph_file(gen_cycle(60))

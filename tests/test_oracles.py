@@ -23,7 +23,8 @@ from rnlab import (
     truncate_label,
     uniform_query,
 )
-from rnlab import build_graph
+from rnlab import GraphError, ball_index, build_graph, canonicalize, extract_ball, gen_grid
+from rnlab import balls, graphs
 from helpers import GIRTH8_CUBIC_EDGES, GIRTH8_CUBIC_N
 
 LN2 = math.log(2.0)
@@ -50,6 +51,20 @@ class TestAliasSampler:
         sampler = AliasSampler(np.array([1.0]))
         w = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
         assert np.array_equal(sampler.pick(w, w), [0, 0, 0])
+
+    def test_tables_pinned(self):
+        # sampled roots, and so every seeded result, follow these tables bit for bit
+        sampler = AliasSampler(np.array([3.0, 1.0, 1.0, 7.0, 0.5, 2.5]))
+        assert [float(x).hex() for x in sampler.prob] == [
+            "0x1.0000000000000p+0",
+            "0x1.999999999999ap-2",
+            "0x1.999999999999ap-2",
+            "0x1.9999999999999p-1",
+            "0x1.999999999999ap-3",
+            "0x1.9999999999998p-3",
+        ]
+        assert sampler.alias.tolist() == [0, 3, 3, 0, 5, 3]
+        assert sampler.prob.dtype == np.float64 and sampler.alias.dtype == np.int64
 
 
 class TestRootSampling:
@@ -141,6 +156,66 @@ class TestBallQueries:
             if ball.n == 2:
                 ends += 1
         assert abs(ends / 30_000 - 2 / 3) < 0.02
+
+
+class TestBallIndex:
+    def test_one_index_per_graph_and_radius(self, weighted_p3):
+        index = ball_index(weighted_p3, 1, 2)
+        assert ball_index(weighted_p3, 1, 2) is index
+        assert RadonNikodymOracle(weighted_p3, 1, 2, seed=4).index is index
+        assert ball_index(weighted_p3, 2, 2) is not index
+        equal = build_graph([(0, 1), (1, 2)], weighted_p3.log_weights, d=2, K=3.0)
+        assert ball_index(equal, 1, 2) is not index
+
+    def test_index_does_not_keep_its_graph_alive(self):
+        index = ball_index(gen_path(5), 1, 2)
+        with pytest.raises(GraphError):
+            index.types([0])
+
+    def test_types_are_dense_and_keys_distinct(self):
+        G = gen_grid(5, 5)
+        index = ball_index(G, 1, 2)
+        types = index.types(np.arange(G.n))
+        # corner, edge and interior vertices
+        assert sorted(set(types.tolist())) == [0, 1, 2]
+        assert len(set(index.keys)) == len(index.keys) == len(index.roots) == 3
+        for v in range(G.n):
+            assert index.keys[types[v]] == canonicalize(extract_ball(G, v, 1, 2))
+
+    def test_orbits_share_one_slot(self):
+        T = gen_binary_tree(12, LN2, representation="implicit")
+        index = ball_index(T, 2, 2)
+        layer_starts = [T.layer_start(k) for k in range(12)]
+        ends = [T.layer_start(k + 1) - 1 for k in range(12)]
+        assert np.array_equal(index.types(layer_starts), index.types(ends))
+
+    def test_flags_evaluated_once_per_type(self):
+        G = gen_cycle(5)
+        index = ball_index(G, 2, 2)
+        index.types(np.arange(5))
+        calls = []
+
+        def predicate(ball):
+            calls.append(ball)
+            return len(ball.edges) >= ball.n
+
+        assert index.flags("cyclic", predicate).tolist() == [True]
+        assert index.flags("cyclic", predicate).tolist() == [True]
+        assert len(calls) == 1
+
+    def test_budget_error_is_typed_and_leaves_no_entry(self, monkeypatch):
+        assert BudgetExceeded is graphs.BudgetExceeded
+        assert issubclass(BudgetExceeded, GraphError)
+        # the 6-cycle ball has a reflection, so its search needs two leaves
+        monkeypatch.setattr(balls._RefinementSearch, "MAX_LEAVES", 1)
+        G = gen_cycle(6)
+        index = ball_index(G, 3, 2)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                index.types([0])
+        assert index.keys == [] and index.roots == []
+        monkeypatch.undo()
+        assert index.types([0]).tolist() == [0]
 
 
 class TestObserve:
