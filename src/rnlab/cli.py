@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("gen", help="generate a graph file")
@@ -298,19 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_stats)
 
-    for alias in ("distance", "dist"):
-        p = sub.add_parser(alias, help="statistical or property distance")
-        p.add_argument("--stats-a", dest="stats_a")
-        p.add_argument("--stats-b", dest="stats_b")
-        p.add_argument("--rmax", type=int, default=3)
-        p.add_argument("--graph")
-        p.add_argument("--property")
-        p.add_argument("--forbidden")
-        p.add_argument("--colors", type=int)
-        p.add_argument("--absolute", action="store_true")
-        p.add_argument("--K", type=float, default=2.0)
-        common(p)
-        p.set_defaults(fn=cmd_distance)
+    p = sub.add_parser("distance", aliases=["dist"], help="statistical or property distance")
+    p.add_argument("--stats-a", dest="stats_a")
+    p.add_argument("--stats-b", dest="stats_b")
+    p.add_argument("--rmax", type=int, default=3)
+    p.add_argument("--graph")
+    p.add_argument("--property")
+    p.add_argument("--forbidden")
+    p.add_argument("--colors", type=int)
+    p.add_argument("--absolute", action="store_true")
+    p.add_argument("--K", type=float, default=2.0)
+    common(p)
+    p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("partition", help="hyperfinite removal certificates")
     p.add_argument("--graph", required=True)
@@ -350,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--csv")
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(fn=cmd_scenario)
 

@@ -65,7 +65,9 @@ class PropertySpec:
         return {"forest": "acyclic graphs", "bipartite": "odd-cycle-free graphs"}[self.id]
 
 
-def _is_forest(n: int, edges) -> bool:
+def _cycle_edges(n: int, edges) -> list:
+    """Kruskal pass over edges in the given order: the edges that close a
+    cycle with those kept before them."""
     parent = list(range(n))
 
     def find(a):
@@ -74,12 +76,14 @@ def _is_forest(n: int, edges) -> bool:
             a = parent[a]
         return a
 
+    rejected = []
     for u, v in edges:
         ru, rv = find(u), find(v)
         if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+            rejected.append((u, v))
+        else:
+            parent[ru] = rv
+    return rejected
 
 
 def _is_bipartite(n: int, edges) -> bool:
@@ -172,7 +176,7 @@ def _is_k_colorable(n: int, edges, k: int) -> bool:
 
 def holds_on(P: PropertySpec, n: int, edges) -> bool:
     if P.id == "forest":
-        return _is_forest(n, edges)
+        return not _cycle_edges(n, edges)
     if P.id == "bipartite":
         return _is_bipartite(n, edges)
     if P.id == "h_free":
@@ -236,21 +240,7 @@ def weighted_edit_distance(Gp: WeightedGraph, Hq: WeightedGraph) -> float:
 def _forest_distance(G) -> tuple[float, tuple]:
     """Max-weight spanning forest: keep heavy edges, delete the rest."""
     edges = sorted(G.edge_list(), key=lambda e: -edge_mass(G, *e))
-    parent = list(range(G.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    deleted = []
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            deleted.append((u, v))
-        else:
-            parent[ru] = rv
+    deleted = _cycle_edges(G.n, edges)
     return sum(edge_mass(G, *e) for e in deleted), tuple(sorted(deleted))
 
 

@@ -17,6 +17,7 @@ from .graphs import (
     LayeredBinaryTree,
     WeightedGraph,
     build_graph,
+    components,
 )
 
 LN2 = math.log(2.0)
@@ -205,7 +206,7 @@ def gen_random_regular(
         if not ok:
             continue
         G = build_graph(sorted(edge_set), [0.0] * n, d=d, K=1.0)
-        if not _connected(G):
+        if len(components(G)) > 1:
             continue
         if algebraic_connectivity(G) > gap_threshold:
             return G
@@ -213,23 +214,6 @@ def gen_random_regular(
         f"no {d}-regular graph on {n} vertices with spectral gap > {gap_threshold} "
         f"found in {max_tries} tries"
     )
-
-
-def _connected(G: WeightedGraph) -> bool:
-    if G.n == 0:
-        return True
-    seen = np.zeros(G.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in G.neighbors(v):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(int(w))
-    return count == G.n
 
 
 def gen_perturbed_union(n: int, profile: str = "uniform", seed: int = 0) -> WeightedGraph:

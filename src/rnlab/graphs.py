@@ -180,6 +180,11 @@ class WeightedGraph(_DerivedCache):
     def adjacent(self, x: int, y: int) -> bool:
         return bool(np.any(self.neighbors(x) == y))
 
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tail and head of every directed arc, in CSR order: by tail, then
+        by head."""
+        return np.repeat(np.arange(self.n), np.diff(self._indptr)), self._indices
+
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.neighbors(u):
@@ -347,6 +352,35 @@ def walk_log_ratio(G, walk, closed: bool = False) -> float:
 def cycle_ratio_product(G, cycle) -> float:
     """Product of directed edge labels around a cycle; exactly 1.0."""
     return math.exp(walk_log_ratio(G, cycle, closed=True))
+
+
+def components(G, removed=()) -> list[list[int]]:
+    """Connected components of G after deleting the removed vertices.
+
+    Components come in order of their smallest vertex, each listing its
+    vertices in the order a stack scan visits them.  Only ``G.n`` and
+    ``G.neighbors`` are used, so both graph classes are served.
+    """
+    seen = [False] * G.n
+    for v in removed:
+        seen[v] = True
+    comps = []
+    for s in range(G.n):
+        if seen[s]:
+            continue
+        comp = []
+        stack = [s]
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in G.neighbors(v):
+                w = int(w)
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(comp)
+    return comps
 
 
 class LayeredBinaryTree(_DerivedCache):

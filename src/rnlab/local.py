@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .balls import CanonicalDecoratedBall, canonicalize_decorated, extract_ball_with_map
-from .graphs import GraphError
+from .graphs import GraphError, components
 from .partitions import PartitionInfeasible, find_weighted_partition
 from .solvers import (
     TooLarge,
@@ -87,27 +87,6 @@ def run_local_rule(G, rule: LocalRule, t: int, seed: int, bits=None) -> frozense
     return frozenset(members)
 
 
-def _components_excluding(G, removed: frozenset) -> list[list[int]]:
-    seen = [False] * G.n
-    comps = []
-    for s in range(G.n):
-        if seen[s] or s in removed:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in G.neighbors(v):
-                w = int(w)
-                if not seen[w] and w not in removed:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _escalating_targets(n: int, epsilon: float) -> list[int]:
     targets = []
     k = math.ceil(2.0 / epsilon)
@@ -155,8 +134,8 @@ def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozense
         w = {v: float(probs[v]) for v in adj}
         chosen: list[int] = []
         try:
-            for comp in _components_excluding(G, cert.removed):
-                chosen.extend(component_mwis(comp, adj, w))
+            for comp in components(G, cert.removed):
+                chosen.extend(component_mwis(sorted(comp), adj, w))
         except TooLarge:
             continue
         J = frozenset(chosen)
@@ -184,7 +163,11 @@ UNIFORM_TOLERANCE = 1e-9
 
 def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
     """Matching ratio estimate on uniform-weight graphs: partition at
-    epsilon/2, match each component exactly, add up."""
+    epsilon/2, match each component exactly, add up.
+
+    The estimate is deterministic; seed is accepted for the signature shared
+    with independent_set_estimate, and callers pass it.
+    """
     lw = G.log_weights
     if float(lw.max() - lw.min()) > UNIFORM_TOLERANCE:
         raise GraphError("matching estimation expects uniform weights")
@@ -197,7 +180,7 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
             continue
         total = 0
         try:
-            for comp in _components_excluding(G, cert.removed):
+            for comp in components(G, cert.removed):
                 pos = {v: i for i, v in enumerate(comp)}
                 adj = [
                     [pos[int(u)] for u in G.neighbors(v) if int(u) in pos]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, WeightedGraph
+from .graphs import GraphError, components
 
 MASS_SLACK = 1e-9
 
@@ -59,27 +59,6 @@ class UniformCoverCertificate:
         }
 
 
-def _component_sizes_without(G, removed: frozenset) -> list[int]:
-    seen = [False] * G.n
-    sizes = []
-    for s in range(G.n):
-        if seen[s] or s in removed:
-            continue
-        count = 0
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            count += 1
-            for w in G.neighbors(v):
-                w = int(w)
-                if not seen[w] and w not in removed:
-                    seen[w] = True
-                    stack.append(w)
-        sizes.append(count)
-    return sizes
-
-
 def removed_mass(G, removed) -> float:
     if not removed:
         return 0.0
@@ -88,18 +67,20 @@ def removed_mass(G, removed) -> float:
 
 
 def verify_weighted_partition(G, cert: PartitionCertificate) -> bool:
-    """Exact re-check: mass of the removed set and all component sizes."""
+    """Exact re-check: mass of the removed set and all component sizes.
+    A removed set naming anything but a vertex of G fails."""
+    if not all(0 <= v < G.n for v in cert.removed):
+        return False
     mass = removed_mass(G, cert.removed)
     if mass > cert.epsilon * (1.0 + MASS_SLACK) + 1e-15:
         return False
-    sizes = _component_sizes_without(G, cert.removed)
-    return all(s <= cert.component_bound for s in sizes)
+    return all(len(c) <= cert.component_bound for c in components(G, cert.removed))
 
 
 def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
     """The three defining conditions: every cover is small in counting
     measure, every residual component is bounded, every vertex is covered
-    rarely."""
+    rarely.  A cover naming anything but a vertex of G fails."""
     n = G.n
     L = len(cert.covers)
     if L == 0:
@@ -108,8 +89,9 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
     for cover in cert.covers:
         if len(cover) >= cert.epsilon * n and len(cover) > 0:
             return False
-        sizes = _component_sizes_without(G, frozenset(cover))
-        if any(s > cert.component_bound for s in sizes):
+        if not all(0 <= v < n for v in cover):
+            return False
+        if any(len(c) > cert.component_bound for c in components(G, cover)):
             return False
         for v in cover:
             frequency[v] += 1
@@ -147,24 +129,9 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     assigned = [False] * n
     component_sizes: list[int] = []
 
-    # initial entries: the heaviest vertex of each component
-    entries: list[int] = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        best, stack = s, [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            if probs[v] > probs[best]:
-                best = v
-            for w in G.neighbors(v):
-                w = int(w)
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        entries.append(best)
+    # initial entries: the heaviest vertex of each component, the first in
+    # visit order on ties
+    entries = [max(comp, key=probs.__getitem__) for comp in components(G)]
 
     def explore(seed: int):
         """BFS layers from seed until the prefix exceeds K_target or the
@@ -277,10 +244,9 @@ def _walk_order_cycle(G) -> list[int]:
 
 def _detect_family(G) -> str:
     degs = _degree_profile(G)
-    comps = _component_sizes_without(G, frozenset())
     if G.n == 1:
         return "single"
-    if len(comps) != 1:
+    if len(components(G)) != 1:
         raise UnsupportedFamily("cover construction needs a connected graph")
     if all(d <= 2 for d in degs):
         if degs.count(1) == 2:
@@ -327,10 +293,7 @@ def build_uniform_cover(G, epsilon: float, grid_dims: tuple = None) -> UniformCo
             frozenset(order[pos] for pos in range(G.n) if pos % m == j)
             for j in range(m)
         )
-        bound = 0
-        for cov in covers:
-            sizes = _component_sizes_without(G, cov)
-            bound = max(bound, max(sizes, default=0))
+        bound = max((len(c) for cov in covers for c in components(G, cov)), default=0)
         cert = UniformCoverCertificate(
             covers=covers, epsilon=epsilon, component_bound=bound
         )

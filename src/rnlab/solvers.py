@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from .graphs import TooLarge
+from .graphs import TooLarge, components
 
 MAX_MATCHING_VERTICES = 200
 MAX_BRANCH_VERTICES = 45
@@ -115,26 +115,6 @@ def exact_matching(G) -> float:
 # ---------------------------------------------------------------------------
 # Maximum-weight independent set, per-component dispatch.
 # ---------------------------------------------------------------------------
-
-
-def _components(n: int, adj) -> list[list[int]]:
-    seen = [False] * n
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
 
 
 def _path_mwis(weights: list[float]) -> tuple[float, list[int]]:
@@ -514,8 +494,8 @@ def exact_weighted_mis(G) -> tuple[frozenset, float]:
     adj = {v: [int(u) for u in G.neighbors(v)] for v in range(n)}
     w = {v: float(probs[v]) for v in range(n)}
     chosen: list[int] = []
-    for comp in _components(n, adj):
-        chosen.extend(component_mwis(comp, adj, w))
+    for comp in components(G):
+        chosen.extend(component_mwis(sorted(comp), adj, w))
     chosen_set = frozenset(chosen)
     for v in chosen_set:
         for u in adj[v]:

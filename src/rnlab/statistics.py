@@ -201,9 +201,8 @@ def edge_entropy(G) -> float:
             total += mass * s
         return total
     lw = G.log_weights
-    counts = np.diff(G._indptr)
-    src = np.repeat(np.arange(G.n), counts)
-    contrib = lw[src] - lw[G._indices]
+    src, dst = G.arcs()
+    contrib = lw[src] - lw[dst]
     return float((G.probabilities[src] * contrib).sum())
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 # canonicalize is not called here; bench/layertrace.py wraps this name
 from .balls import canonicalize
-from .distances import PropertySpec, UnsupportedProperty, _has_subgraph_copy, _is_bipartite, _is_k_colorable
+from .distances import PropertySpec, UnsupportedProperty, holds_on
 from .oracles import RadonNikodymOracle, cycle_key, induced_cycle_lengths
 
 
@@ -46,16 +46,7 @@ class TestVerdict:
 
 def ball_violates(P: PropertySpec, n: int, edges) -> bool:
     """Does this ball contain a forbidden configuration for P?"""
-    if P.id == "forest":
-        return len(edges) >= n  # connected, so any extra edge closes a cycle
-    if P.id == "bipartite":
-        return not _is_bipartite(n, edges)
-    if P.id == "h_free":
-        hn, hedges = P.forbidden
-        return _has_subgraph_copy(n, edges, hn, hedges)
-    if P.id == "k_colorable":
-        return not _is_k_colorable(n, edges, P.colors)
-    raise UnsupportedProperty(P.id)
+    return not holds_on(P, n, edges)
 
 
 def default_radius(epsilon: float) -> int:
@@ -81,6 +72,9 @@ def test_property(
     REJECT iff the sampled fraction of violating balls exceeds epsilon/4.
     Members never produce a violating ball (subgraph-closed property, and the
     ball is an induced subgraph), so acceptance of members is certain.
+
+    K does not affect the test; it is recorded in the verdict's params
+    (default G.K), which reports and CLI output carry unchanged.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")

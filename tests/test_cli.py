@@ -348,7 +348,7 @@ class TestScenario:
         rc, printed = run(
             capsys,
             ["scenario", "--name", "entropy_sweep", "--param", "depths=[25]",
-             "--out", str(out)],
+             "--threads", "2", "--out", str(out)],
         )
         assert rc == 0
         assert printed.strip() == str(out)

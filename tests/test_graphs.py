@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import rnlab
 from helpers import random_bounded_graph
 from rnlab import (
     DegreeExceeded,
@@ -14,7 +20,10 @@ from rnlab import (
     SelfLoop,
     WeightedGraph,
     build_graph,
+    components,
     gen_binary_tree,
+    gen_grid,
+    gen_path,
     graph_from_json_dict,
     graph_to_json,
     load_graph,
@@ -198,6 +207,65 @@ class TestLayeredBinaryTree:
         p = G.probabilities
         layers = [p[0], p[1] + p[2], p[3:].sum()]
         assert np.allclose(layers, [1 / 3] * 3)
+
+
+class TestComponents:
+    @staticmethod
+    def _check_against_networkx(G, removed, comps):
+        g = nx.Graph()
+        g.add_nodes_from(range(G.n))
+        g.add_edges_from((u, int(v)) for u in range(G.n) for v in G.neighbors(u))
+        g.remove_nodes_from(removed)
+        expected = sorted(sorted(c) for c in nx.connected_components(g))
+        assert sorted(sorted(c) for c in comps) == expected
+        # ordered by smallest vertex, and each scan starts at that vertex
+        firsts = [c[0] for c in comps]
+        assert firsts == sorted(firsts)
+        assert all(c[0] == min(c) for c in comps)
+
+    def test_matches_networkx_on_random_removals(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            G = random_bounded_graph(rng, n, d=3, K=2.0, edge_factor=float(rng.uniform(0.3, 1.5)))
+            removed = {int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
+            self._check_against_networkx(G, removed, components(G, removed))
+
+    def test_implicit_tree_matches_its_materialization(self, rng):
+        T = LayeredBinaryTree(5, 0.4)
+        G = T.materialize()
+        for k in (0, 1, 3, 8):
+            removed = frozenset(int(v) for v in rng.choice(T.n, size=k, replace=False))
+            comps = components(T, removed)
+            assert comps == components(G, removed)
+            self._check_against_networkx(G, removed, comps)
+
+    def test_visit_order_and_edge_cases(self):
+        # stack scan: 0 pushes 1 and 2, then 2 is visited before 1
+        assert components(gen_grid(2, 2)) == [[0, 2, 3, 1]]
+        assert components(gen_path(5), {2}) == [[0, 1], [3, 4]]
+        assert components(gen_path(3), {0, 1, 2}) == []
+        assert components(build_graph([], [0.0] * 3, d=2, K=1.0)) == [[0], [1], [2]]
+
+    def test_core_paths_do_not_load_scipy(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            import rnlab
+            G = rnlab.gen_grid(4, 4)
+            assert len(rnlab.components(G, {5, 6})) == 1
+            rnlab.find_weighted_partition(G, 0.3, K_target=16)
+            assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(rnlab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+
+    def test_arcs_follow_csr_order(self, rng):
+        G = random_bounded_graph(rng, 15, d=3, K=2.0)
+        tails, heads = G.arcs()
+        assert tails.tolist() == [u for u in range(G.n) for _ in G.neighbors(u)]
+        assert heads.tolist() == [int(v) for u in range(G.n) for v in G.neighbors(u)]
 
 
 class TestJsonRoundTrip:

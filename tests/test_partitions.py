@@ -52,6 +52,18 @@ class TestVerifyWeightedPartition:
         )
         assert verify_weighted_partition(G, cert)
 
+    def test_vertices_outside_the_graph_fail(self):
+        G = gen_path(10)
+        # -1 must not stand in for vertex 9, which would cut {5..9} to size 4
+        wraps = PartitionCertificate(removed=frozenset({4, -1}), epsilon=0.25, component_bound=4)
+        assert not verify_weighted_partition(G, wraps)
+        beyond = PartitionCertificate(removed=frozenset({4, 10}), epsilon=0.25, component_bound=5)
+        assert not verify_weighted_partition(G, beyond)
+        cover = UniformCoverCertificate(
+            covers=(frozenset({2, 5, 8}), frozenset({0, 3, 6, -1})), epsilon=0.75, component_bound=2
+        )
+        assert not verify_uniform_cover(G, cover)
+
     def test_weighted_mass(self, weighted_p3):
         cert = PartitionCertificate(
             removed=frozenset({0}), epsilon=0.5, component_bound=2
@@ -126,6 +138,43 @@ class TestFindWeightedPartition:
         obj = cert.to_json_dict()
         assert obj["removed"] == sorted(cert.removed)
         assert obj["component_bound"] == cert.component_bound
+
+
+def _tied_graph():
+    """A path of 30, a cycle of 12 and a binary tree of 15 vertices on three
+    weight levels, so each component has several vertices of top weight."""
+    edges = [(i, i + 1) for i in range(29)]
+    edges += [(30 + i, 30 + (i + 1) % 12) for i in range(12)]
+    edges += [(42 + v, 42 + 2 * v + c) for v in range(7) for c in (1, 2)]
+    lw = [LN2 / 2 * ((i * i + i // 4) % 3) for i in range(57)]
+    return build_graph(edges, lw, d=3, K=2.0)
+
+
+class TestTiedWeightCertificates:
+    """Certificates pinned on tied weights: the entry of each component is
+    its first heaviest vertex in scan order, and changing that tie-break
+    changes these certificates."""
+
+    @pytest.mark.parametrize(
+        "epsilon, K_target, removed, sizes",
+        [
+            (0.15, 20, [20], (9, 12, 15, 20)),
+            (0.25, 10, [10, 20, 34, 36, 45, 46], (1, 1, 1, 1, 1, 9, 9, 9, 9, 10)),
+            (0.25, 12, [12, 24, 45, 46], (1, 1, 1, 1, 5, 9, 11, 12, 12)),
+            (0.3, 30, [], (12, 15, 30)),
+        ],
+    )
+    def test_pinned(self, epsilon, K_target, removed, sizes):
+        G = _tied_graph()
+        cert = find_weighted_partition(G, epsilon, K_target)
+        assert sorted(cert.removed) == removed
+        assert cert.component_sizes == sizes
+        assert cert.component_bound == max(sizes)
+        assert verify_weighted_partition(G, cert)
+
+    def test_pinned_infeasible(self):
+        with pytest.raises(PartitionInfeasible):
+            find_weighted_partition(_tied_graph(), 0.4, 8)
 
 
 class TestUniformCover:

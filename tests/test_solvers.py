@@ -228,10 +228,9 @@ class TestAgainstExhaustive:
 
 
 def _comp_list(G):
-    from rnlab.solvers import _components
+    from rnlab.graphs import components
 
-    adj = {v: [int(u) for u in G.neighbors(v)] for v in range(G.n)}
-    return _components(G.n, adj)
+    return [sorted(c) for c in components(G)]
 
 
 class TestHelpers:
