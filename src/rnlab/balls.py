@@ -10,11 +10,10 @@ label-preserving isomorphism exists between them.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import BudgetExceeded
+from .graphs import BudgetExceeded, bfs
 
 # Relative slack applied before flooring.  Ratios are evaluated through
 # exp() of float log-weight differences, so a ratio that is exactly 2 in
@@ -95,21 +94,7 @@ def extract_ball_with_map(G, x: int, r: int, t: int) -> tuple[LabeledBall, tuple
     """extract_ball plus the original vertex ids in ball order (root first)."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    local: dict[int, int] = {x: 0}
-    order = [x]
-    depths = [0]
-    dq = deque([(x, 0)])
-    while dq:
-        v, dist = dq.popleft()
-        if dist == r:
-            continue
-        for w in G.neighbors(v):
-            w = int(w)
-            if w not in local:
-                local[w] = len(order)
-                order.append(w)
-                depths.append(dist + 1)
-                dq.append((w, dist + 1))
+    order, depths, local = bfs(G.neighbors, x, r)
     edges = []
     for v in order:
         iv = local[v]
@@ -353,18 +338,9 @@ def rooted_ball_view(n: int, edges: Sequence[tuple[int, int]], root: int) -> Lab
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    order = [root]
-    depths = [0]
-    pos = {root: 0}
-    dq = deque([(root, 0)])
-    while dq:
-        v, dist = dq.popleft()
-        for w in sorted(adj[v]):
-            if w not in pos:
-                pos[w] = len(order)
-                order.append(w)
-                depths.append(dist + 1)
-                dq.append((w, dist + 1))
+    for row in adj:
+        row.sort()
+    order, depths, pos = bfs(adj.__getitem__, root)
     if len(order) != n:
         raise ValueError("rooted_ball_view requires a connected graph")
     new_edges = sorted(

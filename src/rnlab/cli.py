@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -102,10 +102,10 @@ def cmd_sample(args) -> int:
         from .balls import canonicalize
 
         rng = np.random.Generator(np.random.Philox(key=args.seed))
-        for _ in range(args.queries):
-            ball = uniform_query(G, args.r, rng, t=args.t)
+        tally = Counter(uniform_query(G, args.r, rng, t=args.t) for _ in range(args.queries))
+        for ball, c in tally.items():
             key = canonicalize(ball).hex()
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + c
     lines = [
         json.dumps({"key": k, "count": c}, sort_keys=True)
         for k, c in sorted(counts.items())
@@ -348,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for row tasks; rows hold the interpreter "
+                        "lock, so this is no faster, but the report must not change")
     common(p)
     p.set_defaults(fn=cmd_scenario)
 

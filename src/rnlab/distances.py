@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import GraphError, TooLarge, WeightedGraph
+from .graphs import GraphError, TooLarge, WeightedGraph, two_coloring
 from .simplex import solve_lp
 
 
@@ -86,28 +86,6 @@ def _cycle_edges(n: int, edges) -> list:
     return rejected
 
 
-def _is_bipartite(n: int, edges) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color = [-1] * n
-    for s in range(n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if color[y] == -1:
-                    color[y] = color[x] ^ 1
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
-
-
 def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
     """Backtracking search for a (not necessarily induced) copy of H."""
     if hn > n:
@@ -178,7 +156,11 @@ def holds_on(P: PropertySpec, n: int, edges) -> bool:
     if P.id == "forest":
         return not _cycle_edges(n, edges)
     if P.id == "bipartite":
-        return _is_bipartite(n, edges)
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return two_coloring(adj.__getitem__, range(n)) is not None
     if P.id == "h_free":
         hn, hedges = P.forbidden
         return not _has_subgraph_copy(n, edges, hn, hedges)

@@ -16,6 +16,7 @@ from .graphs import (
     Disconnected,
     LayeredBinaryTree,
     WeightedGraph,
+    bfs,
     build_graph,
     components,
 )
@@ -258,20 +259,11 @@ def gen_layered_weights(G: WeightedGraph, root: int, mode: str, beta: float = 0.
     the minimal valid one.  Raises Disconnected when some vertex is
     unreachable from the root.
     """
-    n = G.n
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in G.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(int(w))
-        frontier = nxt
-    if int(dist.min()) < 0:
+    order, depths, _ = bfs(G.neighbors, root)
+    if len(order) < G.n:
         raise Disconnected("layered weights need every vertex reachable from the root")
+    dist = np.empty(G.n, dtype=np.int64)
+    dist[order] = depths
     if mode == "exp_beta":
         lw = (-beta * dist).astype(np.float64)
     elif mode == "inverse_sphere":

@@ -320,9 +320,7 @@ def build_graph(
 
 def ratio(G, x: int, y: int) -> float:
     """Discrete derivative p(y)/p(x) across the edge {x, y}."""
-    nbrs = G.neighbors(x)
-    adjacent = any(int(w) == y for w in nbrs) if not isinstance(nbrs, np.ndarray) else bool(np.any(nbrs == y))
-    if not adjacent:
+    if not G.adjacent(x, y):
         raise NotAdjacent(f"vertices {x} and {y} are not adjacent")
     return math.exp(G.log_weight(y) - G.log_weight(x))
 
@@ -381,6 +379,60 @@ def components(G, removed=()) -> list[list[int]]:
                     stack.append(w)
         comps.append(comp)
     return comps
+
+
+def bfs(neighbors, root, radius=None) -> tuple[list, list[int], dict]:
+    """Breadth-first scan from root, expanding no vertex at depth radius.
+
+    Returns the FIFO visit order (neighbors taken in listed order), the depth
+    of each vertex in that order, and each vertex's position in the order.
+    ``neighbors`` maps a vertex to its neighbors, so ``G.neighbors`` and
+    ``adj.__getitem__`` serve alike.
+    """
+    order = [root]
+    depths = [0]
+    pos = {root: 0}
+    # the growing order and depths lists are the FIFO queue
+    for v, dist in zip(order, depths):
+        # depths never decrease along the order, so every later vertex
+        # also sits at the radius
+        if dist == radius:
+            break
+        for w in neighbors(v):
+            w = int(w)
+            if w not in pos:
+                pos[w] = len(order)
+                order.append(w)
+                depths.append(dist + 1)
+    return order, depths, pos
+
+
+def two_coloring(neighbors, vertices) -> Optional[dict]:
+    """Proper 2-coloring of everything reachable from the given vertices,
+    by depth parity of bfs scans; None when no such coloring exists."""
+    color: dict = {}
+    for s in vertices:
+        if s not in color:
+            order, depths, _ = bfs(neighbors, s)
+            color.update(zip(order, (dist & 1 for dist in depths)))
+    for v, c in color.items():
+        for w in neighbors(v):
+            if color[int(w)] == c:
+                return None
+    return color
+
+
+def walk_order(neighbors, start, count: int) -> list:
+    """The first count vertices of a walk along a path or cycle from start
+    that never steps straight back; the first step takes the first listed
+    neighbor."""
+    order = [start]
+    prev = None
+    while len(order) < count:
+        v = order[-1]
+        order.append(next(w for w in map(int, neighbors(v)) if w != prev))
+        prev = v
+    return order
 
 
 class LayeredBinaryTree(_DerivedCache):

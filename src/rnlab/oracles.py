@@ -17,14 +17,15 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import balls
 from .balls import CanonicalBallKey, LabeledBall, extract_ball, truncate_label, unrooted_key
+# AliasSampler is not used here; rnlab/__init__.py imports it from this module
 from .graphs import AliasSampler, BudgetExceeded, GraphError
 
 WORDS_PER_QUERY = 4

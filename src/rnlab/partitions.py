@@ -7,12 +7,9 @@ component bounds from scratch.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .graphs import GraphError, components
+from .graphs import GraphError, components, walk_order
 
 MASS_SLACK = 1e-9
 
@@ -214,36 +211,8 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     )
 
 
-def _degree_profile(G) -> list[int]:
-    return [G.degree(v) for v in range(G.n)]
-
-
-def _walk_order_path(G) -> list[int]:
-    degs = _degree_profile(G)
-    ends = [v for v in range(G.n) if degs[v] == 1]
-    start = min(ends)
-    order = [start]
-    prev = -1
-    while len(order) < G.n:
-        nxt = [int(w) for w in G.neighbors(order[-1]) if int(w) != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def _walk_order_cycle(G) -> list[int]:
-    start = 0
-    order = [start]
-    prev = -1
-    while len(order) < G.n:
-        nxt = [int(w) for w in G.neighbors(order[-1]) if int(w) != prev]
-        prev = order[-1]
-        order.append(min(nxt) if len(order) == 1 else nxt[0])
-    return order
-
-
 def _detect_family(G) -> str:
-    degs = _degree_profile(G)
+    degs = [G.degree(v) for v in range(G.n)]
     if G.n == 1:
         return "single"
     if len(components(G)) != 1:
@@ -288,7 +257,9 @@ def build_uniform_cover(G, epsilon: float, grid_dims: tuple = None) -> UniformCo
             return UniformCoverCertificate(
                 covers=(frozenset(),), epsilon=epsilon, component_bound=1
             )
-        order = _walk_order_path(G) if family == "path" else _walk_order_cycle(G)
+        # a path walks from its smaller end, a cycle from vertex 0
+        start = min(v for v in range(G.n) if G.degree(v) == 1) if family == "path" else 0
+        order = walk_order(G.neighbors, start, G.n)
         covers = tuple(
             frozenset(order[pos] for pos in range(G.n) if pos % m == j)
             for j in range(m)

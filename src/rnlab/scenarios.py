@@ -3,6 +3,11 @@
 Each scenario expands into independent row tasks; tasks may run on any number
 of worker threads, and rows are sorted by their serialized form before
 writing, so reports are byte-identical across thread counts.
+
+Threads do not speed these rows up: they are pure Python and hold the
+interpreter lock, so ``tester_calibration`` took 0.19 s on 1 thread and
+0.32 s on 2 (2 CPUs, Python 3.11.7).  The thread count exists so that a
+report can be checked not to depend on the order its rows finish in.
 """
 from __future__ import annotations
 
@@ -41,6 +46,9 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     seed: int = 0
     output_path: str = "report.jsonl"
+    # Worker threads for the row tasks.  Rows hold the interpreter lock, so
+    # more threads are no faster; the value only varies the order rows
+    # finish in, which must not change the report.
     threads: int = 1
 
 

@@ -7,12 +7,9 @@ components, and branch-and-bound for small general components.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 
-import numpy as np
-
-from .graphs import TooLarge, components
+from .graphs import TooLarge, components, two_coloring, walk_order
 
 MAX_MATCHING_VERTICES = 200
 MAX_BRANCH_VERTICES = 45
@@ -182,19 +179,8 @@ def _forest_mwis(verts: list[int], adj, w) -> list[int]:
     return chosen
 
 
-def _cycle_order(verts: list[int], adj) -> list[int]:
-    start = verts[0]
-    order = [start]
-    prev = -1
-    while len(order) < len(verts):
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
 def _cycle_mwis(verts: list[int], adj, w) -> list[int]:
-    order = _cycle_order(verts, adj)
+    order = walk_order(adj.__getitem__, verts[0], len(verts))
     k = len(order)
     # case A: exclude order[0]
     val_a, idx_a = _path_mwis([w[v] for v in order[1:]])
@@ -204,20 +190,6 @@ def _cycle_mwis(verts: list[int], adj, w) -> list[int]:
     pick_b = [order[0]] + [order[2 + i] for i in idx_b]
     val_b += w[order[0]]
     return pick_b if val_b > val_a else pick_a
-
-
-def _two_color(verts: list[int], adj) -> dict | None:
-    color = {verts[0]: 0}
-    dq = deque([verts[0]])
-    while dq:
-        v = dq.popleft()
-        for u in adj[v]:
-            if u not in color:
-                color[u] = color[v] ^ 1
-                dq.append(u)
-            elif color[u] == color[v]:
-                return None
-    return color
 
 
 WEIGHT_SCALE = 10**12
@@ -476,7 +448,7 @@ def component_mwis(verts: list[int], adj, w) -> list[int]:
         return _forest_mwis(verts, adj, w)
     if edge_count == k and all(len(adj[v]) == 2 for v in verts):
         return _cycle_mwis(verts, adj, w)
-    color = _two_color(verts, adj)
+    color = two_coloring(adj.__getitem__, verts)
     if color is not None:
         return _bipartite_mwis(verts, adj, w, color)
     return _branch_mwis(verts, adj, w)

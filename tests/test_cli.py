@@ -1,9 +1,13 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import rnlab.balls
 from rnlab import (
     build_graph,
+    canonicalize,
     gen_cycle,
     gen_disjoint_triangles,
     gen_grid,
@@ -12,6 +16,7 @@ from rnlab import (
     load_graph,
     observe,
     save_graph,
+    uniform_query,
 )
 from rnlab.cli import main
 
@@ -103,6 +108,42 @@ class TestSample:
         assert rc == 0
         rows = [json.loads(line) for line in out.splitlines()]
         assert sum(r["count"] for r in rows) == 30
+
+    @staticmethod
+    def _grid_with_weights():
+        # non-uniform weights, which the uniform oracle must ignore
+        G = gen_grid(4, 5)
+        return build_graph(G.edge_list(), [0.1 * (v % 3) for v in range(G.n)], d=4, K=2.0)
+
+    def test_uniform_output_pinned(self, graph_file, tmp_path, capsys):
+        g = graph_file(self._grid_with_weights())
+        out = tmp_path / "o.txt"
+        argv = ["sample", "--graph", g, "--oracle", "uniform", "--r", "2",
+                "--queries", "300", "--seed", "3", "--out", str(out)]
+        assert run(capsys, argv)[0] == 0
+        data = out.read_bytes()
+        assert [json.loads(line)["count"] for line in data.splitlines()] == [56, 29, 62, 128, 25]
+        # computed before the uniform oracle tallied balls ahead of canonicalizing
+        assert hashlib.sha256(data).hexdigest() == (
+            "cd8c289273ed14cdf3e921ea6862e59f1fb08622f8ee286a9b8098dd1fef3897"
+        )
+
+    def test_uniform_canonicalizes_each_distinct_ball_once(self, graph_file, capsys, monkeypatch):
+        G = self._grid_with_weights()
+        g = graph_file(G)
+        calls = []
+
+        def counting(ball):
+            calls.append(ball)
+            return canonicalize(ball)
+
+        monkeypatch.setattr(rnlab.balls, "canonicalize", counting)
+        run(capsys, ["sample", "--graph", g, "--oracle", "uniform", "--r", "2",
+                     "--queries", "300", "--seed", "3"])
+        rng = np.random.Generator(np.random.Philox(key=3))
+        distinct = {uniform_query(G, 2, rng, t=2) for _ in range(300)}
+        assert len(distinct) == 15
+        assert len(calls) == len(distinct) and set(calls) == distinct
 
 
 class TestStats:

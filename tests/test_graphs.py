@@ -19,9 +19,11 @@ from rnlab import (
     RatioBoundViolated,
     SelfLoop,
     WeightedGraph,
+    bfs,
     build_graph,
     components,
     gen_binary_tree,
+    gen_cycle,
     gen_grid,
     gen_path,
     graph_from_json_dict,
@@ -29,6 +31,8 @@ from rnlab import (
     load_graph,
     ratio,
     save_graph,
+    two_coloring,
+    walk_order,
 )
 
 LN2 = math.log(2.0)
@@ -266,6 +270,108 @@ class TestComponents:
         tails, heads = G.arcs()
         assert tails.tolist() == [u for u in range(G.n) for _ in G.neighbors(u)]
         assert heads.tolist() == [int(v) for u in range(G.n) for v in G.neighbors(u)]
+
+
+class TestTraversals:
+    @staticmethod
+    def _nx(G):
+        g = nx.Graph()
+        g.add_nodes_from(range(G.n))
+        g.add_edges_from(G.edge_list())
+        return g
+
+    @staticmethod
+    def _check_bfs(neighbors, g, root, radius):
+        order, depths, pos = bfs(neighbors, root, radius)
+        expected = nx.single_source_shortest_path_length(g, root, cutoff=radius)
+        assert dict(zip(order, depths)) == expected
+        assert len(order) == len(expected)
+        assert order[0] == root
+        assert depths == sorted(depths)
+        assert pos == {v: i for i, v in enumerate(order)}
+        # FIFO: each vertex hangs off its first-visited neighbor one layer up,
+        # and children come out in parent order, then in listed order
+        rank = []
+        for w in order[1:]:
+            parent = min((pos[int(u)] for u in neighbors(w) if int(u) in pos
+                          and depths[pos[int(u)]] == depths[pos[w]] - 1))
+            listed = [int(u) for u in neighbors(order[parent])]
+            rank.append((parent, listed.index(w)))
+        assert rank == sorted(rank)
+        return order, depths, pos
+
+    def test_bfs_matches_networkx(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            G = random_bounded_graph(rng, n, d=3, K=2.0, edge_factor=float(rng.uniform(0.3, 1.5)))
+            g = self._nx(G)
+            root = int(rng.integers(n))
+            for radius in (0, 1, 2, 3, 4, None):
+                self._check_bfs(G.neighbors, g, root, radius)
+
+    def test_bfs_on_adjacency_lists_and_implicit_trees(self, rng):
+        G = random_bounded_graph(rng, 25, d=4, K=2.0)
+        adj = [[int(w) for w in G.neighbors(v)] for v in range(G.n)]
+        for radius in (0, 2, None):
+            assert bfs(adj.__getitem__, 3, radius) == self._check_bfs(G.neighbors, self._nx(G), 3, radius)
+        T = LayeredBinaryTree(6, 0.4)
+        M = T.materialize()
+        for root in (0, 5, T.n - 1):
+            for radius in (0, 1, 4):
+                assert bfs(T.neighbors, root, radius) == self._check_bfs(M.neighbors, self._nx(M), root, radius)
+        # a tree too deep to materialize: the root, its parent and children,
+        # then 6 and 12 vertices two and three steps out
+        v = 2**20
+        order, depths, _ = bfs(LayeredBinaryTree(30, 0.4).neighbors, v, 3)
+        assert order[:4] == [v, (v - 1) // 2, 2 * v + 1, 2 * v + 2]
+        assert depths == [0] + [1] * 3 + [2] * 6 + [3] * 12
+
+    def test_two_coloring_matches_networkx(self, rng):
+        graphs = [
+            gen_cycle(7), gen_cycle(8), gen_grid(3, 4), build_graph([], [0.0] * 3, d=2, K=1.0),
+            # disconnected: an even cycle next to an odd one, and two paths
+            build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)], [0.0] * 7, d=2, K=1.0),
+            build_graph([(0, 1), (1, 2), (3, 4)], [0.0] * 5, d=2, K=1.0),
+        ]
+        for _ in range(40):
+            n = int(rng.integers(1, 20))
+            graphs.append(random_bounded_graph(rng, n, d=3, K=2.0, edge_factor=float(rng.uniform(0.3, 1.3))))
+        outcomes = set()
+        for G in graphs:
+            color = two_coloring(G.neighbors, range(G.n))
+            outcomes.add(color is not None)
+            assert (color is not None) == nx.is_bipartite(self._nx(G))
+            if color is not None:
+                assert sorted(color) == list(range(G.n))
+                assert all(color[u] != color[v] for u, v in G.edges())
+                # depth parity of the scan from each component's first vertex
+                for comp in components(G):
+                    s = min(comp)
+                    order, depths, _ = bfs(G.neighbors, s)
+                    assert [color[v] for v in order] == [dist & 1 for dist in depths]
+        assert outcomes == {True, False}
+
+    def test_walk_order_on_paths_and_cycles(self, rng):
+        assert walk_order(gen_path(6).neighbors, 0, 6) == [0, 1, 2, 3, 4, 5]
+        assert walk_order(gen_path(6).neighbors, 5, 6) == [5, 4, 3, 2, 1, 0]
+        # the first step takes the first listed neighbor, then never turns back
+        assert walk_order(gen_cycle(6).neighbors, 0, 6) == [0, 1, 2, 3, 4, 5]
+        assert walk_order(gen_cycle(6).neighbors, 3, 6) == [3, 2, 1, 0, 5, 4]
+        for _ in range(20):
+            n = int(rng.integers(3, 25))
+            perm = [int(v) for v in rng.permutation(n)]
+            for closed in (False, True):
+                edges = [(perm[i], perm[i + 1]) for i in range(n - 1)]
+                if closed:
+                    edges.append((perm[-1], perm[0]))
+                G = build_graph(edges, [0.0] * n, d=2, K=1.0)
+                start = perm[0]
+                order = walk_order(G.neighbors, start, n)
+                assert sorted(order) == list(range(n))
+                assert all(G.adjacent(a, b) for a, b in zip(order, order[1:]))
+                assert order[1] == int(G.neighbors(start)[0])
+                adj = {v: [int(w) for w in G.neighbors(v)] for v in range(n)}
+                assert walk_order(adj.__getitem__, start, n) == order
 
 
 class TestJsonRoundTrip:

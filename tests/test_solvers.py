@@ -16,13 +16,13 @@ from rnlab import (
     gen_path,
     independent_set_weight,
     is_independent,
+    two_coloring,
 )
 from rnlab.solvers import (
     _bipartite_mwis,
     _branch_mwis,
     _cycle_mwis,
     _forest_mwis,
-    _two_color,
     component_mwis,
     exhaustive_mwis,
     matching_size,
@@ -206,7 +206,7 @@ class TestAgainstExhaustive:
             G = random_bounded_graph(rng, 14, 3, 2.0, edge_factor=1.1)
             adj, w = _adj_and_weights(G)
             for comp in _comp_list(G):
-                color = _two_color(comp, adj)
+                color = two_coloring(adj.__getitem__, comp)
                 if color is None or len(comp) < 3:
                     continue
                 got = _bipartite_mwis(comp, adj, w, color)
