@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import BudgetExceeded, bfs
+from .graphs import BudgetExceeded, GraphError, adjacency, bfs
 
 # Relative slack applied before flooring.  Ratios are evaluated through
 # exp() of float log-weight differences, so a ratio that is exactly 2 in
@@ -67,15 +67,6 @@ class LabeledBall:
     def root(self) -> int:
         return 0
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return adj
-
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1
 
@@ -84,8 +75,10 @@ def extract_ball(G, x: int, r: int, t: int) -> LabeledBall:
     """BFS ball of radius r around x with floor-truncated relative labels.
 
     Labels come from exp of log-weight differences against the root, so the
-    root label is exactly 1.  Works on any graph object exposing neighbors()
-    and log_weight(), including implicitly represented ones.
+    root label is exactly 1.  Reads G only through the graph protocol (``n``,
+    ``neighbors`` returning lists of ints, ``log_weight``), so explicit
+    graphs and implicitly represented ones serve alike.  Raises GraphError
+    when x is not a vertex of G.
     """
     return extract_ball_with_map(G, x, r, t)[0]
 
@@ -94,12 +87,13 @@ def extract_ball_with_map(G, x: int, r: int, t: int) -> tuple[LabeledBall, tuple
     """extract_ball plus the original vertex ids in ball order (root first)."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
+    if not 0 <= x < G.n:
+        raise GraphError(f"root {x} is not a vertex of a graph on {G.n} vertices")
     order, depths, local = bfs(G.neighbors, x, r)
     edges = []
     for v in order:
         iv = local[v]
         for w in G.neighbors(v):
-            w = int(w)
             iw = local.get(w)
             if iw is not None and iv < iw:
                 edges.append((iv, iw))
@@ -252,7 +246,7 @@ class _RefinementSearch:
 
 
 def _canonical_perm(ball: LabeledBall, decorations: list[bytes]) -> tuple[list[int], bytes]:
-    adj = ball.adjacency()
+    adj = adjacency(ball.n, ball.edges)
     if ball.is_tree():
         perm = _tree_perm(ball.n, ball.depths, adj, decorations)
         return perm, _encode_ordered(ball.n, perm, ball.depths, ball.edges, decorations)
@@ -291,15 +285,8 @@ class CanonicalDecoratedBall:
     def n(self) -> int:
         return len(self.depths)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def root_neighbors(self) -> list[int]:
-        return self.adjacency()[0]
+        return [v for u, v in self.edges if u == 0]
 
 
 def canonicalize_decorated(ball: LabeledBall, bits: Sequence[int]) -> CanonicalDecoratedBall:
@@ -334,13 +321,7 @@ _UNIT = FixedPointLabel(1, 0)
 
 def rooted_ball_view(n: int, edges: Sequence[tuple[int, int]], root: int) -> LabeledBall:
     """Treat a connected unlabeled graph as a ball rooted at the given vertex."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for row in adj:
-        row.sort()
-    order, depths, pos = bfs(adj.__getitem__, root)
+    order, depths, pos = bfs(adjacency(n, edges).__getitem__, root)
     if len(order) != n:
         raise ValueError("rooted_ball_view requires a connected graph")
     new_edges = sorted(

@@ -79,9 +79,7 @@ def cmd_gen(args) -> int:
     spec = generators.GeneratorSpec(
         family=args.family, params=_parse_params(args.param), seed=args.seed
     )
-    G = generators.build_from_spec(spec)
-    if hasattr(G, "materialize"):
-        G = G.materialize()
+    G = generators.build_from_spec(spec).materialize()
     if args.out:
         save_graph(G, args.out)
     else:

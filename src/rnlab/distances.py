@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import GraphError, TooLarge, WeightedGraph, two_coloring
+from .graphs import GraphError, TooLarge, WeightedGraph, adjacency, two_coloring
 from .simplex import solve_lp
 
 
@@ -90,14 +90,8 @@ def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
     """Backtracking search for a (not necessarily induced) copy of H."""
     if hn > n:
         return False
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    hadj = [set() for _ in range(hn)]
-    for u, v in hedges:
-        hadj[u].add(v)
-        hadj[v].add(u)
+    adj = adjacency(n, edges)
+    hadj = adjacency(hn, hedges)
     # map H vertices in an order that keeps the partial image connected
     order = sorted(range(hn), key=lambda v: -len(hadj[v]))
     assign = [-1] * hn
@@ -109,7 +103,9 @@ def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
         hv = order[i]
         anchors = [assign[u] for u in hadj[hv] if assign[u] != -1]
         candidates = (
-            set.intersection(*(adj[a] for a in anchors)) if anchors else set(range(n))
+            [g for g in adj[anchors[0]] if all(g in adj[a] for a in anchors[1:])]
+            if anchors
+            else range(n)
         )
         for g in candidates:
             if used[g]:
@@ -126,10 +122,7 @@ def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
 
 
 def _is_k_colorable(n: int, edges, k: int) -> bool:
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = adjacency(n, edges)
     order = sorted(range(n), key=lambda v: -len(adj[v]))
     colors = [-1] * n
 
@@ -156,11 +149,7 @@ def holds_on(P: PropertySpec, n: int, edges) -> bool:
     if P.id == "forest":
         return not _cycle_edges(n, edges)
     if P.id == "bipartite":
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return two_coloring(adj.__getitem__, range(n)) is not None
+        return two_coloring(adjacency(n, edges).__getitem__, range(n)) is not None
     if P.id == "h_free":
         hn, hedges = P.forbidden
         return not _has_subgraph_copy(n, edges, hn, hedges)

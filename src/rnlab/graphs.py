@@ -7,6 +7,14 @@ p(u)/p(v) across every edge {u, v} lies in [1/K, K].  Probabilities are always
 derived from the log-weights through a log-sum-exp normalizer, so graphs with
 astronomically many vertices stay representable as long as the weights have a
 closed form.
+
+Both graph classes, the explicit :class:`WeightedGraph` and the implicit
+:class:`LayeredBinaryTree`, answer one query protocol: ``n``, ``d``, ``K``,
+``neighbors(v)``, ``degree(v)``, ``adjacent(x, y)``, ``log_weight(v)``,
+``p(v)``, ``probabilities``, the orbit queries (``orbit_reps``,
+``orbit_ids``, ``orbit_count``), ``roots_from_words`` and ``materialize()``.
+``neighbors(v)`` returns a fresh list of Python ints: ascending on explicit
+graphs, parent first (then the children) on the tree.
 """
 from __future__ import annotations
 
@@ -97,9 +105,20 @@ class AliasSampler:
         return np.where(coin < self.prob[idx], idx, self.alias[idx])
 
 
-class _DerivedCache:
-    """Structures derived from an immutable graph (its alias table, its ball
-    indexes), built on first use and kept on the graph so they die with it."""
+class _GraphProtocol:
+    """Base of both graph classes, holding what their shared protocol
+    defines once.
+
+    Subclasses provide ``neighbors(v)``, a fresh list of Python ints (no
+    numpy scalars), and the rest of the queries in the module docstring.
+    ``adjacent`` is defined here from ``neighbors``.  ``derived`` keeps
+    structures derived from the immutable graph (its alias table, its ball
+    indexes), built on first use and stored on the graph so they die with
+    it.
+    """
+
+    def adjacent(self, x: int, y: int) -> bool:
+        return y in self.neighbors(x)
 
     def derived(self, key, build):
         value = self._derived.get(key)
@@ -109,16 +128,18 @@ class _DerivedCache:
         return value
 
 
-class WeightedGraph(_DerivedCache):
+class WeightedGraph(_GraphProtocol):
     """Explicit graph in CSR form with per-vertex log-weights.
 
     Instances are immutable; build them through :func:`build_graph` which
     validates degrees, simplicity and the edge ratio bound.
 
-    Both graph classes share one sampling and orbit protocol:
+    Both graph classes share one query protocol (see the module docstring).
+    ``neighbors(v)`` lists the neighbors of v in ascending order;
     ``roots_from_words`` turns raw 64-bit words into roots drawn by the
-    vertex distribution, and ``orbit_ids``/``orbit_count`` number the vertex
-    orbits densely (every vertex is its own orbit when none are known).
+    vertex distribution; ``orbit_ids``/``orbit_count`` number the vertex
+    orbits densely (every vertex is its own orbit when none are known); and
+    ``materialize()`` returns the graph itself.
     """
 
     def __init__(
@@ -150,8 +171,9 @@ class WeightedGraph(_DerivedCache):
     def edge_count(self) -> int:
         return len(self._indices) // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self._indices[self._indptr[v] : self._indptr[v + 1]]
+    def neighbors(self, v: int) -> list[int]:
+        """Neighbors of v in ascending order, as a fresh list."""
+        return self._indices[self._indptr[v] : self._indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
         return int(self._indptr[v + 1] - self._indptr[v])
@@ -177,9 +199,6 @@ class WeightedGraph(_DerivedCache):
     def p(self, v: int) -> float:
         return float(self.probabilities[v])
 
-    def adjacent(self, x: int, y: int) -> bool:
-        return bool(np.any(self.neighbors(x) == y))
-
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head of every directed arc, in CSR order: by tail, then
         by head."""
@@ -189,7 +208,7 @@ class WeightedGraph(_DerivedCache):
         for u in range(self.n):
             for v in self.neighbors(u):
                 if u < v:
-                    yield (u, int(v))
+                    yield (u, v)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self.edges())
@@ -227,6 +246,10 @@ class WeightedGraph(_DerivedCache):
         table; w2 is unused here and offsets roots within a layer on trees."""
         sampler = self.derived("alias", lambda: AliasSampler(self.probabilities))
         return sampler.pick(w0, w1)
+
+    def materialize(self) -> "WeightedGraph":
+        """The explicit form of this graph, which is the graph itself."""
+        return self
 
     def structurally_equal(self, other: "WeightedGraph") -> bool:
         return (
@@ -373,7 +396,6 @@ def components(G, removed=()) -> list[list[int]]:
             v = stack.pop()
             comp.append(v)
             for w in G.neighbors(v):
-                w = int(w)
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -381,13 +403,26 @@ def components(G, removed=()) -> list[list[int]]:
     return comps
 
 
+def adjacency(n: int, edges) -> list[list[int]]:
+    """Neighbor lists, each sorted, of the graph on vertices 0..n-1 with the
+    given edges."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for row in adj:
+        row.sort()
+    return adj
+
+
 def bfs(neighbors, root, radius=None) -> tuple[list, list[int], dict]:
     """Breadth-first scan from root, expanding no vertex at depth radius.
 
     Returns the FIFO visit order (neighbors taken in listed order), the depth
     of each vertex in that order, and each vertex's position in the order.
-    ``neighbors`` maps a vertex to its neighbors, so ``G.neighbors`` and
-    ``adj.__getitem__`` serve alike.
+    ``neighbors`` maps a vertex to a list of its neighbors, so
+    ``G.neighbors`` of either graph class and
+    ``adjacency(n, edges).__getitem__`` serve alike.
     """
     order = [root]
     depths = [0]
@@ -399,7 +434,6 @@ def bfs(neighbors, root, radius=None) -> tuple[list, list[int], dict]:
         if dist == radius:
             break
         for w in neighbors(v):
-            w = int(w)
             if w not in pos:
                 pos[w] = len(order)
                 order.append(w)
@@ -417,7 +451,7 @@ def two_coloring(neighbors, vertices) -> Optional[dict]:
             color.update(zip(order, (dist & 1 for dist in depths)))
     for v, c in color.items():
         for w in neighbors(v):
-            if color[int(w)] == c:
+            if color[w] == c:
                 return None
     return color
 
@@ -430,19 +464,19 @@ def walk_order(neighbors, start, count: int) -> list:
     prev = None
     while len(order) < count:
         v = order[-1]
-        order.append(next(w for w in map(int, neighbors(v)) if w != prev))
+        order.append(next(w for w in neighbors(v) if w != prev))
         prev = v
     return order
 
 
-class LayeredBinaryTree(_DerivedCache):
+class LayeredBinaryTree(_GraphProtocol):
     """Complete binary tree with per-layer weights, stored implicitly.
 
     Vertices use heap indexing: root 0, children of v are 2v+1 and 2v+2,
     layer k occupies [2^k - 1, 2^(k+1) - 1).  Weight of a layer-k vertex is
-    exp(-beta * k).  Supports the same query surface as WeightedGraph
-    (neighbors, log_weight, log_z, probabilities via layers) without
-    materializing the vertex set, so depth 100 is fine.
+    exp(-beta * k).  Answers the same query protocol as WeightedGraph
+    without materializing the vertex set, so depth 100 is fine;
+    ``neighbors(v)`` lists the parent first, then the two children.
     """
 
     def __init__(self, depth: int, beta: float):
@@ -491,14 +525,8 @@ class LayeredBinaryTree(_DerivedCache):
     def p(self, v: int) -> float:
         return math.exp(self.log_weight(v) - self.log_z)
 
-    def adjacent(self, x: int, y: int) -> bool:
-        return y in self.neighbors(x)
-
     def orbit_reps(self) -> list[tuple[int, float]]:
         return [(self.layer_start(k), float(self.layer_masses[k])) for k in range(self.depth)]
-
-    def orbit_of(self, v: int) -> int:
-        return self.layer(v)
 
     @property
     def orbit_count(self) -> int:

@@ -97,6 +97,27 @@ def _escalating_targets(n: int, epsilon: float) -> list[int]:
     return targets
 
 
+def _solve_components(G, epsilon: float, solve) -> list:
+    """solve(component, removed) for each component of G left by a partition
+    at epsilon/2, in component order.
+
+    Component bounds escalate along _escalating_targets; a bound is dropped
+    when no partition exists there (PartitionInfeasible) or when solve gives
+    out on one of its components (TooLarge).  Raises PartitionInfeasible
+    when every bound is dropped.
+    """
+    last_error = None
+    for K_target in _escalating_targets(G.n, epsilon):
+        try:
+            removed = find_weighted_partition(G, epsilon / 2.0, K_target).removed
+            return [solve(comp, removed) for comp in components(G, removed)]
+        except (PartitionInfeasible, TooLarge) as e:
+            last_error = e
+    raise PartitionInfeasible(
+        f"no usable partition at any component bound: {last_error}"
+    )
+
+
 def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, float]:
     """Independent set whose mass approximates the weighted independence
     number within epsilon whenever a partition certificate exists.
@@ -121,41 +142,30 @@ def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozense
     """local_independent_set without the warning, plus whether the result
     carries the accuracy guarantee: False exactly when the greedy pass ran."""
     probs = G.probabilities
-    for K_target in _escalating_targets(G.n, epsilon):
-        try:
-            cert = find_weighted_partition(G, epsilon / 2.0, K_target)
-        except PartitionInfeasible:
-            continue
-        adj = {
-            v: [int(u) for u in G.neighbors(v) if int(u) not in cert.removed]
-            for v in range(G.n)
-            if v not in cert.removed
-        }
-        w = {v: float(probs[v]) for v in adj}
-        chosen: list[int] = []
-        try:
-            for comp in components(G, cert.removed):
-                chosen.extend(component_mwis(sorted(comp), adj, w))
-        except TooLarge:
-            continue
-        J = frozenset(chosen)
-        if not is_independent(G, J):
-            raise AssertionError("component union is not independent")
-        return J, float(sum(probs[v] for v in J)), True
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(G.n)
-    taken: set[int] = set()
-    blocked: set[int] = set()
-    for v in order:
-        v = int(v)
-        if v in blocked:
-            continue
-        taken.add(v)
-        blocked.add(v)
-        for u in G.neighbors(v):
-            blocked.add(int(u))
-    J = frozenset(taken)
-    return J, float(sum(probs[v] for v in J)), False
+    w = probs.tolist()
+
+    def solve(comp, removed):
+        # a component's vertices keep exactly their neighbors inside it
+        adj = {v: [u for u in G.neighbors(v) if u not in removed] for v in comp}
+        return component_mwis(sorted(comp), adj, w)
+
+    try:
+        parts = _solve_components(G, epsilon, solve)
+    except PartitionInfeasible:
+        taken: set[int] = set()
+        blocked: set[int] = set()
+        for v in np.random.default_rng(seed).permutation(G.n).tolist():
+            if v in blocked:
+                continue
+            taken.add(v)
+            blocked.add(v)
+            blocked.update(G.neighbors(v))
+        J = frozenset(taken)
+        return J, float(sum(probs[v] for v in J)), False
+    J = frozenset(v for part in parts for v in part)
+    if not is_independent(G, J):
+        raise AssertionError("component union is not independent")
+    return J, float(sum(probs[v] for v in J)), True
 
 
 UNIFORM_TOLERANCE = 1e-9
@@ -171,26 +181,10 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
     lw = G.log_weights
     if float(lw.max() - lw.min()) > UNIFORM_TOLERANCE:
         raise GraphError("matching estimation expects uniform weights")
-    last_error = None
-    for K_target in _escalating_targets(G.n, epsilon):
-        try:
-            cert = find_weighted_partition(G, epsilon / 2.0, K_target)
-        except PartitionInfeasible as e:
-            last_error = e
-            continue
-        total = 0
-        try:
-            for comp in components(G, cert.removed):
-                pos = {v: i for i, v in enumerate(comp)}
-                adj = [
-                    [pos[int(u)] for u in G.neighbors(v) if int(u) in pos]
-                    for v in comp
-                ]
-                total += matching_size(len(comp), adj)
-        except TooLarge as e:
-            last_error = e
-            continue
-        return total / G.n
-    raise PartitionInfeasible(
-        f"no usable partition at any component bound: {last_error}"
-    )
+
+    def solve(comp, removed):
+        pos = {v: i for i, v in enumerate(comp)}
+        adj = [[pos[u] for u in G.neighbors(v) if u in pos] for v in comp]
+        return matching_size(len(comp), adj)
+
+    return sum(_solve_components(G, epsilon, solve)) / G.n

@@ -297,13 +297,12 @@ def _connected_induced_keys(G, s: int, subset_cap: int = 500_000) -> set[bytes]:
             (pos[u], pos[v])
             for u in verts
             for v in G.neighbors(u)
-            if int(v) in S and u < int(v)
+            if v in S and u < v
         ]
         found.add(unrooted_key(len(verts), edges))
         if len(S) < s:
             for u in verts:
                 for w in G.neighbors(u):
-                    w = int(w)
                     if w not in S:
                         S2 = S | {w}
                         if S2 not in visited:
@@ -345,7 +344,6 @@ def girth(G) -> float:
             if 2 * depth[v] >= best:
                 continue
             for w in G.neighbors(v):
-                w = int(w)
                 if w not in depth:
                     depth[w] = depth[v] + 1
                     parent[w] = v
@@ -369,7 +367,7 @@ def odd_girth(G) -> float:
             if dcur >= best:
                 continue
             for w in G.neighbors(v):
-                state = (int(w), side ^ 1)
+                state = (w, side ^ 1)
                 if state not in dist:
                     dist[state] = dcur + 1
                     dq.append(state)
@@ -387,7 +385,6 @@ def induced_cycle_lengths(G, s: int, step_cap: int = 2_000_000) -> set[int]:
     """
     if girth(G) > s:
         return set()
-    adj = {v: set(int(w) for w in G.neighbors(v)) for v in range(G.n)}
     lengths: set[int] = set()
     steps = 0
 
@@ -398,15 +395,16 @@ def induced_cycle_lengths(G, s: int, step_cap: int = 2_000_000) -> set[int]:
             raise BudgetExceeded("induced cycle search exceeded its step cap")
         last = path[-1]
         root = path[0]
-        for u in sorted(adj[last]):
+        for u in G.neighbors(last):
             if u <= root or u in banned:
                 continue
             if len(path) == 1:
                 extend(path + [u], banned | {u})
                 continue
-            if any(x in adj[u] for x in path[1:-1]):
+            around = G.neighbors(u)
+            if any(x in around for x in path[1:-1]):
                 continue
-            if root in adj[u]:
+            if root in around:
                 if path[1] < u:
                     lengths.add(len(path) + 1)
                 continue

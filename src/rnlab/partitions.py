@@ -140,7 +140,6 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
             frontier = []
             for v in layers[-1]:
                 for w in G.neighbors(v):
-                    w = int(w)
                     if w not in visited and not assigned[w] and w not in removed:
                         visited.add(w)
                         frontier.append(w)
@@ -182,7 +181,6 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
         component_sizes.append(len(region))
         for v in sphere:
             for w in G.neighbors(v):
-                w = int(w)
                 if not assigned[w]:
                     entries.append(w)
         return True

@@ -105,7 +105,7 @@ def matching_size(n: int, adj: list[list[int]]) -> int:
 
 def exact_matching(G) -> float:
     """Matching ratio |M| / n."""
-    adj = [[int(w) for w in G.neighbors(v)] for v in range(G.n)]
+    adj = [G.neighbors(v) for v in range(G.n)]
     return matching_size(G.n, adj) / G.n
 
 
@@ -463,7 +463,7 @@ def exact_weighted_mis(G) -> tuple[frozenset, float]:
     """
     n = G.n
     probs = G.probabilities
-    adj = {v: [int(u) for u in G.neighbors(v)] for v in range(n)}
+    adj = [G.neighbors(v) for v in range(n)]
     w = {v: float(probs[v]) for v in range(n)}
     chosen: list[int] = []
     for comp in components(G):
@@ -485,6 +485,6 @@ def is_independent(G, S) -> bool:
     S = set(S)
     for v in S:
         for u in G.neighbors(v):
-            if int(u) in S:
+            if u in S:
                 return False
     return True

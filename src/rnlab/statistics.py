@@ -124,6 +124,8 @@ def exact_stats(G, r: int, t: int, use_orbits: bool = True) -> BallStatistics:
 
 def empirical_stats(G, config: OracleConfig) -> BallStatistics:
     """Sampled ball statistic through the relative-weight oracle."""
+    if config.query_budget < 1:
+        raise ValueError(f"query budget must be at least 1, got {config.query_budget}")
     oracle = RadonNikodymOracle(G, config.radius, config.depth, seed=config.seed)
     roots = oracle.sample_roots(config.query_budget)
     uniq, counts = np.unique(roots, return_counts=True)
@@ -197,7 +199,7 @@ def edge_entropy(G) -> float:
         total = 0.0
         for rep, mass in reps:
             lw_v = G.log_weight(rep)
-            s = sum(lw_v - G.log_weight(int(y)) for y in G.neighbors(rep))
+            s = sum(lw_v - G.log_weight(y) for y in G.neighbors(rep))
             total += mass * s
         return total
     lw = G.log_weights

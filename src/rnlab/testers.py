@@ -82,6 +82,8 @@ def test_property(
         K = G.K
     r = radius if radius is not None else default_radius(epsilon)
     c = budget if budget is not None else default_budget(epsilon)
+    if c < 1:
+        raise ValueError(f"query budget must be at least 1, got {c}")
     tau = epsilon / 4.0
     oracle = RadonNikodymOracle(G, r, t, seed=seed)
     uniq, counts = np.unique(oracle.sample_roots(c), return_counts=True)

@@ -9,7 +9,10 @@ from helpers import ball_from_parts, balls_isomorphic, permuted_ball
 from rnlab import (
     CanonicalBallKey,
     FixedPointLabel,
+    GraphError,
     LabeledBall,
+    LayeredBinaryTree,
+    RadonNikodymOracle,
     canonicalize,
     canonicalize_decorated,
     extract_ball,
@@ -106,6 +109,34 @@ class TestExtractBall:
         assert vmap[0] == 3
         assert set(vmap) == {1, 2, 3, 4, 5}
         assert len(vmap) == ball.n
+
+    @pytest.mark.parametrize(
+        "G, root",
+        [
+            (gen_path(5), -1),  # would wrap to the last vertex's CSR offset
+            (gen_path(5), 5),
+            (gen_path(5), 7),
+            (LayeredBinaryTree(3, LN2), -1),
+            (LayeredBinaryTree(3, LN2), 7),
+            (LayeredBinaryTree(3, LN2), 99),  # heap children 199, 200 are no vertices
+            (LayeredBinaryTree(70, LN2), 2**70 - 1),
+            (LayeredBinaryTree(70, LN2), 2**70),
+        ],
+        ids=["path-neg", "path-n", "path-7", "tree3-neg", "tree3-n", "tree3-99",
+             "tree70-n", "tree70-2^70"],
+    )
+    def test_roots_outside_the_graph_rejected(self, G, root):
+        with pytest.raises(GraphError, match="not a vertex"):
+            extract_ball(G, root, 2, 2)
+        with pytest.raises(GraphError, match="not a vertex"):
+            extract_ball_with_map(G, root, 0, 2)
+        with pytest.raises(GraphError, match="not a vertex"):
+            RadonNikodymOracle(G, 2, 2).ball_at(root)
+
+    def test_last_vertices_accepted(self):
+        assert extract_ball_with_map(gen_path(5), 4, 1, 2)[1] == (4, 3)
+        v = 2**70 - 2
+        assert extract_ball_with_map(LayeredBinaryTree(70, LN2), v, 1, 2)[1] == (v, (v - 1) // 2)
 
 
 class TestCanonicalize:
@@ -248,6 +279,7 @@ class TestDecoratedBalls:
         ball = extract_ball(gen_path(5), 2, 1, 2)
         deco = canonicalize_decorated(ball, [0, 0, 0])
         assert len(deco.root_neighbors()) == 2
+        assert deco.root_neighbors() == [v for v in range(deco.n) if (0, v) in deco.edges]
 
 
 class TestUnrootedKey:

@@ -171,6 +171,11 @@ class TestStats:
         assert obj["mode"] == "empirical"
         assert obj["per_radius"]["1"]["total_queries"] == 200
 
+    def test_empirical_mode_rejects_zero_queries(self, graph_file, capsys):
+        g = graph_file(gen_path(15))
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            main(["stats", "--graph", g, "--mode", "empirical", "--queries", "0"])
+
 
 class TestDistance:
     def test_property_distance_with_witness(self, graph_file, capsys):

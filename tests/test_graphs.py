@@ -19,6 +19,7 @@ from rnlab import (
     RatioBoundViolated,
     SelfLoop,
     WeightedGraph,
+    adjacency,
     bfs,
     build_graph,
     components,
@@ -203,14 +204,70 @@ class TestLayeredBinaryTree:
         reps = T.orbit_reps()
         assert len(reps) == 9
         assert abs(sum(m for _, m in reps) - 1.0) < 1e-12
-        for rep, _ in reps:
-            assert T.orbit_of(rep) == T.layer(rep)
+        roots = [rep for rep, _ in reps]
+        assert T.orbit_ids(roots).tolist() == [T.layer(rep) for rep in roots] == list(range(9))
 
     def test_depth_three_critical_layer_third(self):
         G = gen_binary_tree(3, LN2)
         p = G.probabilities
         layers = [p[0], p[1] + p[2], p[3:].sum()]
         assert np.allclose(layers, [1 / 3] * 3)
+
+
+class TestGraphProtocol:
+    """Both graph classes answer neighbor queries with fresh lists of Python
+    ints, and adjacent, degree and materialize agree with them."""
+
+    @staticmethod
+    def _sample_vertices(G):
+        if G.n <= 64:
+            return range(G.n)
+        # the first, last and a middle layer of a tree too deep to list
+        return [0, 1, 2, 2**40, 2**40 + 7, G.n - 2, G.n - 1]
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            build_graph([(2, 0), (1, 2), (3, 1), (0, 4), (4, 3), (5, 2)], [0.0] * 6, d=3, K=1.0),
+            gen_grid(3, 4),
+            LayeredBinaryTree(5, 0.4).materialize(),
+            LayeredBinaryTree(5, 0.4),
+            LayeredBinaryTree(70, LN2),
+        ],
+        ids=["explicit", "grid", "materialized-tree", "tree-5", "tree-70"],
+    )
+    def test_neighbors_adjacent_degree_materialize(self, G):
+        vertices = self._sample_vertices(G)
+        for v in vertices:
+            nbrs = G.neighbors(v)
+            assert type(nbrs) is list
+            assert all(type(u) is int for u in nbrs)
+            assert G.neighbors(v) is not nbrs  # fresh: callers may keep or mutate it
+            assert G.degree(v) == len(nbrs)
+            for u in nbrs:
+                assert 0 <= u < G.n
+                assert G.adjacent(v, u) and G.adjacent(u, v)
+                assert v in G.neighbors(u)
+        for v in vertices:
+            for u in vertices:
+                assert G.adjacent(v, u) == (u in G.neighbors(v)) == G.adjacent(u, v)
+        if isinstance(G, WeightedGraph):
+            assert all(G.neighbors(v) == sorted(G.neighbors(v)) for v in vertices)
+        else:
+            # parent first, then the children
+            assert G.neighbors(5) == [2, 11, 12] and G.neighbors(0) == [1, 2]
+        if G.n > 2**22:
+            return
+        M = G.materialize()
+        assert isinstance(M, WeightedGraph)
+        assert all(M.neighbors(v) == sorted(G.neighbors(v)) for v in range(G.n))
+        if isinstance(G, WeightedGraph):
+            assert M is G
+
+    def test_adjacency_lists(self):
+        assert adjacency(4, [(2, 0), (1, 2), (0, 1)]) == [[1, 2], [0, 2], [0, 1], []]
+        G = gen_grid(3, 3)
+        assert adjacency(G.n, G.edge_list()) == [G.neighbors(v) for v in range(G.n)]
 
 
 class TestComponents:

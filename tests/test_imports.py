@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Static checks on the package source.
 
-No linter is installed, so this test is the check.  ``__init__.py`` is left
-out: it imports names in order to re-export them.
+No linter is installed, so these tests are the check:
+- every name a module imports is used in that module (``__init__.py`` is
+  left out: it imports names in order to re-export them);
+- no module branches on which graph class it holds, by ``hasattr`` or by
+  ``isinstance`` against a graph class: both classes answer one protocol.
 """
 import ast
 import pathlib
@@ -37,3 +40,37 @@ def test_no_unused_imports():
     assert len(modules) >= 13
     unused = {(p.name, name) for p in modules for name in _unused_imports(p)}
     assert unused == KEPT
+
+
+def _protocol_breaches(path: pathlib.Path) -> list[str]:
+    """hasattr calls and isinstance checks against a graph class: code that
+    branches on which graph it holds instead of using the graph protocol."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    graph_classes = {"WeightedGraph", "LayeredBinaryTree"}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "hasattr":
+            found.append(f"{path.name}:{node.lineno} hasattr")
+        elif node.func.id == "isinstance" and len(node.args) == 2:
+            named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if named & graph_classes:
+                found.append(f"{path.name}:{node.lineno} isinstance")
+    return found
+
+
+def test_no_branching_on_graph_class():
+    src = pathlib.Path(rnlab.__file__).parent
+    assert [b for p in sorted(src.glob("*.py")) for b in _protocol_breaches(p)] == []
+
+
+def test_protocol_check_catches_breaches(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "if hasattr(G, 'materialize'):\n    pass\n"
+        "ok = isinstance(G, (graphs.LayeredBinaryTree, int))\n"
+        "fine = isinstance(x, dict)\n"
+    )
+    assert _protocol_breaches(bad) == ["bad.py:1 hasattr", "bad.py:3 isinstance"]

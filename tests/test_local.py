@@ -6,6 +6,7 @@ import pytest
 from rnlab import (
     GraphError,
     LocalRule,
+    PartitionInfeasible,
     RuleIncomplete,
     build_graph,
     canonicalize_decorated,
@@ -186,6 +187,17 @@ class TestEstimateMatching:
     def test_rejects_weighted_graphs(self, weighted_p3):
         with pytest.raises(GraphError):
             estimate_matching(weighted_p3, 0.2)
+
+    def test_no_usable_bound_names_the_last_failure(self):
+        # the last bound is n = 210: the partition exists there, but its one
+        # component is past the matching solver's 200-vertex cap
+        G = gen_random_regular(210, 3, seed=1)
+        with pytest.raises(PartitionInfeasible) as e:
+            estimate_matching(G, 0.3)
+        assert str(e.value) == (
+            "no usable partition at any component bound: "
+            "matching solver limited to 200 vertices"
+        )
 
 
 class TestIndistinguishablePair:

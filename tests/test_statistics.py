@@ -103,6 +103,13 @@ class TestEmpiricalStats:
         est = empirical_stats(grid4, OracleConfig(radius=1, depth=2, query_budget=123))
         assert est.total_queries == 123
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, grid4, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            empirical_stats(grid4, OracleConfig(radius=1, query_budget=budget))
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            empirical_profile(grid4, 2, 2, budget=budget)
+
 
 class TestStatisticalDistance:
     def test_identity(self, critical_tree):

@@ -148,6 +148,12 @@ class TestSampledTester:
         with pytest.raises(ValueError):
             run_tester(gen_path(4), FOREST, 0.0)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            run_tester(gen_path(4), FOREST, 0.3, budget=budget)
+        assert run_tester(gen_path(4), FOREST, 0.3, budget=1).params["budget"] == 1
+
     def test_implicit_tree_accepts(self):
         T = gen_binary_tree(30, math.log(2), representation="implicit")
         v = run_tester(T, FOREST, 0.4, seed=0)
