@@ -236,8 +236,8 @@ def distance_to_property(Gp, P: PropertySpec, return_witness: bool = False):
     order = sorted(range(m), key=lambda i: edge_mass(Gp, *edges[i]))
     costs = [edge_mass(Gp, *edges[order[i]]) for i in range(m)]
     # best-first over deletion subsets, extended by edges after the last index
+    # a subset is pushed only by itself minus its largest index, so never twice
     heap: list[tuple[float, int, frozenset]] = [(0.0, -1, frozenset())]
-    seen = set()
     while heap:
         weight, last, dele = heapq.heappop(heap)
         kept = [edges[order[i]] for i in range(m) if i not in dele]
@@ -245,10 +245,7 @@ def distance_to_property(Gp, P: PropertySpec, return_witness: bool = False):
             witness = tuple(sorted(edges[order[i]] for i in dele))
             return (weight, witness) if return_witness else weight
         for j in range(last + 1, m):
-            nxt = dele | {j}
-            if nxt not in seen:
-                seen.add(nxt)
-                heapq.heappush(heap, (weight + costs[j], j, nxt))
+            heapq.heappush(heap, (weight + costs[j], j, dele | {j}))
     raise UnsupportedProperty(f"{P.id}: no deletion set reaches the property")
 
 

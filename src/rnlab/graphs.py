@@ -380,10 +380,13 @@ def components(G, removed=()) -> list[list[int]]:
 
     Components come in order of their smallest vertex, each listing its
     vertices in the order a stack scan visits them.  Only ``G.n`` and
-    ``G.neighbors`` are used, so both graph classes are served.
+    ``G.neighbors`` are used, so both graph classes are served.  A removed
+    id outside ``range(G.n)`` raises ``GraphError``.
     """
     seen = [False] * G.n
     for v in removed:
+        if not 0 <= v < G.n:
+            raise GraphError(f"removed vertex {v} is not in the graph (n={G.n})")
         seen[v] = True
     comps = []
     for s in range(G.n):
@@ -459,12 +462,15 @@ def two_coloring(neighbors, vertices) -> Optional[dict]:
 def walk_order(neighbors, start, count: int) -> list:
     """The first count vertices of a walk along a path or cycle from start
     that never steps straight back; the first step takes the first listed
-    neighbor."""
+    neighbor.  Raises ``GraphError`` when the walk ends before count."""
     order = [start]
     prev = None
     while len(order) < count:
         v = order[-1]
-        order.append(next(w for w in neighbors(v) if w != prev))
+        nxt = next((w for w in neighbors(v) if w != prev), None)
+        if nxt is None:
+            raise GraphError(f"walk from {start} reached {len(order)} of {count} vertices")
+        order.append(nxt)
         prev = v
     return order
 

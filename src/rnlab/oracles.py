@@ -115,11 +115,6 @@ class BallIndex:
                 types = fill[orbits]
         return types
 
-    def type_of_ball(self, ball: LabeledBall, root: int) -> int:
-        """Type id of the ball extracted from this graph at root."""
-        with self._lock:
-            return self._type_of(ball, root)
-
     def _type_of(self, ball: LabeledBall, root: int) -> int:
         raw = (ball.depths, ball.edges, ball.labels)
         tid = self._type_of_raw.get(raw)
@@ -175,6 +170,8 @@ class RadonNikodymOracle:
 
     def sample_roots(self, count: int, start_query: int = 0) -> np.ndarray:
         """Roots for queries [start_query, start_query + count)."""
+        if start_query < 0:
+            raise ValueError(f"queries are numbered from 0, got start_query={start_query}")
         words = _raw_words(self.seed, start_query, count)
         return self.G.roots_from_words(
             words[0::WORDS_PER_QUERY], words[1::WORDS_PER_QUERY], words[2::WORDS_PER_QUERY]

@@ -114,30 +114,42 @@ def exact_matching(G) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _path_mwis(weights: list[float]) -> tuple[float, list[int]]:
-    """DP along a path given weights in path order; returns chosen indices."""
-    k = len(weights)
+def _path_mwis(order: list, w) -> tuple[float, list]:
+    """DP along a path given its vertices in path order; returns the value
+    and the chosen vertices, last first."""
+    k = len(order)
     if k == 0:
         return 0.0, []
     take = [0.0] * k
     skip = [0.0] * k
-    take[0] = weights[0]
+    take[0] = w[order[0]]
     for i in range(1, k):
-        take[i] = weights[i] + skip[i - 1]
+        take[i] = w[order[i]] + skip[i - 1]
         skip[i] = max(take[i - 1], skip[i - 1])
     chosen = []
     i = k - 1
-    taking = take[i] > skip[i]
     while i >= 0:
-        if taking:
-            chosen.append(i)
-            i -= 1
-            taking = False
+        if take[i] > skip[i]:
+            chosen.append(order[i])
+            i -= 2
         else:
-            if i > 0:
-                taking = take[i - 1] > skip[i - 1]
             i -= 1
     return max(take[k - 1], skip[k - 1]), chosen
+
+
+def _walk_mwis(order: list, w, cyclic: bool) -> tuple[float, list]:
+    """DP along a path, or a cycle when cyclic, given its vertices in walk
+    order and w[v] for each; returns the value and the chosen vertices."""
+    if not cyclic:
+        return _path_mwis(order, w)
+    # case A: exclude order[0]
+    val_a, pick_a = _path_mwis(order[1:], w)
+    # case B: include order[0], exclude its two cycle neighbors
+    val_b, pick_b = _path_mwis(order[2 : len(order) - 1], w)
+    val_b += w[order[0]]
+    if val_b > val_a:
+        return val_b, [order[0]] + pick_b
+    return val_a, pick_a
 
 
 def _forest_mwis(verts: list[int], adj, w) -> list[int]:
@@ -181,15 +193,7 @@ def _forest_mwis(verts: list[int], adj, w) -> list[int]:
 
 def _cycle_mwis(verts: list[int], adj, w) -> list[int]:
     order = walk_order(adj.__getitem__, verts[0], len(verts))
-    k = len(order)
-    # case A: exclude order[0]
-    val_a, idx_a = _path_mwis([w[v] for v in order[1:]])
-    pick_a = [order[1 + i] for i in idx_a]
-    # case B: include order[0], exclude its two cycle neighbors
-    val_b, idx_b = _path_mwis([w[v] for v in order[2 : k - 1]])
-    pick_b = [order[0]] + [order[2 + i] for i in idx_b]
-    val_b += w[order[0]]
-    return pick_b if val_b > val_a else pick_a
+    return _walk_mwis(order, w, cyclic=True)[1]
 
 
 WEIGHT_SCALE = 10**12
@@ -214,7 +218,9 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def _levels(self, s: int, t: int):
+    def levels(self, s: int) -> list[int]:
+        """Breadth-first depth of each vertex from s over residual edges,
+        -1 where it cannot be reached."""
         level = [-1] * self.n
         level[s] = 0
         dq = deque([s])
@@ -225,13 +231,13 @@ class _Dinic:
                 if self.cap[e] > 0 and level[u] < 0:
                     level[u] = level[v] + 1
                     dq.append(u)
-        return level if level[t] >= 0 else None
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            level = self.levels(s)
+            if level[t] < 0:
                 return total
             it = [0] * self.n
             path: list[int] = []  # edge ids along the current partial path
@@ -266,19 +272,6 @@ class _Dinic:
                 level[v] = -1  # dead end; prune from this phase
                 v = self.to[path.pop() ^ 1]
 
-    def reachable(self, s: int) -> list[bool]:
-        reach = [False] * self.n
-        reach[s] = True
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for e in self.head[v]:
-                u = self.to[e]
-                if self.cap[e] > 0 and not reach[u]:
-                    reach[u] = True
-                    dq.append(u)
-        return reach
-
 
 def _bipartite_mwis(verts: list[int], adj, w, color) -> list[int]:
     """Min vertex cover via maximum flow on integer-scaled weights."""
@@ -298,12 +291,12 @@ def _bipartite_mwis(verts: list[int], adj, w, color) -> list[int]:
             for u in adj[v]:
                 net.add_edge(pos[v], pos[u], big)
     net.max_flow(source, sink)
-    reach = net.reachable(source)
+    level = net.levels(source)
     chosen = []
     for v in verts:
-        if color[v] == 0 and reach[pos[v]]:
+        if color[v] == 0 and level[pos[v]] >= 0:
             chosen.append(v)
-        elif color[v] == 1 and not reach[pos[v]]:
+        elif color[v] == 1 and level[pos[v]] < 0:
             chosen.append(v)
     return chosen
 
@@ -349,22 +342,11 @@ def _branch_mwis(verts: list[int], adj, w) -> list[int]:
                 break
             prev = order[-1]
             order.append((nxt & -nxt).bit_length() - 1)
-        if not cyclic:
-            val, idx = _path_mwis([weights[i] for i in order])
-            chosen_mask = 0
-            for j in idx:
-                chosen_mask |= 1 << order[j]
-            return val, chosen_mask
-        val_a, idx_a = _path_mwis([weights[i] for i in order[1:]])
-        mask_a = 0
-        for j in idx_a:
-            mask_a |= 1 << order[1 + j]
-        val_b, idx_b = _path_mwis([weights[i] for i in order[2 : len(order) - 1]])
-        mask_b = 1 << order[0]
-        for j in idx_b:
-            mask_b |= 1 << order[2 + j]
-        val_b += weights[order[0]]
-        return (val_b, mask_b) if val_b > val_a else (val_a, mask_a)
+        val, chosen = _walk_mwis(order, weights, cyclic)
+        chosen_mask = 0
+        for i in chosen:
+            chosen_mask |= 1 << i
+        return val, chosen_mask
 
     def solve(mask: int) -> tuple[float, int]:
         nonlocal nodes
@@ -469,10 +451,8 @@ def exact_weighted_mis(G) -> tuple[frozenset, float]:
     for comp in components(G):
         chosen.extend(component_mwis(sorted(comp), adj, w))
     chosen_set = frozenset(chosen)
-    for v in chosen_set:
-        for u in adj[v]:
-            if u in chosen_set:
-                raise AssertionError("solver produced a dependent set")
+    if not is_independent(G, chosen_set):
+        raise AssertionError("solver produced a dependent set")
     return chosen_set, float(sum(w[v] for v in chosen_set))
 
 

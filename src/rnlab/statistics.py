@@ -89,35 +89,29 @@ def _key_weights(index: BallIndex, types: np.ndarray, masses: np.ndarray) -> dic
     return {index.keys[i]: float(totals[i]) for i in ids[np.argsort(first)].tolist()}
 
 
-def exact_stats(G, r: int, t: int, use_orbits: bool = True) -> BallStatistics:
+def _sweep(G) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and masses of an exact sweep: one representative per orbit when
+    the graph carries an orbit labeling, every vertex otherwise."""
+    reps = G.orbit_reps()
+    if reps is not None:
+        roots = np.array([rep for rep, _ in reps], dtype=object)
+        return roots, np.array([mass for _, mass in reps], dtype=np.float64)
+    if G.n > MAX_EXACT_SWEEP:
+        raise GraphError(f"exact sweep over {G.n} vertices refused; provide orbits")
+    return np.arange(G.n), G.probabilities
+
+
+def exact_stats(G, r: int, t: int) -> BallStatistics:
     """Exact ball statistic by full sweep, or by orbit representatives when
     the graph carries an orbit labeling."""
     index = ball_index(G, r, t)
-    reps = G.orbit_reps() if use_orbits else None
-    if reps is not None:
-        roots = np.array([rep for rep, _ in reps], dtype=object)
-        masses = np.array([mass for _, mass in reps], dtype=np.float64)
-        types = index.types(roots)
-    else:
-        if G.n > MAX_EXACT_SWEEP:
-            raise GraphError(
-                f"exact sweep over {G.n} vertices refused; provide orbits"
-            )
-        masses = G.probabilities
-        if G.orbit_count == G.n:
-            types = index.types(np.arange(G.n))
-        else:
-            # every vertex on its own, without the orbit shortcut
-            types = np.array(
-                [index.type_of_ball(extract_ball(G, v, r, t), v) for v in range(G.n)],
-                dtype=np.int64,
-            )
+    roots, masses = _sweep(G)
     return BallStatistics(
         radius=r,
         digits=t,
         degree_bound=G.d,
         ratio_bound=G.K,
-        weights=_key_weights(index, types, masses),
+        weights=_key_weights(index, index.types(roots), masses),
         total_queries=0,
     )
 
@@ -215,17 +209,11 @@ def truncation_stability(G, r: int, t: int, threshold: float = 0.01):
 
     Returns (stable, boundary_mass).
     """
+    roots, masses = _sweep(G)
     boundary_mass = 0.0
-    reps = G.orbit_reps()
-    items = reps if reps is not None else None
-    if items is None:
-        if G.n > MAX_EXACT_SWEEP:
-            raise GraphError("stability sweep too large; provide orbits")
-        probs = G.probabilities
-        items = [(v, float(probs[v])) for v in range(G.n)]
-    for rep, mass in items:
-        coarse = extract_ball(G, rep, r, t)
-        fine = extract_ball(G, rep, r, t + 1)
+    for root, mass in zip(roots.tolist(), masses.tolist()):
+        coarse = extract_ball(G, root, r, t)
+        fine = extract_ball(G, root, r, t + 1)
         risky = any(
             c.scaled_value != f.scaled_value // 10
             for c, f in zip(coarse.labels, fine.labels)

@@ -14,6 +14,7 @@ from helpers import random_bounded_graph
 from rnlab import (
     DegreeExceeded,
     DuplicateEdge,
+    GraphError,
     LayeredBinaryTree,
     NotAdjacent,
     RatioBoundViolated,
@@ -307,6 +308,12 @@ class TestComponents:
         assert components(gen_path(3), {0, 1, 2}) == []
         assert components(build_graph([], [0.0] * 3, d=2, K=1.0)) == [[0], [1], [2]]
 
+    @pytest.mark.parametrize("bad", [-1, 5, 7])
+    def test_removed_ids_outside_the_graph_are_rejected(self, bad):
+        # an unchecked -1 would wrap to the last vertex and drop it from the result
+        with pytest.raises(GraphError, match=f"removed vertex {bad} "):
+            components(gen_path(5), {bad})
+
     def test_core_paths_do_not_load_scipy(self):
         code = textwrap.dedent(
             """
@@ -429,6 +436,12 @@ class TestTraversals:
                 assert order[1] == int(G.neighbors(start)[0])
                 adj = {v: [int(w) for w in G.neighbors(v)] for v in range(n)}
                 assert walk_order(adj.__getitem__, start, n) == order
+
+    def test_walk_order_past_the_end_of_a_path(self):
+        with pytest.raises(GraphError, match="reached 3 of 5 vertices"):
+            walk_order(gen_path(3).neighbors, 0, 5)
+        with pytest.raises(GraphError, match="reached 1 of 2 vertices"):
+            walk_order(build_graph([], [0.0], d=1, K=1.0).neighbors, 0, 2)
 
 
 class TestJsonRoundTrip:

@@ -114,6 +114,15 @@ class TestRootSampling:
         again = [oracle.query(i) for i in range(6)]
         assert first == again
 
+    def test_negative_query_indexes_are_rejected(self):
+        # Philox.advance would wrap them to the far end of the stream
+        oracle = RadonNikodymOracle(gen_path(5), r=1, t=2, seed=0)
+        with pytest.raises(ValueError, match="start_query=-3"):
+            oracle.sample_roots(2, start_query=-3)
+        with pytest.raises(ValueError, match="start_query=-1"):
+            oracle.query(-1)
+        assert oracle.query(0) == oracle.ball_at(int(oracle.sample_roots(1)[0]))
+
 
 class TestBallQueries:
     def test_center_ball_labels(self, weighted_p3):

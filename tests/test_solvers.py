@@ -7,6 +7,7 @@ import pytest
 
 from rnlab import (
     TooLarge,
+    adjacency,
     build_graph,
     exact_matching,
     exact_weighted_mis,
@@ -225,6 +226,191 @@ class TestAgainstExhaustive:
                 assert sum(w[v] for v in got) == pytest.approx(
                     sum(w[v] for v in ref), abs=1e-9
                 )
+
+
+# Tie-pinned corpus.  With weights in {1.0, 2.0} most instances have several
+# optima, so these lists fix which one each solver returns, and in which
+# order.  Computed with the solvers as they stood when the corpus was added.
+def _tie_graphs():
+    graphs = {}
+    for n in list(range(3, 13)) + [45, 121]:
+        graphs[f"C{n}"] = adjacency(n, [(v, (v + 1) % n) for v in range(n)])
+    for n in (2, 5, 8, 13):
+        graphs[f"P{n}"] = adjacency(n, [(v, v + 1) for v in range(n - 1)])
+    graphs["petersen"] = adjacency(10, petersen_edges())
+    graphs["girth8"] = adjacency(GIRTH8_CUBIC_N, GIRTH8_CUBIC_EDGES)
+    return graphs
+
+
+TIE_GRAPHS = _tie_graphs()
+TIE_WEIGHTS = {
+    "ones": lambda v: 1.0,
+    "mixed": lambda v: 2.0 if (v * 7 + 3) % 5 < 2 else 1.0,
+}
+TIE_SOLVERS = {
+    "component_mwis": component_mwis,
+    "_cycle_mwis": _cycle_mwis,
+    "_branch_mwis": _branch_mwis,
+}
+TIE_PINNED = {
+    ("component_mwis", "C3", "ones"): [1],
+    ("_cycle_mwis", "C3", "ones"): [1],
+    ("_branch_mwis", "C3", "ones"): [1],
+    ("component_mwis", "C3", "mixed"): [1],
+    ("_cycle_mwis", "C3", "mixed"): [1],
+    ("_branch_mwis", "C3", "mixed"): [1],
+    ("component_mwis", "C4", "ones"): [3, 1],
+    ("_cycle_mwis", "C4", "ones"): [3, 1],
+    ("_branch_mwis", "C4", "ones"): [1, 3],
+    ("component_mwis", "C4", "mixed"): [3, 1],
+    ("_cycle_mwis", "C4", "mixed"): [3, 1],
+    ("_branch_mwis", "C4", "mixed"): [1, 3],
+    ("component_mwis", "C5", "ones"): [3, 1],
+    ("_cycle_mwis", "C5", "ones"): [3, 1],
+    ("_branch_mwis", "C5", "ones"): [1, 3],
+    ("component_mwis", "C5", "mixed"): [4, 1],
+    ("_cycle_mwis", "C5", "mixed"): [4, 1],
+    ("_branch_mwis", "C5", "mixed"): [1, 4],
+    ("component_mwis", "C6", "ones"): [5, 3, 1],
+    ("_cycle_mwis", "C6", "ones"): [5, 3, 1],
+    ("_branch_mwis", "C6", "ones"): [1, 3, 5],
+    ("component_mwis", "C6", "mixed"): [4, 1],
+    ("_cycle_mwis", "C6", "mixed"): [4, 1],
+    ("_branch_mwis", "C6", "mixed"): [1, 4],
+    ("component_mwis", "C7", "ones"): [5, 3, 1],
+    ("_cycle_mwis", "C7", "ones"): [5, 3, 1],
+    ("_branch_mwis", "C7", "ones"): [1, 3, 5],
+    ("component_mwis", "C7", "mixed"): [6, 4, 1],
+    ("_cycle_mwis", "C7", "mixed"): [6, 4, 1],
+    ("_branch_mwis", "C7", "mixed"): [1, 4, 6],
+    ("component_mwis", "C8", "ones"): [7, 5, 3, 1],
+    ("_cycle_mwis", "C8", "ones"): [7, 5, 3, 1],
+    ("_branch_mwis", "C8", "ones"): [1, 3, 5, 7],
+    ("component_mwis", "C8", "mixed"): [6, 4, 1],
+    ("_cycle_mwis", "C8", "mixed"): [6, 4, 1],
+    ("_branch_mwis", "C8", "mixed"): [1, 4, 6],
+    ("component_mwis", "C9", "ones"): [7, 5, 3, 1],
+    ("_cycle_mwis", "C9", "ones"): [7, 5, 3, 1],
+    ("_branch_mwis", "C9", "ones"): [1, 3, 5, 7],
+    ("component_mwis", "C9", "mixed"): [8, 6, 4, 1],
+    ("_cycle_mwis", "C9", "mixed"): [8, 6, 4, 1],
+    ("_branch_mwis", "C9", "mixed"): [1, 4, 6, 8],
+    ("component_mwis", "C10", "ones"): [9, 7, 5, 3, 1],
+    ("_cycle_mwis", "C10", "ones"): [9, 7, 5, 3, 1],
+    ("_branch_mwis", "C10", "ones"): [1, 3, 5, 7, 9],
+    ("component_mwis", "C10", "mixed"): [9, 6, 4, 1],
+    ("_cycle_mwis", "C10", "mixed"): [9, 6, 4, 1],
+    ("_branch_mwis", "C10", "mixed"): [1, 4, 6, 9],
+    ("component_mwis", "C11", "ones"): [9, 7, 5, 3, 1],
+    ("_cycle_mwis", "C11", "ones"): [9, 7, 5, 3, 1],
+    ("_branch_mwis", "C11", "ones"): [1, 3, 5, 7, 9],
+    ("component_mwis", "C11", "mixed"): [9, 6, 4, 1],
+    ("_cycle_mwis", "C11", "mixed"): [9, 6, 4, 1],
+    ("_branch_mwis", "C11", "mixed"): [1, 4, 6, 9],
+    ("component_mwis", "C12", "ones"): [11, 9, 7, 5, 3, 1],
+    ("_cycle_mwis", "C12", "ones"): [11, 9, 7, 5, 3, 1],
+    ("_branch_mwis", "C12", "ones"): [1, 3, 5, 7, 9, 11],
+    ("component_mwis", "C12", "mixed"): [11, 9, 6, 4, 1],
+    ("_cycle_mwis", "C12", "mixed"): [11, 9, 6, 4, 1],
+    ("_branch_mwis", "C12", "mixed"): [1, 4, 6, 9, 11],
+    ("component_mwis", "C45", "ones"): [
+        43, 41, 39, 37, 35, 33, 31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9,
+        7, 5, 3, 1,
+    ],
+    ("_cycle_mwis", "C45", "ones"): [
+        43, 41, 39, 37, 35, 33, 31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9,
+        7, 5, 3, 1,
+    ],
+    ("_branch_mwis", "C45", "ones"): [
+        1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 37,
+        39, 41, 43,
+    ],
+    ("component_mwis", "C45", "mixed"): [
+        44, 41, 39, 36, 34, 31, 29, 26, 24, 21, 19, 16, 14, 11, 9, 6, 4, 1,
+    ],
+    ("_cycle_mwis", "C45", "mixed"): [
+        44, 41, 39, 36, 34, 31, 29, 26, 24, 21, 19, 16, 14, 11, 9, 6, 4, 1,
+    ],
+    ("_branch_mwis", "C45", "mixed"): [
+        1, 4, 6, 9, 11, 14, 16, 19, 21, 24, 26, 29, 31, 34, 36, 39, 41, 44,
+    ],
+    ("component_mwis", "C121", "ones"): [
+        119, 117, 115, 113, 111, 109, 107, 105, 103, 101, 99, 97, 95, 93, 91,
+        89, 87, 85, 83, 81, 79, 77, 75, 73, 71, 69, 67, 65, 63, 61, 59, 57, 55,
+        53, 51, 49, 47, 45, 43, 41, 39, 37, 35, 33, 31, 29, 27, 25, 23, 21, 19,
+        17, 15, 13, 11, 9, 7, 5, 3, 1,
+    ],
+    ("_cycle_mwis", "C121", "ones"): [
+        119, 117, 115, 113, 111, 109, 107, 105, 103, 101, 99, 97, 95, 93, 91,
+        89, 87, 85, 83, 81, 79, 77, 75, 73, 71, 69, 67, 65, 63, 61, 59, 57, 55,
+        53, 51, 49, 47, 45, 43, 41, 39, 37, 35, 33, 31, 29, 27, 25, 23, 21, 19,
+        17, 15, 13, 11, 9, 7, 5, 3, 1,
+    ],
+    ("component_mwis", "C121", "mixed"): [
+        119, 116, 114, 111, 109, 106, 104, 101, 99, 96, 94, 91, 89, 86, 84, 81,
+        79, 76, 74, 71, 69, 66, 64, 61, 59, 56, 54, 51, 49, 46, 44, 41, 39, 36,
+        34, 31, 29, 26, 24, 21, 19, 16, 14, 11, 9, 6, 4, 1,
+    ],
+    ("_cycle_mwis", "C121", "mixed"): [
+        119, 116, 114, 111, 109, 106, 104, 101, 99, 96, 94, 91, 89, 86, 84, 81,
+        79, 76, 74, 71, 69, 66, 64, 61, 59, 56, 54, 51, 49, 46, 44, 41, 39, 36,
+        34, 31, 29, 26, 24, 21, 19, 16, 14, 11, 9, 6, 4, 1,
+    ],
+    ("component_mwis", "P2", "ones"): [1],
+    ("_branch_mwis", "P2", "ones"): [0],
+    ("component_mwis", "P2", "mixed"): [1],
+    ("_branch_mwis", "P2", "mixed"): [1],
+    ("component_mwis", "P5", "ones"): [0, 2, 4],
+    ("_branch_mwis", "P5", "ones"): [0, 2, 4],
+    ("component_mwis", "P5", "mixed"): [1, 4],
+    ("_branch_mwis", "P5", "mixed"): [1, 4],
+    ("component_mwis", "P8", "ones"): [1, 3, 5, 7],
+    ("_branch_mwis", "P8", "ones"): [0, 2, 4, 6],
+    ("component_mwis", "P8", "mixed"): [1, 4, 6],
+    ("_branch_mwis", "P8", "mixed"): [1, 4, 6],
+    ("component_mwis", "P13", "ones"): [0, 2, 4, 6, 8, 10, 12],
+    ("_branch_mwis", "P13", "ones"): [0, 2, 4, 6, 8, 10, 12],
+    ("component_mwis", "P13", "mixed"): [1, 4, 6, 9, 11],
+    ("_branch_mwis", "P13", "mixed"): [1, 4, 6, 9, 11],
+    ("component_mwis", "petersen", "ones"): [0, 3, 6, 7],
+    ("_branch_mwis", "petersen", "ones"): [0, 3, 6, 7],
+    ("component_mwis", "petersen", "mixed"): [2, 4, 5, 6],
+    ("_branch_mwis", "petersen", "mixed"): [2, 4, 5, 6],
+    ("component_mwis", "girth8", "ones"): [
+        0, 1, 3, 4, 7, 9, 11, 12, 13, 15, 17, 18, 23, 24, 30, 34, 35, 39,
+    ],
+    ("_branch_mwis", "girth8", "ones"): [
+        0, 1, 3, 4, 7, 9, 11, 12, 13, 15, 17, 18, 23, 24, 30, 34, 35, 39,
+    ],
+    ("component_mwis", "girth8", "mixed"): [
+        0, 1, 3, 4, 7, 9, 11, 15, 17, 18, 19, 21, 23, 24, 31, 34, 39,
+    ],
+    ("_branch_mwis", "girth8", "mixed"): [
+        0, 1, 3, 4, 7, 9, 11, 15, 17, 18, 19, 21, 23, 24, 31, 34, 39,
+    ],
+}
+
+
+@pytest.mark.parametrize("solver,graph,weights", sorted(TIE_PINNED))
+def test_tied_weights_pinned(solver, graph, weights):
+    adj = TIE_GRAPHS[graph]
+    verts = list(range(len(adj)))
+    w = {v: TIE_WEIGHTS[weights](v) for v in verts}
+    assert TIE_SOLVERS[solver](verts, adj, w) == TIE_PINNED[solver, graph, weights]
+
+
+@pytest.mark.parametrize(
+    "G,chosen,value",
+    [
+        (gen_cycle(21), list(range(1, 21, 2)), "0x1.e79e79e79e79ep-2"),
+        (gen_grid(4, 5), list(range(1, 20, 2)), "0x1.0000000000000p-1"),
+    ],
+    ids=["cycle21", "grid4x5"],
+)
+def test_exact_weighted_mis_uniform_pinned(G, chosen, value):
+    S, val = exact_weighted_mis(G)
+    assert sorted(S) == chosen
+    assert val.hex() == value
 
 
 def _comp_list(G):

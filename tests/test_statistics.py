@@ -9,10 +9,12 @@ from rnlab import (
     OracleConfig,
     ParamMismatch,
     build_graph,
+    canonicalize,
     edge_entropy,
     empirical_profile,
     empirical_stats,
     exact_stats,
+    extract_ball,
     gen_binary_tree,
     gen_cycle,
     gen_grid,
@@ -25,6 +27,7 @@ from rnlab import (
     tv,
     vertex_entropy,
 )
+from rnlab import GraphError, statistics
 from helpers import random_bounded_graph
 
 LN2 = math.log(2.0)
@@ -60,11 +63,15 @@ class TestExactStats:
         implicit = gen_binary_tree(8, LN2, representation="implicit")
         explicit = implicit.materialize()
         a = exact_stats(implicit, 2, 2)
-        b = exact_stats(explicit, 2, 2, use_orbits=False)
-        c = exact_stats(implicit, 2, 2, use_orbits=False)
-        for other in (b, c):
-            assert a.weights.keys() == other.weights.keys()
-            assert tv(a, other) < 1e-12
+        for G in (implicit, explicit):
+            # every vertex on its own, without the orbit shortcut
+            per_vertex = {}
+            for v in range(G.n):
+                key = canonicalize(extract_ball(G, v, 2, 2))
+                per_vertex[key] = per_vertex.get(key, 0.0) + G.p(v)
+            for stats in (a, exact_stats(G, 2, 2)):
+                assert stats.weights.keys() == per_vertex.keys()
+                assert max(abs(stats.weights[k] - m) for k, m in per_vertex.items()) < 1e-12
 
     def test_masses_sum_to_one(self, rng):
         for _ in range(10):
@@ -249,6 +256,21 @@ class TestTruncationStability:
         G = build_graph([(0, 1)], [0.0, math.log(x)], d=1, K=6.0)
         stable, mass = truncation_stability(G, 1, 2, threshold=0.9)
         assert stable and mass > 0.8
+
+    def test_python_scalars_on_both_sweeps(self, grid4):
+        tree = gen_binary_tree(70, LN2, representation="implicit")
+        for G in (grid4, tree):
+            stable, mass = truncation_stability(G, 1, 2)
+            assert type(stable) is bool and type(mass) is float
+
+
+def test_sweep_without_orbits_is_bounded(monkeypatch):
+    monkeypatch.setattr(statistics, "MAX_EXACT_SWEEP", 10)
+    for sweep in (exact_stats, truncation_stability):
+        with pytest.raises(GraphError, match="exact sweep over 20 vertices refused"):
+            sweep(gen_path(20), 1, 2)
+        # orbit representatives are not bounded by the vertex count
+        sweep(gen_binary_tree(70, LN2, representation="implicit"), 1, 2)
 
 
 class TestSerialization:
