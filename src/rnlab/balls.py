@@ -63,10 +63,6 @@ class LabeledBall:
     def n(self) -> int:
         return len(self.depths)
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1
 
@@ -118,6 +114,8 @@ class CanonicalBallKey:
 # ---------------------------------------------------------------------------
 # Canonical ordering machinery.
 #
+# _canonical_form is the one entry: it picks a canonical vertex order and
+# serializes the ball under it, with prefix T for trees and G otherwise.
 # Tree-shaped balls use the classic sorted-subtree encoding, which is linear
 # and immune to the large automorphism groups of regular trees.  Balls with
 # cycles go through iterative partition refinement seeded by
@@ -128,40 +126,38 @@ class CanonicalBallKey:
 # ---------------------------------------------------------------------------
 
 
-def _encode_ordered(n: int, perm: Sequence[int], depths, edges, decorations) -> bytes:
-    """Serialize a ball under the vertex order old id -> perm[old id]."""
-    pos = perm
-    out = [b"%d" % n]
-    ordered_deco: list = [None] * n
-    for old, new in enumerate(pos):
-        ordered_deco[new] = decorations[old]
-    for deco in ordered_deco:
-        out.append(b"|" + deco)
-    new_edges = sorted(
-        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges
+def _relabel(perm, edges) -> list[tuple[int, int]]:
+    """Edges mapped through old id -> perm[old id], as sorted (low, high) pairs."""
+    return sorted(
+        (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]) for u, v in edges
     )
-    for u, v in new_edges:
-        out.append(b";%d,%d" % (u, v))
-    return b"".join(out)
 
 
-def _tree_children(n: int, depths, adj) -> list[list[int]]:
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in adj[v]:
-            if depths[w] == depths[v] + 1:
-                children[v].append(w)
-    return children
+def _ranks(items: list) -> list[int]:
+    """Each item's rank among the distinct items: contiguous ints from 0."""
+    rank = {s: i for i, s in enumerate(sorted(set(items)))}
+    return [rank[s] for s in items]
 
 
-def _tree_perm(n: int, depths, adj, decorations) -> list[int]:
+def _encode_ordered(perm: Sequence[int], edges, decorations) -> bytes:
+    """Serialize a ball under the vertex order old id -> perm[old id]."""
+    ordered: list = [None] * len(perm)
+    for old, new in enumerate(perm):
+        ordered[new] = decorations[old]
+    return b"".join(
+        [b"%d|" % len(perm), b"|".join(ordered)]
+        + [b";%d,%d" % e for e in _relabel(perm, edges)]
+    )
+
+
+def _tree_perm(depths, adj, decorations) -> list[int]:
     """Canonical order for a tree ball: preorder with children sorted by
     their recursively computed subtree certificates."""
-    children = _tree_children(n, depths, adj)
+    n = len(depths)
+    children = [[w for w in adj[v] if depths[w] == depths[v] + 1] for v in range(n)]
     cert: list[Optional[bytes]] = [None] * n
     # Process vertices deepest-first so child certificates exist.
-    order = sorted(range(n), key=lambda v: -depths[v])
-    for v in order:
+    for v in sorted(range(n), key=lambda v: -depths[v]):
         parts = sorted(cert[c] for c in children[v])
         cert[v] = b"(" + decorations[v] + b"".join(parts) + b")"
     perm = [0] * n
@@ -171,18 +167,21 @@ def _tree_perm(n: int, depths, adj, decorations) -> list[int]:
         v = stack.pop()
         perm[v] = counter
         counter += 1
-        for c in sorted(children[v], key=lambda c: cert[c], reverse=True):
-            stack.append(c)
+        stack.extend(sorted(children[v], key=lambda c: cert[c], reverse=True))
     return perm
 
 
 class _RefinementSearch:
-    """Individualization-refinement search for the minimum encoding."""
+    """Individualization-refinement search for the minimum encoding.
+
+    Colorings are contiguous ranks 0..k-1 throughout, so a discrete one is
+    itself the vertex order old id -> color.
+    """
 
     MAX_LEAVES = 200_000
 
-    def __init__(self, n, depths, edges, adj, decorations):
-        self.n = n
+    def __init__(self, depths, edges, adj, decorations):
+        self.n = len(depths)
         self.depths = depths
         self.edges = edges
         self.adj = adj
@@ -192,67 +191,54 @@ class _RefinementSearch:
         self.leaves = 0
 
     def _refine(self, colors: list[int]) -> list[int]:
-        n = self.n
+        """Split color classes by neighbor colors until nothing splits."""
         while True:
-            sig = [
-                (colors[v], tuple(sorted(colors[w] for w in self.adj[v])))
-                for v in range(n)
-            ]
-            palette = sorted(set(sig))
-            if len(palette) == len(set(colors)):
-                remap = {s: i for i, s in enumerate(palette)}
-                return [remap[s] for s in sig]
-            remap = {s: i for i, s in enumerate(palette)}
-            colors = [remap[s] for s in sig]
+            refined = _ranks(
+                [(colors[v], tuple(sorted(colors[w] for w in self.adj[v]))) for v in range(self.n)]
+            )
+            # ranks sort by old color first, so no split leaves colors as they were
+            if refined == colors:
+                return colors
+            colors = refined
 
-    def run(self) -> bytes:
+    def run(self) -> tuple[list[int], bytes]:
         initial = [(self.depths[v], len(self.adj[v]), self.deco[v]) for v in range(self.n)]
-        palette = sorted(set(initial))
-        remap = {s: i for i, s in enumerate(palette)}
-        self._descend(self._refine([remap[s] for s in initial]))
-        assert self.best is not None
-        return self.best
+        self._descend(self._refine(_ranks(initial)))
+        assert self.best_perm is not None and self.best is not None
+        return self.best_perm, self.best
 
     def _descend(self, colors: list[int]) -> None:
-        n = self.n
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
+        fresh = max(colors) + 1
+        if fresh == self.n:
             self.leaves += 1
             if self.leaves > self.MAX_LEAVES:
                 raise BudgetExceeded(
                     f"canonical search exceeded its leaf budget of {self.MAX_LEAVES}"
                 )
-            rank = sorted(range(n), key=lambda v: colors[v])
-            perm = [0] * n
-            for newid, v in enumerate(rank):
-                perm[v] = newid
-            code = _encode_ordered(n, perm, self.depths, self.edges, self.deco)
+            code = _encode_ordered(colors, self.edges, self.deco)
             if self.best is None or code < self.best:
                 self.best = code
-                self.best_perm = perm
+                self.best_perm = colors
             return
-        fresh = max(colors) + 1
-        for v in target:
+        cells: list[list[int]] = [[] for _ in range(fresh)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        for v in next(cell for cell in cells if len(cell) > 1):
             child = list(colors)
             child[v] = fresh
             self._descend(self._refine(child))
 
 
-def _canonical_perm(ball: LabeledBall, decorations: list[bytes]) -> tuple[list[int], bytes]:
+def _canonical_form(
+    ball: LabeledBall, decorations: list[bytes]
+) -> tuple[list[int], CanonicalBallKey]:
+    """Canonical vertex order (old id -> new id) and the key it serializes to."""
     adj = adjacency(ball.n, ball.edges)
     if ball.is_tree():
-        perm = _tree_perm(ball.n, ball.depths, adj, decorations)
-        return perm, _encode_ordered(ball.n, perm, ball.depths, ball.edges, decorations)
-    search = _RefinementSearch(ball.n, ball.depths, ball.edges, adj, decorations)
-    code = search.run()
-    return list(search.best_perm), code
+        perm = _tree_perm(ball.depths, adj, decorations)
+        return perm, CanonicalBallKey(b"T" + _encode_ordered(perm, ball.edges, decorations))
+    perm, code = _RefinementSearch(ball.depths, ball.edges, adj, decorations).run()
+    return perm, CanonicalBallKey(b"G" + code)
 
 
 def _label_bytes(lab: FixedPointLabel) -> bytes:
@@ -260,10 +246,7 @@ def _label_bytes(lab: FixedPointLabel) -> bytes:
 
 
 def canonicalize(ball: LabeledBall) -> CanonicalBallKey:
-    deco = [_label_bytes(lab) for lab in ball.labels]
-    _, code = _canonical_perm(ball, deco)
-    prefix = b"T" if ball.is_tree() else b"G"
-    return CanonicalBallKey(prefix + code)
+    return _canonical_form(ball, [_label_bytes(lab) for lab in ball.labels])[1]
 
 
 @dataclass(frozen=True)
@@ -292,27 +275,15 @@ class CanonicalDecoratedBall:
 def canonicalize_decorated(ball: LabeledBall, bits: Sequence[int]) -> CanonicalDecoratedBall:
     if len(bits) != ball.n:
         raise ValueError("one bit-string per ball vertex required")
-    deco = [
-        _label_bytes(lab) + b"#%d" % bits[i] for i, lab in enumerate(ball.labels)
-    ]
-    perm, code = _canonical_perm(ball, deco)
-    n = ball.n
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    new_edges = tuple(
-        sorted(
-            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in ball.edges
-        )
-    )
-    prefix = b"T" if ball.is_tree() else b"G"
+    deco = [_label_bytes(lab) + b"#%d" % bits[i] for i, lab in enumerate(ball.labels)]
+    perm, key = _canonical_form(ball, deco)
+    inv = sorted(range(ball.n), key=perm.__getitem__)
     return CanonicalDecoratedBall(
-        depths=tuple(ball.depths[inv[i]] for i in range(n)),
-        edges=new_edges,
-        labels=tuple(ball.labels[inv[i]] for i in range(n)),
-        bits=tuple(int(bits[inv[i]]) for i in range(n)),
-        key=CanonicalBallKey(prefix + code),
+        depths=tuple(ball.depths[v] for v in inv),
+        edges=tuple(_relabel(perm, ball.edges)),
+        labels=tuple(ball.labels[v] for v in inv),
+        bits=tuple(int(bits[v]) for v in inv),
+        key=key,
     )
 
 
@@ -324,13 +295,10 @@ def rooted_ball_view(n: int, edges: Sequence[tuple[int, int]], root: int) -> Lab
     order, depths, pos = bfs(adjacency(n, edges).__getitem__, root)
     if len(order) != n:
         raise ValueError("rooted_ball_view requires a connected graph")
-    new_edges = sorted(
-        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges
-    )
     return LabeledBall(
         radius=max(depths),
         depths=tuple(depths),
-        edges=tuple(new_edges),
+        edges=tuple(_relabel(pos, edges)),
         labels=(_UNIT,) * n,
     )
 

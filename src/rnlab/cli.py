@@ -205,7 +205,7 @@ def cmd_test(args) -> int:
     if args.observable:
         verdict = observable_test(G, P, args.epsilon)
     else:
-        verdict = test_property(G, P, args.epsilon, K=args.K, seed=args.seed)
+        verdict = test_property(G, P, args.epsilon, seed=args.seed)
     _emit(
         {
             "verdict": verdict.verdict,
@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbidden")
     p.add_argument("--colors", type=int)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--K", type=float, default=None)
     p.add_argument("--observable", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_test)

@@ -178,8 +178,11 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
     The estimate is deterministic; seed is accepted for the signature shared
     with independent_set_estimate, and callers pass it.
     """
-    lw = G.log_weights
-    if float(lw.max() - lw.min()) > UNIFORM_TOLERANCE:
+    # orbits preserve weights, so their representatives carry every weight
+    reps = G.orbit_reps()
+    roots = range(G.n) if reps is None else [rep for rep, _ in reps]
+    lw = [G.log_weight(v) for v in roots]
+    if max(lw) - min(lw) > UNIFORM_TOLERANCE:
         raise GraphError("matching estimation expects uniform weights")
 
     def solve(comp, removed):

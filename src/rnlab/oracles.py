@@ -185,13 +185,6 @@ class RadonNikodymOracle:
         return extract_ball(self.G, root, self.r, self.t)
 
 
-def rn_query(G, r: int, t: int, rng: np.random.Generator) -> LabeledBall:
-    """One-off query drawing three words from the caller's generator."""
-    w = rng.integers(0, 2**64, size=3, dtype=np.uint64)
-    root = int(G.roots_from_words(w[0:1], w[1:2], w[2:3])[0])
-    return extract_ball(G, root, r, t)
-
-
 def uniform_query(G, r: int, rng: np.random.Generator, t: int = 2) -> LabeledBall:
     """Classical oracle: uniform root, all labels forced to 1.00."""
     n = G.n
@@ -219,7 +212,6 @@ class ObservationTable:
     depth: int
     degree_bound: int
     entries: dict[str, bool]
-    scope: str = "all"
 
     def query(self, key_hex: str) -> bool:
         return self.entries[key_hex]

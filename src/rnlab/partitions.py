@@ -150,8 +150,9 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
             if total > K_target:
                 return layers, False
 
-    def carve(seed: int) -> bool:
-        layers, exhausted = explore(seed)
+    def carve(layers, exhausted: bool) -> bool:
+        """Seal off the best layer prefix of an explored ball.  A failing
+        carve changes nothing, so its layers can seed the retries."""
         if exhausted:
             comp = [v for layer in layers for v in layer]
             for v in comp:
@@ -189,14 +190,14 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
         e = entries.pop()
         if assigned[e]:
             continue
-        if carve(e):
+        layers, exhausted = explore(e)
+        if carve(layers, exhausted):
             continue
         # retry from the heaviest vertices of the sampled ball
-        layers, _ = explore(e)
         pool = sorted(
             (v for lay in layers for v in lay), key=lambda v: -probs[v]
         )[:SEED_TRIES]
-        if not any(v != e and carve(v) for v in pool):
+        if not any(v != e and carve(*explore(v)) for v in pool):
             raise PartitionInfeasible(
                 f"no sphere of relative mass <= {epsilon} around vertex {e} "
                 f"with regions of <= {K_target} vertices"

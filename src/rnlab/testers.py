@@ -61,7 +61,6 @@ def test_property(
     G,
     P: PropertySpec,
     epsilon: float,
-    K: float = None,
     seed: int = 0,
     budget: int = None,
     radius: int = None,
@@ -73,13 +72,11 @@ def test_property(
     Members never produce a violating ball (subgraph-closed property, and the
     ball is an induced subgraph), so acceptance of members is certain.
 
-    K does not affect the test; it is recorded in the verdict's params
-    (default G.K), which reports and CLI output carry unchanged.
+    The verdict's params record the graph's ratio bound G.K, which reports
+    and CLI output carry unchanged.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    if K is None:
-        K = G.K
     r = radius if radius is not None else default_radius(epsilon)
     c = budget if budget is not None else default_budget(epsilon)
     if c < 1:
@@ -104,7 +101,7 @@ def test_property(
         params={
             "mode": "sampled",
             "property": P.id,
-            "K": K,
+            "K": G.K,
             "radius": r,
             "t": t,
             "budget": c,

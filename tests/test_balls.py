@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import permutations, product
@@ -13,13 +14,22 @@ from rnlab import (
     LabeledBall,
     LayeredBinaryTree,
     RadonNikodymOracle,
+    build_graph,
     canonicalize,
     canonicalize_decorated,
+    cycle_key,
     extract_ball,
     extract_ball_with_map,
     gen_binary_tree,
     gen_cycle,
+    gen_disjoint_triangles,
+    gen_grid,
+    gen_orbit_tree,
     gen_path,
+    gen_random_regular,
+    gen_theta_graph,
+    observe,
+    path_key,
     truncate_label,
 )
 from rnlab.balls import rooted_ball_view, unrooted_key
@@ -309,3 +319,129 @@ class TestBruteForceOracleSelfCheck:
         a = extract_ball(gen_path(5), 2, 2, 2)
         b = extract_ball(gen_cycle(5), 0, 2, 2)
         assert not balls_isomorphic(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Pinned keys.  The digests below were computed before the canonical-form
+# code was last restructured; any change to key bytes, decorated balls or
+# unrooted keys breaks them.  One digest per graph family, so a failure names
+# the family, plus a few literal keys that show what changed.
+# ---------------------------------------------------------------------------
+
+
+UNIT_T1 = FixedPointLabel(10, 1)
+
+
+def _tied(G, levels):
+    """G's edges with log-weights ln 2 * (v mod levels): many tied labels."""
+    lw = [LN2 * (v % levels) for v in range(G.n)]
+    return build_graph(G.edge_list(), lw, d=G.d, K=2.0 ** (levels - 1))
+
+
+CORPUS = {
+    "grid": lambda: [gen_grid(4, 5), gen_grid(3, 7)],
+    "cycle": lambda: [gen_cycle(7), gen_cycle(12)],
+    "path": lambda: [gen_path(6)],
+    "theta": lambda: [gen_theta_graph((2, 3, 4))],
+    "triangles": lambda: [gen_disjoint_triangles(2)],
+    "binary_tree": lambda: [gen_binary_tree(4, 0.5), gen_binary_tree(5, LN2)],
+    "orbit_tree": lambda: [gen_orbit_tree(3)],
+    "cubic": lambda: [
+        gen_random_regular(12, 3, seed=1),
+        gen_random_regular(16, 3, seed=2),
+        gen_random_regular(20, 3, seed=3),
+    ],
+}
+
+PINNED_DIGESTS = {
+    "grid": "dba257a384f5422f6725a400c0bed9d82a2b2ee09a8036b868f43d4331611269",
+    "cycle": "55b3a236e94334e10c9b5e6ec96819a99d8ea46b54b7f31f185ac3c6782eb51d",
+    "path": "d29f2e6a9f9cbb7c36caeb0ac4c42e9732732ee6d4e2d62d89211c5c9802023d",
+    "theta": "932c465331043811163f0160d5b08850437ebd9cb509550de6ef47211e3e745d",
+    "triangles": "c07008fa9ab7402cb078c12bcc12ea867d49830a997c8ce3ad9374152dbfe797",
+    "binary_tree": "34a7bd22efb31cc73f0bda51a057b9b2c9e7f9d0cb367094374fbbfe7d7322a3",
+    "orbit_tree": "640f2d0cdccddf1787f55b91c3fe83456e8dcd13c08a4281214c6f1aebbd230d",
+    "cubic": "80adf6f0e16c96779bacdfe27eeb01e5ddccb4d75e458f48463983c137dc5c86",
+}
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _corpus_lines(family):
+    """Every root of every graph in the family, with its own weights and
+    with two- and three-level tied weights: keys at r 1-3 and t 1-2, and the
+    decorated ball at r 2, t 1."""
+    for base in CORPUS[family]():
+        for G in (base, _tied(base, 2), _tied(base, 3)):
+            for x in range(G.n):
+                for r in (1, 2, 3):
+                    for t in (1, 2):
+                        yield canonicalize(extract_ball(G, x, r, t)).hex()
+                ball = extract_ball(G, x, 2, 1)
+                d = canonicalize_decorated(ball, [(7 * i + x) % 3 for i in range(ball.n)])
+                labels = [lab.scaled_value for lab in d.labels]
+                yield repr((d.key.hex(), d.depths, d.edges, labels, d.bits))
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("family", sorted(CORPUS))
+    def test_family_digest(self, family):
+        assert _digest(_corpus_lines(family)) == PINNED_DIGESTS[family]
+
+    def test_unrooted_digest(self):
+        lines = [path_key(k) for k in range(1, 8)] + [cycle_key(k) for k in range(3, 8)]
+        lines.append(repr(sorted(observe(gen_theta_graph((2, 3, 4)), 4).entries.items())))
+        assert _digest(lines) == "82c8cd38aa27c48213c6e0f18817093d8001e7a12a934788c8a5a461a0c11dfe"
+
+    def test_literal_keys(self):
+        grid = canonicalize(extract_ball(gen_grid(4, 5), 6, 2, 1)).data
+        assert grid == (
+            b"G11|10/1|10/1|10/1|10/1|10/1|10/1|10/1|10/1|10/1|10/1|10/1"
+            b";0,1;0,2;0,3;0,10;1,6;1,7;2,4;2,7;2,9;3,5;3,8;3,9;6,10;8,10"
+        )
+        tree = canonicalize(extract_ball(gen_binary_tree(4, 0.5), 1, 2, 2)).data
+        assert tree == (
+            b"T9|100/2|164/2|100/2|60/2|36/2|36/2|60/2|36/2|36/2"
+            b";0,1;0,3;0,6;1,2;3,4;3,5;6,7;6,8"
+        )
+        assert bytes.fromhex(path_key(4)) == b"UT4|1/0|1/0|1/0|1/0;0,1;0,3;1,2"
+        assert bytes.fromhex(cycle_key(5)) == b"UG5|1/0|1/0|1/0|1/0|1/0;0,1;0,4;1,2;2,3;3,4"
+
+    def test_search_with_inequivalent_leaves(self):
+        # A root joined to every vertex of C6 + 2 C3, or of a prism + K3,3:
+        # refinement cannot split the first layer, the search reaches leaves
+        # with different codes, and the key is the least of them.
+        def cone(n, edges):
+            return canonicalize(
+                ball_from_parts(n + 1, edges + [(v, n) for v in range(n)], n, [UNIT_T1] * (n + 1))
+            ).data
+
+        hexagon_triangles = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
+                             (6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
+        assert cone(12, hexagon_triangles) == (
+            b"G13" + b"|10/1" * 13
+            + b";0,1;0,2;0,3;0,4;0,5;0,6;0,7;0,8;0,9;0,10;0,11;0,12"
+            b";1,2;1,10;2,3;3,9;4,9;4,10;5,8;5,11;6,7;6,12;7,12;8,11"
+        )
+        prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        k33 = [(i, j) for i in (6, 7, 8) for j in (9, 10, 11)]
+        assert cone(12, prism + k33) == (
+            b"G13" + b"|10/1" * 13
+            + b";0,1;0,2;0,3;0,4;0,5;0,6;0,7;0,8;0,9;0,10;0,11;0,12"
+            b";1,2;1,10;1,11;2,8;2,9;3,4;3,5;3,12;4,7;4,12;5,6;5,7;6,7;6,12"
+            b";8,10;8,11;9,10;9,11"
+        )
+
+    def test_literal_decorated_ball(self):
+        ball = extract_ball(gen_theta_graph((2, 3, 4)), 0, 2, 1)
+        d = canonicalize_decorated(ball, [i % 2 for i in range(ball.n)])
+        assert d.key.data == (
+            b"G7|10/1#0|10/1#0|10/1#1|10/1#1|10/1#0|10/1#0|10/1#1"
+            b";0,1;0,2;0,3;1,6;2,4;3,5;5,6"
+        )
+        assert d.depths == (0, 1, 1, 1, 2, 2, 2)
+        assert d.edges == ((0, 1), (0, 2), (0, 3), (1, 6), (2, 4), (3, 5), (5, 6))
+        assert d.labels == (FixedPointLabel(10, 1),) * 7
+        assert d.bits == (0, 0, 1, 1, 0, 0, 1)

@@ -4,7 +4,9 @@ No linter is installed, so these tests are the check:
 - every name a module imports is used in that module (``__init__.py`` is
   left out: it imports names in order to re-export them);
 - no module branches on which graph class it holds, by ``hasattr`` or by
-  ``isinstance`` against a graph class: both classes answer one protocol.
+  ``isinstance`` against a graph class: both classes answer one protocol;
+- every parameter of a private (``_``-prefixed) module-level function or
+  method is read somewhere in its body.
 """
 import ast
 import pathlib
@@ -74,3 +76,51 @@ def test_protocol_check_catches_breaches(tmp_path):
         "fine = isinstance(x, dict)\n"
     )
     assert _protocol_breaches(bad) == ["bad.py:1 hasattr", "bad.py:3 isinstance"]
+
+
+def _unread_parameters(path: pathlib.Path) -> list[str]:
+    """Parameters that a private module-level function or method never reads.
+    Dunder methods are left out: their signatures are fixed by Python."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [node for node in tree.body if isinstance(node, functions)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [node for node in cls.body if isinstance(node, functions)]
+    found = []
+    for fn in defs:
+        if not fn.name.startswith("_") or fn.name.endswith("__"):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        read = {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            f"{path.name}:{fn.lineno} {fn.name}({p})"
+            for p in params
+            if p not in read and p not in ("self", "cls")
+        ]
+    return found
+
+
+def test_no_unread_private_parameters():
+    src = pathlib.Path(rnlab.__file__).parent
+    assert [u for p in sorted(src.glob("*.py")) for u in _unread_parameters(p)] == []
+
+
+def test_unread_parameter_check_catches_them(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def _encode(n, perm, depths):\n    return [perm[i] for i in range(n)]\n"
+        "def public(unused):\n    pass\n"
+        "def _closure(x, *rest):\n    return lambda: x\n"
+        "class C:\n"
+        "    def __exit__(self, kind, value, tb):\n        pass\n"
+        "    def _step(self, colors, fresh):\n        fresh = 0\n        return colors\n"
+    )
+    assert _unread_parameters(bad) == [
+        "bad.py:1 _encode(depths)",
+        "bad.py:5 _closure(rest)",
+        "bad.py:10 _step(fresh)",
+    ]

@@ -16,6 +16,7 @@ from rnlab import (
     exact_stats,
     exact_weighted_mis,
     extract_ball_with_map,
+    gen_binary_tree,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -187,6 +188,21 @@ class TestEstimateMatching:
     def test_rejects_weighted_graphs(self, weighted_p3):
         with pytest.raises(GraphError):
             estimate_matching(weighted_p3, 0.2)
+
+    def test_implicit_tree_matches_its_materialization(self):
+        T = gen_binary_tree(7, 0.0, representation="implicit")
+        assert estimate_matching(T, 0.3) == estimate_matching(T.materialize(), 0.3)
+        assert estimate_matching(T, 0.3) == 0.33070866141732286
+
+    def test_rejects_weighted_implicit_tree(self):
+        T = gen_binary_tree(7, 0.5, representation="implicit")
+        with pytest.raises(GraphError, match="^matching estimation expects uniform weights$"):
+            estimate_matching(T, 0.3)
+
+    def test_deep_implicit_tree_fails_fast(self):
+        # the weight check reads one vertex per layer, not 2^100 - 1 vertices
+        with pytest.raises(GraphError):
+            estimate_matching(gen_binary_tree(100, 0.0, representation="implicit"), 0.3)
 
     def test_no_usable_bound_names_the_last_failure(self):
         # the last bound is n = 210: the partition exists there, but its one

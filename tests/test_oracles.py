@@ -19,7 +19,6 @@ from rnlab import (
     observe,
     odd_girth,
     path_key,
-    rn_query,
     truncate_label,
     uniform_query,
 )
@@ -141,11 +140,6 @@ class TestBallQueries:
         # same root index must give the same labeled ball either way
         for root in set(int(v) for v in roots_a[:50]) | set(int(v) for v in roots_b[:50]):
             assert a.ball_at(root) == b.ball_at(root)
-
-    def test_rn_query_runs(self, weighted_p3):
-        rng = np.random.default_rng(0)
-        ball = rn_query(weighted_p3, 1, 2, rng)
-        assert ball.labels[0] == truncate_label(1.0, 2)
 
     def test_uniform_query_forgets_weights(self, weighted_p3):
         rng = np.random.default_rng(0)
