@@ -271,10 +271,8 @@ def gen_layered_weights(G: WeightedGraph, root: int, mode: str, beta: float = 0.
         lw = -np.log(sizes[dist].astype(np.float64))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    edges = G.edge_list()
-    max_diff = 0.0
-    for u, v in edges:
-        max_diff = max(max_diff, abs(float(lw[u]) - float(lw[v])))
+    edges = G.edge_array()
+    max_diff = float(np.abs(lw[edges[:, 0]] - lw[edges[:, 1]]).max(initial=0.0))
     return build_graph(edges, lw, d=G.d, K=max(math.exp(max_diff), 1.0))
 
 

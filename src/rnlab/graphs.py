@@ -204,11 +204,16 @@ class WeightedGraph(_GraphProtocol):
         by head."""
         return np.repeat(np.arange(self.n), np.diff(self._indptr)), self._indices
 
+    def edge_array(self) -> np.ndarray:
+        """Every edge once as a row (u, v) with u < v, in CSR order: an
+        (m, 2) int64 array."""
+        tails, heads = self.arcs()
+        up = tails < heads
+        return np.column_stack((tails[up], heads[up]))
+
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, v)
+        """The rows of edge_array() as tuples of Python ints."""
+        return map(tuple, self.edge_array().tolist())
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self.edges())
@@ -266,12 +271,32 @@ class WeightedGraph(_GraphProtocol):
             "n": self.n,
             "d": self.d,
             "K": self.K,
-            "edges": [[u, v] for u, v in self.edges()],
-            "log_weights": [float(w) for w in self.log_weights],
+            "edges": self.edge_array().tolist(),
+            "log_weights": self.log_weights.tolist(),
         }
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, d={self.d}, K={self.K}, m={self.edge_count})"
+
+
+def _as_edge_array(edge_list) -> np.ndarray:
+    """The edges as an (m, 2) int64 array.
+
+    Lists, tuples and arrays are converted as they are; any other iterable
+    is listed first.  Raises GraphError unless every entry is a pair of ids
+    that fit in int64.
+    """
+    if not isinstance(edge_list, (list, tuple, np.ndarray)):
+        edge_list = list(edge_list)
+    try:
+        edges = np.asarray(edge_list, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as e:
+        raise GraphError(f"edges must be pairs of int64 vertex ids: {e}") from None
+    if edges.shape == (0,):
+        return edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphError(f"edges must be pairs of vertex ids, got an array of shape {edges.shape}")
+    return edges
 
 
 def build_graph(
@@ -283,9 +308,18 @@ def build_graph(
 ) -> WeightedGraph:
     """Validate and assemble a WeightedGraph.
 
+    ``edge_list`` holds pairs of vertex ids: a list or tuple of pairs, an
+    (m, 2) integer array, or any iterable of pairs such as a generator.  An
+    entry that is not a pair, or an id that does not fit in int64, raises
+    GraphError.
+
     Raises SelfLoop, DuplicateEdge, DegreeExceeded or RatioBoundViolated when
-    the input breaks the corresponding constraint.  K = 1 is accepted and
-    means the distribution is constant across every connected component.
+    the input breaks the corresponding constraint, and GraphError for an id
+    outside [0, n).  The edge checks report the first failing edge in list
+    order; within one edge they check self-loop, range, duplicate (raised
+    at the second occurrence, in either orientation) and then the ratio.
+    The degree check follows the edge checks.  K = 1 is accepted and means
+    the distribution is constant across every connected component.
     """
     lw = np.asarray(log_weights, dtype=np.float64)
     n = len(lw)
@@ -296,49 +330,55 @@ def build_graph(
     if not np.all(np.isfinite(lw)):
         raise GraphError("log-weights must be finite")
 
-    seen: set[tuple[int, int]] = set()
-    us: list[int] = []
-    vs: list[int] = []
+    edges = _as_edge_array(edge_list)
+    m = len(edges)
+    # the first self-loop or out-of-range edge; the other checks look only
+    # at the edges before it, which are all in range
+    bad = (edges[:, 0] == edges[:, 1]) | ((edges < 0) | (edges >= n)).any(axis=1)
+    first = int(np.argmax(bad)) if bad.any() else m
+    u, v = edges[:first, 0], edges[:first, 1]
+    # both arcs of every edge, packed as tail * n + head: sorted, they are
+    # the CSR order, and a repeated edge shows as a repeated arc
+    arcs = np.empty(2 * first, dtype=np.int64)
+    np.multiply(u, n, out=arcs[:first])
+    arcs[:first] += v
+    np.multiply(v, n, out=arcs[first:])
+    arcs[first:] += u
+    arcs.sort()
+    dup = first
+    if (arcs[1:] == arcs[:-1]).any():
+        # the second occurrence of an edge, in either orientation
+        _, once = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        repeat = np.ones(first, dtype=bool)
+        repeat[once] = False
+        dup = int(np.argmax(repeat))
     log_k = math.log(K) * (1.0 + RATIO_SLACK) + RATIO_SLACK
-    for e in edge_list:
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references a vertex outside [0, {n})")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+    gaps = lw[u]
+    gaps -= lw[v]
+    steep = np.abs(gaps, out=gaps) > log_k
+    # the first failing edge; the checks below name its first failure
+    i = min(first, dup, int(np.argmax(steep)) if steep.any() else first)
+    if i < m:
+        a, b = int(edges[i, 0]), int(edges[i, 1])
+        if a == b:
+            raise SelfLoop(f"self-loop at vertex {a}")
+        if i == first:
+            raise GraphError(f"edge ({a}, {b}) references a vertex outside [0, {n})")
+        key = (min(a, b), max(a, b))
+        if i == dup:
             raise DuplicateEdge(f"edge {key} appears twice")
-        seen.add(key)
-        diff = abs(float(lw[u]) - float(lw[v]))
-        if diff > log_k:
-            raise RatioBoundViolated(
-                f"edge {key} has weight ratio exp({diff:.6g}) > K={K}"
-            )
-        us.append(u)
-        vs.append(v)
+        diff = abs(float(lw[a]) - float(lw[b]))
+        raise RatioBoundViolated(f"edge {key} has weight ratio exp({diff:.6g}) > K={K}")
 
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in zip(us, vs):
-        deg[u] += 1
-        deg[v] += 1
-    if n and int(deg.max(initial=0)) > d:
+    deg = np.bincount(edges.reshape(-1), minlength=n)
+    if int(deg.max(initial=0)) > d:
         worst = int(np.argmax(deg))
         raise DegreeExceeded(f"vertex {worst} has degree {int(deg[worst])} > d={d}")
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
-    indices = np.zeros(len(us) * 2, dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for u, v in zip(us, vs):
-        indices[fill[u]] = v
-        fill[u] += 1
-        indices[fill[v]] = u
-        fill[v] += 1
-    for v in range(n):
-        seg = indices[indptr[v] : indptr[v + 1]]
-        seg.sort()
-    return WeightedGraph(indptr, indices, lw, d, K, orbit_labels=orbit_labels)
+    arcs %= n
+    return WeightedGraph(indptr, arcs, lw, d, K, orbit_labels=orbit_labels)
 
 
 def ratio(G, x: int, y: int) -> float:
@@ -563,14 +603,11 @@ class LayeredBinaryTree(_GraphProtocol):
         """Explicit copy for small depths; primarily used to cross-check."""
         if self.depth > 22:
             raise TooLarge(f"refusing to materialize 2^{self.depth} - 1 vertices")
-        edges = []
-        for v in range(self.n):
-            if 2 * v + 1 < self.n:
-                edges.append((v, 2 * v + 1))
-                edges.append((v, 2 * v + 2))
-        lw = [-self.beta * self.layer(v) for v in range(self.n)]
-        orbits = np.array([self.layer(v) for v in range(self.n)], dtype=np.int64)
-        return build_graph(edges, lw, d=3, K=self.K, orbit_labels=orbits)
+        children = np.arange(1, self.n)
+        edges = np.column_stack(((children - 1) // 2, children))
+        ks = np.arange(self.depth)
+        layers = np.repeat(ks, 1 << ks)
+        return build_graph(edges, -self.beta * layers, d=3, K=self.K, orbit_labels=layers)
 
     def __repr__(self) -> str:
         return f"LayeredBinaryTree(depth={self.depth}, beta={self.beta})"

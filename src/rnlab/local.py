@@ -104,14 +104,19 @@ def _solve_components(G, epsilon: float, solve) -> list:
     Component bounds escalate along _escalating_targets; a bound is dropped
     when no partition exists there (PartitionInfeasible) or when solve gives
     out on one of its components (TooLarge).  Raises PartitionInfeasible
-    when every bound is dropped.
+    when every bound is dropped.  A TooLarge from the partition itself, such
+    as a graph too large to list its masses, propagates at once.
     """
     last_error = None
     for K_target in _escalating_targets(G.n, epsilon):
         try:
             removed = find_weighted_partition(G, epsilon / 2.0, K_target).removed
+        except PartitionInfeasible as e:
+            last_error = e
+            continue
+        try:
             return [solve(comp, removed) for comp in components(G, removed)]
-        except (PartitionInfeasible, TooLarge) as e:
+        except TooLarge as e:
             last_error = e
     raise PartitionInfeasible(
         f"no usable partition at any component bound: {last_error}"

@@ -121,7 +121,7 @@ def _estimator_row(kind: str, size: int, epsilon: float, seed: int) -> dict:
     else:
         base = gen.gen_binary_tree(size, 0.0, representation="explicit")
     lw = rng.uniform(-LN2, LN2, size=base.n)
-    G = build_graph(base.edge_list(), lw, d=base.d, K=4.0)
+    G = build_graph(base.edge_array(), lw, d=base.d, K=4.0)
     _, i_app = local_independent_set(G, epsilon, seed=seed)
     _, i_exact = exact_weighted_mis(G)
     return {

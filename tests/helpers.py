@@ -10,8 +10,16 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from rnlab import build_graph
+from rnlab import (
+    DegreeExceeded,
+    DuplicateEdge,
+    GraphError,
+    RatioBoundViolated,
+    SelfLoop,
+    build_graph,
+)
 from rnlab.balls import FixedPointLabel, LabeledBall
+from rnlab.graphs import RATIO_SLACK
 
 LN2 = math.log(2.0)
 
@@ -221,3 +229,54 @@ def petersen_edges():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return outer + spokes + inner
+
+
+def scalar_build_graph(edge_list, log_weights, d, K):
+    """The CSR arrays (indptr, indices) that build_graph assembles, by the
+    one-edge-at-a-time loop it replaced: the reference for its checks,
+    their order and their messages."""
+    lw = np.asarray(log_weights, dtype=np.float64)
+    n = len(lw)
+    seen: set[tuple[int, int]] = set()
+    us: list[int] = []
+    vs: list[int] = []
+    log_k = math.log(K) * (1.0 + RATIO_SLACK) + RATIO_SLACK
+    for e in edge_list:
+        u, v = int(e[0]), int(e[1])
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) references a vertex outside [0, {n})")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"edge {key} appears twice")
+        seen.add(key)
+        diff = abs(float(lw[u]) - float(lw[v]))
+        if diff > log_k:
+            raise RatioBoundViolated(
+                f"edge {key} has weight ratio exp({diff:.6g}) > K={K}"
+            )
+        us.append(u)
+        vs.append(v)
+
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in zip(us, vs):
+        deg[u] += 1
+        deg[v] += 1
+    if n and int(deg.max(initial=0)) > d:
+        worst = int(np.argmax(deg))
+        raise DegreeExceeded(f"vertex {worst} has degree {int(deg[worst])} > d={d}")
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.zeros(len(us) * 2, dtype=np.int64)
+    fill = indptr[:-1].copy()
+    for u, v in zip(us, vs):
+        indices[fill[u]] = v
+        fill[u] += 1
+        indices[fill[v]] = u
+        fill[v] += 1
+    for v in range(n):
+        seg = indices[indptr[v] : indptr[v + 1]]
+        seg.sort()
+    return indptr, indices

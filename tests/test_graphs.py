@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import rnlab
-from helpers import random_bounded_graph
+from helpers import random_bounded_graph, scalar_build_graph
 from rnlab import (
     DegreeExceeded,
     DuplicateEdge,
@@ -27,7 +29,11 @@ from rnlab import (
     gen_binary_tree,
     gen_cycle,
     gen_grid,
+    gen_layered_weights,
+    gen_orbit_tree,
     gen_path,
+    gen_perturbed_union,
+    gen_random_regular,
     graph_from_json_dict,
     graph_to_json,
     load_graph,
@@ -36,6 +42,7 @@ from rnlab import (
     two_coloring,
     walk_order,
 )
+from rnlab.graphs import RATIO_SLACK
 
 LN2 = math.log(2.0)
 
@@ -89,6 +96,130 @@ class TestBuildGraph:
         p = G.probabilities
         assert abs(float(p.sum()) - 1.0) < 1e-12
         assert p[0] > 0.999999
+
+
+def _outcome(build):
+    """What a build gives: its CSR arrays, or its exception's type and text."""
+    try:
+        result = build()
+    except GraphError as e:
+        return type(e), str(e)
+    if isinstance(result, WeightedGraph):
+        result = result._indptr, result._indices
+    return ("built",) + tuple(a.dtype.str + a.tobytes().hex() for a in result)
+
+
+class TestVectorizedBuilder:
+    """build_graph checks and assembles in one numpy pass; the loop it
+    replaced (helpers.scalar_build_graph) is the reference."""
+
+    @staticmethod
+    def _faulty_input(rng):
+        """A random edge list with zero to three injected faults of the five
+        kinds, a weight vector and a degree bound."""
+        n = int(rng.integers(1, 12))
+        K = float(rng.choice([1.0, 2.0, 3.0]))
+        lw = rng.uniform(0.0, math.log(K), size=n)
+        pairs = [(int(a), int(b)) for a, b in rng.integers(n, size=(int(rng.integers(0, 2 * n + 1)), 2))]
+        edges, seen = [], set()
+        for a, b in pairs:
+            if a != b and (min(a, b), max(a, b)) not in seen:
+                seen.add((min(a, b), max(a, b)))
+                edges.append((a, b) if rng.random() < 0.5 else (b, a))
+        d = 4
+        for _ in range(int(rng.integers(0, 4))):
+            kind = rng.integers(5)
+            at = int(rng.integers(len(edges) + 1))
+            v = int(rng.integers(n))
+            if kind == 0:
+                edges.insert(at, (v, v))
+            elif kind == 1:
+                out = int(rng.choice([-1, n]))
+                edges.insert(at, [(v, out), (out, v), (out, out)][rng.integers(3)])
+            elif kind == 2:
+                if edges:
+                    a, b = edges[int(rng.integers(len(edges)))]
+                    edges.insert(at, (a, b) if rng.random() < 0.5 else (b, a))
+            elif kind == 3:
+                lw[v] += math.log(K) + float(rng.uniform(0.1, 2.0))
+            else:
+                d = int(rng.integers(1, 3))
+        return edges, lw.tolist(), d, K
+
+    def test_matches_the_scalar_builder(self, rng):
+        kinds = set()
+        for _ in range(3000):
+            edges, lw, d, K = self._faulty_input(rng)
+            expected = _outcome(lambda: scalar_build_graph(edges, lw, d, K))
+            kinds.add(expected[0])
+            assert _outcome(lambda: build_graph(edges, lw, d=d, K=K)) == expected, (edges, lw, d, K)
+        assert kinds == {"built", SelfLoop, GraphError, DuplicateEdge, RatioBoundViolated, DegreeExceeded}
+
+    def test_earliest_fault_wins(self):
+        lw = [0.0, 0.0, 5.0, 0.0]
+        # each list holds several faults; the builder names the first one
+        cases = [
+            ([(0, 1), (1, 2), (3, 3), (0, 4)], RatioBoundViolated, "edge (1, 2) has weight ratio"),
+            ([(0, 1), (1, 0), (2, 2), (1, 2)], DuplicateEdge, "edge (0, 1) appears twice"),
+            ([(0, 1), (1, 3), (9, 9), (3, 1), (4, 0)], SelfLoop, "self-loop at vertex 9"),
+            ([(0, 1), (-1, 0), (1, 0)], GraphError, "edge (-1, 0) references a vertex outside [0, 4)"),
+            # an edge that is both a self-loop and out of range is a self-loop
+            ([(0, 1), (7, 7), (0, 9)], SelfLoop, "self-loop at vertex 7"),
+            ([(0, 1), (-1, -1)], SelfLoop, "self-loop at vertex -1"),
+        ]
+        for edges, kind, text in cases:
+            assert _outcome(lambda: scalar_build_graph(edges, lw, 3, 2.0))[0] is kind
+            with pytest.raises(kind, match=f"^{re.escape(text)}") as e:
+                build_graph(edges, lw, d=3, K=2.0)
+            assert type(e.value) is kind
+        with pytest.raises(DuplicateEdge, match=r"^edge \(1, 2\) appears twice$"):
+            build_graph([(0, 1), (2, 1), (1, 2), (2, 2)], [0.0] * 3, d=3, K=2.0)
+
+    def test_error_texts(self):
+        lw = [0.0, 0.0, math.log(3.0)]
+        cases = [
+            ([(0, 1), (2, 2)], 2, 3.0, SelfLoop, "self-loop at vertex 2"),
+            ([(0, 1), (1, 3)], 2, 3.0, GraphError, "edge (1, 3) references a vertex outside [0, 3)"),
+            ([(1, 0), (0, 1)], 2, 3.0, DuplicateEdge, "edge (0, 1) appears twice"),
+            ([(0, 1), (2, 1)], 2, 2.0, RatioBoundViolated, "edge (1, 2) has weight ratio exp(1.09861) > K=2.0"),
+            ([(0, 1), (1, 2), (2, 0)], 1, 3.0, DegreeExceeded, "vertex 0 has degree 2 > d=1"),
+        ]
+        for edges, d, K, kind, text in cases:
+            with pytest.raises(GraphError) as e:
+                build_graph(edges, lw, d=d, K=K)
+            assert (type(e.value), str(e.value)) == (kind, text)
+
+    def test_ratio_threshold_is_strict(self):
+        log_k = math.log(2.0) * (1.0 + RATIO_SLACK) + RATIO_SLACK
+        build_graph([(0, 1)], [0.0, log_k], d=1, K=2.0)
+        with pytest.raises(RatioBoundViolated):
+            build_graph([(0, 1)], [0.0, math.nextafter(log_k, math.inf)], d=1, K=2.0)
+
+    def test_accepted_edge_shapes(self):
+        pairs = [(2, 0), (1, 2), (3, 1)]
+        expected = build_graph(pairs, [0.0] * 4, d=2, K=1.0)
+        shapes = [
+            [list(e) for e in pairs], tuple(pairs), (e for e in pairs), iter(pairs), set(pairs),
+            np.array(pairs), np.array(pairs, dtype=np.int32), [np.array(e) for e in pairs],
+            [(np.int64(a), b) for a, b in pairs],
+        ]
+        for edges in shapes:
+            assert build_graph(edges, [0.0] * 4, d=2, K=1.0).structurally_equal(expected)
+        for empty in ([], (), iter([]), np.empty((0, 2), dtype=np.int64)):
+            G = build_graph(empty, [0.0] * 3, d=1, K=1.0)
+            assert G.edge_count == 0 and G._indptr.tolist() == [0, 0, 0, 0]
+        assert build_graph([], [], d=1, K=1.0).n == 0
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1, 2)], [(0, 1), (2,)], [(0,)], [()], [0, 1], [[0, 1], [1, 2, 0]], [[[0, 1]]],
+         [("a", "b")], [(0, 2**63)], [(-2**63 - 1, 0)], [(0, 2**70)]],
+        ids=["triple", "ragged", "single", "empty-entry", "flat", "ragged-late", "nested",
+             "text", "too-large", "too-small", "huge"],
+    )
+    def test_entries_that_are_not_pairs_of_ids(self, edges):
+        with pytest.raises(GraphError, match="^edges must be pairs of"):
+            build_graph(edges, [0.0] * 3, d=2, K=1.0)
 
 
 class TestRatio:
@@ -199,6 +330,21 @@ class TestLayeredBinaryTree:
         for v in range(T.n):
             assert sorted(int(u) for u in G.neighbors(v)) == sorted(T.neighbors(v))
             assert math.isclose(G.p(v), T.p(v), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4, LN2, -0.3, 2.5])
+    def test_materialize_matches_the_per_vertex_construction(self, beta):
+        for depth in range(1, 11):
+            T = LayeredBinaryTree(depth, beta)
+            edges = [(v, c) for v in range(T.n) if 2 * v + 1 < T.n for c in (2 * v + 1, 2 * v + 2)]
+            lw = [-beta * T.layer(v) for v in range(T.n)]
+            layers = [T.layer(v) for v in range(T.n)]
+            G = T.materialize()
+            expected = build_graph(edges, lw, d=3, K=T.K, orbit_labels=np.array(layers))
+            assert G.structurally_equal(expected)
+            # the same float bits, signed zeros included
+            assert G.log_weights.tobytes() == np.array(lw).tobytes()
+            assert G.orbit_ids(range(T.n)).tolist() == layers
+            assert G.orbit_reps() == expected.orbit_reps()
 
     def test_orbit_reps_cover_layers(self):
         T = LayeredBinaryTree(9, LN2)
@@ -317,11 +463,17 @@ class TestComponents:
     def test_core_paths_do_not_load_scipy(self):
         code = textwrap.dedent(
             """
+            import os
             import sys
+            import tempfile
             import rnlab
             G = rnlab.gen_grid(4, 4)
             assert len(rnlab.components(G, {5, 6})) == 1
             rnlab.find_weighted_partition(G, 0.3, K_target=16)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "g.json")
+                rnlab.save_graph(G, path)
+                assert rnlab.load_graph(path).structurally_equal(G)
             assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
             """
         )
@@ -444,7 +596,46 @@ class TestTraversals:
             walk_order(build_graph([], [0.0], d=1, K=1.0).neighbors, 0, 2)
 
 
+class TestEdgeView:
+    def test_edges_follow_the_neighbor_lists(self, rng):
+        graphs = [build_graph([], [0.0] * 3, d=1, K=1.0), gen_grid(3, 4), LayeredBinaryTree(5, 0.4).materialize()]
+        graphs += [random_bounded_graph(rng, int(rng.integers(1, 30)), d=4, K=2.0) for _ in range(20)]
+        for G in graphs:
+            expected = [(u, v) for u in range(G.n) for v in G.neighbors(u) if u < v]
+            assert G.edge_list() == list(G.edges()) == expected
+            assert all(type(u) is int and type(v) is int for u, v in G.edges())
+            arr = G.edge_array()
+            assert arr.dtype == np.int64 and arr.shape == (G.edge_count, 2)
+            assert arr.tolist() == [list(e) for e in expected]
+
+    def test_layered_weights_on_an_edgeless_graph(self):
+        G = gen_layered_weights(build_graph([], [0.3], d=1, K=1.0), 0, "exp_beta", beta=0.5)
+        assert G.K == 1.0 and G.log_weights.tolist() == [0.0]
+
+
+# graph_to_json bytes of a small corpus, pinned when the JSON writer and the
+# edge view were vectorized: the file format must not move
+JSON_CORPUS_SHA256 = "aa116df97ea2e1f77657c10ca7a5f997827220af47cd35e5d84d758e9945d253"
+
+
+def _json_corpus():
+    rng = np.random.default_rng(7)
+    return [
+        gen_path(6), gen_cycle(7), gen_grid(3, 4), gen_binary_tree(5, LN2),
+        gen_orbit_tree(4), gen_random_regular(20, 3, seed=2),
+        gen_perturbed_union(4, profile="adversarial"),
+        gen_layered_weights(gen_grid(3, 3), 4, "inverse_sphere"),
+        gen_layered_weights(gen_cycle(9), 0, "exp_beta", beta=0.7),
+        LayeredBinaryTree(4, 0.0).materialize(), LayeredBinaryTree(6, -0.3).materialize(),
+        random_bounded_graph(rng, 30, d=4, K=3.0),
+    ]
+
+
 class TestJsonRoundTrip:
+    def test_json_bytes_pinned(self):
+        text = "\n".join(graph_to_json(G) for G in _json_corpus())
+        assert hashlib.sha256(text.encode()).hexdigest() == JSON_CORPUS_SHA256
+
     def test_to_from_dict(self, rng):
         G = random_bounded_graph(rng, 17, d=4, K=3.0)
         H = graph_from_json_dict(json.loads(graph_to_json(G)))

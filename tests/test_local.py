@@ -8,6 +8,7 @@ from rnlab import (
     LocalRule,
     PartitionInfeasible,
     RuleIncomplete,
+    TooLarge,
     build_graph,
     canonicalize_decorated,
     draw_vertex_bits,
@@ -16,11 +17,13 @@ from rnlab import (
     exact_stats,
     exact_weighted_mis,
     extract_ball_with_map,
+    find_weighted_partition,
     gen_binary_tree,
     gen_cycle,
     gen_grid,
     gen_path,
     gen_random_regular,
+    independent_set_estimate,
     is_independent,
     local_independent_set,
     rank_rule,
@@ -28,6 +31,7 @@ from rnlab import (
     table_rule,
     tv,
 )
+from rnlab import local
 from helpers import GIRTH8_CUBIC_EDGES, GIRTH8_CUBIC_N, random_bounded_graph
 
 LN2 = math.log(2.0)
@@ -199,10 +203,23 @@ class TestEstimateMatching:
         with pytest.raises(GraphError, match="^matching estimation expects uniform weights$"):
             estimate_matching(T, 0.3)
 
-    def test_deep_implicit_tree_fails_fast(self):
-        # the weight check reads one vertex per layer, not 2^100 - 1 vertices
-        with pytest.raises(GraphError):
-            estimate_matching(gen_binary_tree(100, 0.0, representation="implicit"), 0.3)
+    def test_deep_implicit_tree_fails_fast(self, monkeypatch):
+        # the weight check reads one vertex per layer, not 2^100 - 1 vertices;
+        # the partition then cannot list the masses, and that failure is not
+        # a reason to try the next component bound
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return find_weighted_partition(*args)
+
+        monkeypatch.setattr(local, "find_weighted_partition", counted)
+        T = gen_binary_tree(100, 0.0, representation="implicit")
+        with pytest.raises(TooLarge, match=r"^refusing to list 2\^100 - 1 vertex masses$"):
+            estimate_matching(T, 0.3)
+        assert calls == [7]
+        with pytest.raises(TooLarge, match=r"^refusing to list 2\^100 - 1 vertex masses$"):
+            independent_set_estimate(T, 0.3)
 
     def test_no_usable_bound_names_the_last_failure(self):
         # the last bound is n = 210: the partition exists there, but its one
