@@ -120,9 +120,12 @@ class CanonicalBallKey:
 # and immune to the large automorphism groups of regular trees.  Balls with
 # cycles go through iterative partition refinement seeded by
 # (depth, degree, label) followed by a backtracking search that takes the
-# lexicographically least encoding over all discrete refinements.  Both
-# routes are complete invariants on their domain, and the tree test is
-# itself isomorphism-invariant, so keys remain well defined.
+# lexicographically least encoding over all discrete refinements.  The
+# search skips subtrees that an automorphism it has already found maps onto
+# an explored one (see _RefinementSearch); those hold the same codes, so
+# the least encoding does not change.  Both routes are complete invariants
+# on their domain, and the tree test is itself isomorphism-invariant, so
+# keys remain well defined.
 # ---------------------------------------------------------------------------
 
 
@@ -176,6 +179,17 @@ class _RefinementSearch:
 
     Colorings are contiguous ranks 0..k-1 throughout, so a discrete one is
     itself the vertex order old id -> color.
+
+    Two leaves with equal codes differ by an automorphism of the ball, which
+    the search records.  Before a node branches on a vertex of its target
+    cell, it skips the vertex if the recorded automorphisms that fix every
+    vertex individualized on the way to the node map an explored sibling
+    onto it (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    Refinement is isomorphism-invariant, so such an automorphism carries the
+    explored subtree onto the skipped one leaf by leaf, code for code.  The
+    skipped subtree comes later in the search order, so neither the least
+    code nor the first leaf that reaches it changes, and keys are the ones
+    the unpruned search gives.
     """
 
     MAX_LEAVES = 200_000
@@ -188,26 +202,42 @@ class _RefinementSearch:
         self.deco = decorations
         self.best: Optional[bytes] = None
         self.best_perm: Optional[list[int]] = None
+        self.automorphisms: list[list[int]] = []
         self.leaves = 0
 
     def _refine(self, colors: list[int]) -> list[int]:
         """Split color classes by neighbor colors until nothing splits."""
-        while True:
+        # a discrete coloring cannot split, so it needs no confirming round
+        while max(colors) + 1 < self.n:
             refined = _ranks(
                 [(colors[v], tuple(sorted(colors[w] for w in self.adj[v]))) for v in range(self.n)]
             )
             # ranks sort by old color first, so no split leaves colors as they were
             if refined == colors:
-                return colors
+                break
             colors = refined
+        return colors
 
     def run(self) -> tuple[list[int], bytes]:
         initial = [(self.depths[v], len(self.adj[v]), self.deco[v]) for v in range(self.n)]
-        self._descend(self._refine(_ranks(initial)))
+        self._descend(self._refine(_ranks(initial)), ())
         assert self.best_perm is not None and self.best is not None
         return self.best_perm, self.best
 
-    def _descend(self, colors: list[int]) -> None:
+    def _orbit(self, seeds: list[int], prefix: tuple[int, ...]) -> set[int]:
+        """The seeds' orbit under the recorded automorphisms fixing the prefix."""
+        fixing = [a for a in self.automorphisms if all(a[p] == p for p in prefix)]
+        orbit = set(seeds)
+        stack = list(seeds)
+        while stack:
+            v = stack.pop()
+            for a in fixing:
+                if a[v] not in orbit:
+                    orbit.add(a[v])
+                    stack.append(a[v])
+        return orbit
+
+    def _descend(self, colors: list[int], prefix: tuple[int, ...]) -> None:
         fresh = max(colors) + 1
         if fresh == self.n:
             self.leaves += 1
@@ -219,14 +249,21 @@ class _RefinementSearch:
             if self.best is None or code < self.best:
                 self.best = code
                 self.best_perm = colors
+            elif code == self.best:
+                best_inv = sorted(range(self.n), key=self.best_perm.__getitem__)
+                self.automorphisms.append([best_inv[c] for c in colors])
             return
         cells: list[list[int]] = [[] for _ in range(fresh)]
         for v, c in enumerate(colors):
             cells[c].append(v)
+        explored: list[int] = []
         for v in next(cell for cell in cells if len(cell) > 1):
+            if self.automorphisms and v in self._orbit(explored, prefix):
+                continue
+            explored.append(v)
             child = list(colors)
             child[v] = fresh
-            self._descend(self._refine(child))
+            self._descend(self._refine(child), prefix + (v,))
 
 
 def _canonical_form(

@@ -283,20 +283,25 @@ def _as_edge_array(edge_list) -> np.ndarray:
     """The edges as an (m, 2) int64 array.
 
     Lists, tuples and arrays are converted as they are; any other iterable
-    is listed first.  Raises GraphError unless every entry is a pair of ids
-    that fit in int64.
+    is listed first.  Raises GraphError unless every entry is a pair of
+    integer ids that fit in int64: floats, strings and bools are rejected,
+    not truncated or parsed.
     """
     if not isinstance(edge_list, (list, tuple, np.ndarray)):
         edge_list = list(edge_list)
     try:
-        edges = np.asarray(edge_list, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError) as e:
+        # numpy infers the dtype: int64 for Python ints, float64 or object
+        # once one id is a float or outside int64
+        edges = np.asarray(edge_list)
+    except ValueError as e:
         raise GraphError(f"edges must be pairs of int64 vertex ids: {e}") from None
     if edges.shape == (0,):
-        return edges.reshape(0, 2)
+        return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise GraphError(f"edges must be pairs of vertex ids, got an array of shape {edges.shape}")
-    return edges
+    if edges.dtype.kind not in "iu" and edges.size:
+        raise GraphError(f"edges must be pairs of int64 vertex ids, got {edges.dtype} entries")
+    return edges.astype(np.int64, copy=False)
 
 
 def build_graph(

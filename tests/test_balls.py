@@ -5,6 +5,8 @@ from itertools import permutations, product
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ball_from_parts, balls_isomorphic, permuted_ball
 from rnlab import (
@@ -32,7 +34,9 @@ from rnlab import (
     path_key,
     truncate_label,
 )
+from rnlab import balls
 from rnlab.balls import rooted_ball_view, unrooted_key
+from rnlab.graphs import adjacency
 
 LN2 = math.log(2.0)
 
@@ -319,6 +323,137 @@ class TestBruteForceOracleSelfCheck:
         a = extract_ball(gen_path(5), 2, 2, 2)
         b = extract_ball(gen_cycle(5), 0, 2, 2)
         assert not balls_isomorphic(a, b)
+
+
+def _twin_chain(layers):
+    """Layers of two vertices, each joined to both vertices of the next layer
+    (K2,2 blocks), rooted at a vertex of the first layer.  The two vertices of
+    every later layer swap independently: 2**(layers - 1) automorphisms fix
+    the root."""
+    edges = [(2 * i + a, 2 * i + 2 + b) for i in range(layers - 1) for a in (0, 1) for b in (0, 1)]
+    return rooted_ball_view(2 * layers, edges, 0)
+
+
+SYMMETRIC_BALLS = {
+    "twin_chain": lambda: _twin_chain(19),
+    # a unicyclic ball of 45 vertices
+    "random_regular": lambda: extract_ball(gen_random_regular(1000, 3, seed=3), 0, 4, 2),
+}
+
+
+class TestSymmetricBalls:
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_BALLS))
+    def test_search_prunes_automorphic_branches(self, name, monkeypatch):
+        # Branching on every vertex of each target cell runs past the default
+        # budget of 200,000 leaves on both balls.  The pruned search visits
+        # 19; a budget of one leaf per vertex leaves room for renumberings
+        # that find the automorphisms in another order.
+        ball = SYMMETRIC_BALLS[name]()
+        monkeypatch.setattr(balls._RefinementSearch, "MAX_LEAVES", ball.n)
+        key = canonicalize(ball)
+        assert key.data[:1] == b"G"
+        sampler = random.Random(5)
+        for _ in range(5):
+            perm = [0] + sampler.sample(range(1, ball.n), ball.n - 1)
+            assert canonicalize(permuted_ball(ball, perm)) == key
+
+    def test_pruning_waits_for_the_first_automorphism(self):
+        # the 6-cycle ball's reflection (ball ids are in BFS order) shows only
+        # at its second leaf
+        ball = extract_ball(gen_cycle(6), 0, 3, 2)
+        deco = [balls._label_bytes(lab) for lab in ball.labels]
+        search = balls._RefinementSearch(ball.depths, ball.edges, adjacency(ball.n, ball.edges), deco)
+        search.run()
+        assert search.leaves == 2
+        assert search.automorphisms == [[0, 2, 1, 4, 3, 5]]
+
+
+# Small random cyclic balls: a cycle through the root of 3 to 6 vertices, a
+# radius that keeps it whole, and random extra edges of maximum degree 4.
+LABEL_LEVELS = (0.0, math.log(2.0), math.log(3.0))
+
+
+@st.composite
+def cyclic_balls(draw):
+    cycle = draw(st.integers(3, 6))
+    n = draw(st.integers(cycle, 10))
+    edges = {(i, i + 1) for i in range(cycle - 1)} | {(0, cycle - 1)}
+    degree = [2] * cycle + [0] * (n - cycle)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=16)):
+        if (u, v) not in edges and degree[u] < 4 and degree[v] < 4:
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    levels = draw(st.sampled_from([1, 2, 3]))
+    lw = [LABEL_LEVELS[draw(st.integers(0, levels - 1))] for _ in range(n)]
+    G = build_graph(sorted(edges), lw, d=4, K=3.0)
+    root = draw(st.integers(0, cycle - 1))
+    r = draw(st.integers(cycle // 2, 3))
+    ball = extract_ball(G, root, r, 1)
+    assert not ball.is_tree()
+    return ball
+
+
+@st.composite
+def ball_pairs(draw):
+    """Two cyclic balls and, for b a copy of a, the renumbering perm taking
+    a's vertex v to b's vertex perm[v] (None for independent balls).  A copy
+    has, sometimes, one non-root label changed."""
+    a = draw(cyclic_balls())
+    how = draw(st.sampled_from(["independent", "renumbered", "relabeled"]))
+    if how == "independent":
+        return a, draw(cyclic_balls()), None
+    labels = list(a.labels)
+    if how == "relabeled":
+        v = draw(st.integers(1, a.n - 1))
+        labels[v] = draw(st.sampled_from(sorted(set(a.labels) | {FixedPointLabel(5, 1)})))
+    b = LabeledBall(radius=a.radius, depths=a.depths, edges=a.edges, labels=tuple(labels))
+    perm = [0] + draw(st.permutations(range(1, a.n)))
+    return a, permuted_ball(b, perm), perm
+
+
+def _attributed(ball, bits):
+    g = nx.Graph()
+    for v in range(ball.n):
+        g.add_node(v, tag=(v == 0, ball.depths[v], ball.labels[v], bits[v]))
+    g.add_edges_from(ball.edges)
+    return g
+
+
+def _isomorphic(a, bits_a, b, bits_b):
+    return nx.vf2pp_is_isomorphic(_attributed(a, bits_a), _attributed(b, bits_b), node_label="tag")
+
+
+class TestAgainstNetworkx:
+    """Equal keys exactly when networkx finds a root-, depth- and
+    label-preserving isomorphism (and a bit-preserving one when decorated)."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(ball_pairs())
+    def test_keys_match_isomorphism(self, pair):
+        a, b, _ = pair
+        same = _isomorphic(a, [0] * a.n, b, [0] * b.n)
+        assert (canonicalize(a) == canonicalize(b)) == same
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(ball_pairs(), st.data())
+    def test_decorated_keys_match_isomorphism(self, pair, data):
+        a, b, perm = pair
+        bits_a = data.draw(st.lists(st.integers(0, 3), min_size=a.n, max_size=a.n))
+        bits_b = data.draw(st.lists(st.integers(0, 3), min_size=b.n, max_size=b.n))
+        if perm is not None and data.draw(st.booleans()):
+            # the copy's vertices keep their bits, except perhaps one
+            for v in range(a.n):
+                bits_b[perm[v]] = bits_a[v]
+            if data.draw(st.booleans()):
+                bits_b[data.draw(st.integers(0, b.n - 1))] ^= 1
+        same = _isomorphic(a, bits_a, b, bits_b)
+        da = canonicalize_decorated(a, bits_a)
+        db = canonicalize_decorated(b, bits_b)
+        assert (da.key == db.key) == same
+        if same:
+            assert (da.depths, da.edges, da.labels, da.bits) == (db.depths, db.edges, db.labels, db.bits)
 
 
 # ---------------------------------------------------------------------------

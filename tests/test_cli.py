@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rnlab
 import rnlab.balls
 from rnlab import (
     build_graph,
@@ -418,3 +423,25 @@ class TestScenario:
     def test_needs_name_or_config(self, capsys):
         with pytest.raises(SystemExit):
             main(["scenario"])
+
+
+class TestModuleEntryPoint:
+    """``python -m rnlab`` from a source checkout, with only src/ on the path."""
+
+    def _run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(rnlab.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "rnlab", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_help(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "sample" in proc.stdout
+
+    def test_exit_code_passes_through(self, graph_file):
+        proc = self._run("test", "--graph", graph_file(gen_cycle(6)),
+                         "--property", "forest", "--epsilon", "0.5")
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "REJECT"

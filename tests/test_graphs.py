@@ -213,9 +213,13 @@ class TestVectorizedBuilder:
     @pytest.mark.parametrize(
         "edges",
         [[(0, 1, 2)], [(0, 1), (2,)], [(0,)], [()], [0, 1], [[0, 1], [1, 2, 0]], [[[0, 1]]],
-         [("a", "b")], [(0, 2**63)], [(-2**63 - 1, 0)], [(0, 2**70)]],
+         [("a", "b")], [(0, 2**63)], [(-2**63 - 1, 0)], [(0, 2**70)],
+         [(0, 1.9)], [(0, 1.0)], [("0", "1")], [(0, "1")], [(True, False)], [(0, None)],
+         np.array([[0.0, 1.0]])],
         ids=["triple", "ragged", "single", "empty-entry", "flat", "ragged-late", "nested",
-             "text", "too-large", "too-small", "huge"],
+             "text", "too-large", "too-small", "huge",
+             "float", "integral-float", "numeric-text", "mixed-text", "bool", "none",
+             "float-array"],
     )
     def test_entries_that_are_not_pairs_of_ids(self, edges):
         with pytest.raises(GraphError, match="^edges must be pairs of"):
