@@ -323,12 +323,16 @@ def absolute_distance(G, P: PropertySpec, K: float, exact: bool = False):
 
 def absolute_distance_grid_check(G, P: PropertySpec, K: float, steps: int) -> float:
     """Lower bound on absolute_distance by brute force over distributions
-    with probabilities i/steps.  Used to cross-check the LP from below."""
+    with probabilities i/steps.  Used to cross-check the LP from below.
+
+    Works on the integer numerators a: p(u) > K p(v) exactly when
+    a_u * K.den > K.num * a_v, and the one division by steps comes last."""
     edges = list(G.edge_list())
     n = G.n
     sets = _minimal_deletion_sets(n, edges, P)
     Kf = Fraction(K)
-    best = Fraction(0)
+    num, den = Kf.numerator, Kf.denominator
+    best = 0
     for comp in itertools.combinations(range(steps + n - 1), n - 1):
         parts = []
         prev = -1
@@ -336,19 +340,16 @@ def absolute_distance_grid_check(G, P: PropertySpec, K: float, steps: int) -> fl
             parts.append(c - prev - 1)
             prev = c
         parts.append(steps + n - 2 - prev)
-        p = [Fraction(a, steps) for a in parts]
-        ok = True
-        for u, v in edges:
-            if p[u] > Kf * p[v] or p[v] > Kf * p[u]:
-                ok = False
-                break
-        if not ok:
+        if any(
+            parts[u] * den > num * parts[v] or parts[v] * den > num * parts[u]
+            for u, v in edges
+        ):
             continue
         inner = min(
-            sum(p[edges[i][0]] + p[edges[i][1]] for i in dele) for dele in sets
+            sum(parts[edges[i][0]] + parts[edges[i][1]] for i in dele) for dele in sets
         )
         best = max(best, inner)
-    return float(best)
+    return float(Fraction(best, steps))
 
 
 def n_epsilon_cycles(epsilon: float) -> int:

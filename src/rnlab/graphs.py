@@ -14,7 +14,10 @@ Both graph classes, the explicit :class:`WeightedGraph` and the implicit
 ``p(v)``, ``probabilities``, the orbit queries (``orbit_reps``,
 ``orbit_ids``, ``orbit_count``), ``roots_from_words`` and ``materialize()``.
 ``neighbors(v)`` returns a fresh list of Python ints: ascending on explicit
-graphs, parent first (then the children) on the tree.
+graphs, parent first (then the children) on the tree.  ``neighbor_lists()``
+returns a fresh list, built on every call and never kept on the graph, whose
+entry v equals ``neighbors(v)``, in the same order; graph-wide scans read it
+instead of asking for each vertex's neighbors one call at a time.
 """
 from __future__ import annotations
 
@@ -111,7 +114,9 @@ class _GraphProtocol:
 
     Subclasses provide ``neighbors(v)``, a fresh list of Python ints (no
     numpy scalars), and the rest of the queries in the module docstring.
-    ``adjacent`` is defined here from ``neighbors``.  ``derived`` keeps
+    ``adjacent`` and ``neighbor_lists`` are defined here from ``neighbors``;
+    ``neighbor_lists()`` is a fresh list per call whose entry v equals
+    ``neighbors(v)``, in the same order.  ``derived`` keeps
     structures derived from the immutable graph (its alias table, its ball
     indexes), built on first use and stored on the graph so they die with
     it.
@@ -119,6 +124,9 @@ class _GraphProtocol:
 
     def adjacent(self, x: int, y: int) -> bool:
         return y in self.neighbors(x)
+
+    def neighbor_lists(self) -> list[list[int]]:
+        return [self.neighbors(v) for v in range(self.n)]
 
     def derived(self, key, build):
         value = self._derived.get(key)
@@ -174,6 +182,12 @@ class WeightedGraph(_GraphProtocol):
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of v in ascending order, as a fresh list."""
         return self._indices[self._indptr[v] : self._indptr[v + 1]].tolist()
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """neighbors(v) for every v, sliced from one conversion of the CSR."""
+        flat = self._indices.tolist()
+        bounds = self._indptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def degree(self, v: int) -> int:
         return int(self._indptr[v + 1] - self._indptr[v])
@@ -279,6 +293,9 @@ class WeightedGraph(_GraphProtocol):
         return f"WeightedGraph(n={self.n}, d={self.d}, K={self.K}, m={self.edge_count})"
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _as_edge_array(edge_list) -> np.ndarray:
     """The edges as an (m, 2) int64 array.
 
@@ -301,6 +318,11 @@ def _as_edge_array(edge_list) -> np.ndarray:
         raise GraphError(f"edges must be pairs of vertex ids, got an array of shape {edges.shape}")
     if edges.dtype.kind not in "iu" and edges.size:
         raise GraphError(f"edges must be pairs of int64 vertex ids, got {edges.dtype} entries")
+    # an unsigned id above the int64 maximum would wrap to a negative one
+    if edges.dtype.kind == "u" and edges.size and edges.max() > _INT64_MAX:
+        raise GraphError(
+            f"edges must be pairs of int64 vertex ids, got id {int(edges.max())} > {_INT64_MAX}"
+        )
     return edges.astype(np.int64, copy=False)
 
 
@@ -420,21 +442,25 @@ def cycle_ratio_product(G, cycle) -> float:
     return math.exp(walk_log_ratio(G, cycle, closed=True))
 
 
-def components(G, removed=()) -> list[list[int]]:
+def components(G, removed=(), *, adj=None) -> list[list[int]]:
     """Connected components of G after deleting the removed vertices.
 
     Components come in order of their smallest vertex, each listing its
     vertices in the order a stack scan visits them.  Only ``G.n`` and
-    ``G.neighbors`` are used, so both graph classes are served.  A removed
+    ``G.neighbor_lists()`` are used, so both graph classes are served; a
+    caller that already holds those lists passes them as ``adj``.  A removed
     id outside ``range(G.n)`` raises ``GraphError``.
     """
-    seen = [False] * G.n
+    n = G.n
+    seen = [False] * n
     for v in removed:
-        if not 0 <= v < G.n:
-            raise GraphError(f"removed vertex {v} is not in the graph (n={G.n})")
+        if not 0 <= v < n:
+            raise GraphError(f"removed vertex {v} is not in the graph (n={n})")
         seen[v] = True
+    if adj is None:
+        adj = G.neighbor_lists()
     comps = []
-    for s in range(G.n):
+    for s in range(n):
         if seen[s]:
             continue
         comp = []
@@ -443,7 +469,7 @@ def components(G, removed=()) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in G.neighbors(v):
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)

@@ -319,9 +319,18 @@ def observe(G, s: int, class_cap: int = 20_000) -> ObservationTable:
 # ---------------------------------------------------------------------------
 
 
-def girth(G) -> float:
-    """Length of the shortest cycle, or inf for forests.  BFS from every
-    vertex; the minimum candidate over all roots is exact."""
+def girth(G, limit: float = math.inf) -> float:
+    """Length of the shortest cycle when it is at most limit, else inf (so
+    always inf on forests).
+
+    A BFS of radius ceil(limit/2) from every vertex, the bounded form of
+    Itai & Rodeh (SIAM J. Comput. 7(4), 1978): a non-tree edge closes a
+    walk of depth[v] + depth[w] + 1 steps through a cycle no longer than
+    that, and a BFS from a vertex of a shortest cycle of length g closes it
+    at exactly g within radius ceil(g/2).  So the minimum candidate over all
+    roots is exact whenever it is at most limit.
+    """
+    radius = math.ceil(limit / 2) if limit < math.inf else math.inf
     best = math.inf
     n = G.n
     for root in range(n):
@@ -330,7 +339,7 @@ def girth(G) -> float:
         dq = deque([root])
         while dq:
             v = dq.popleft()
-            if 2 * depth[v] >= best:
+            if 2 * depth[v] >= best or depth[v] >= radius:
                 continue
             for w in G.neighbors(v):
                 if w not in depth:
@@ -339,7 +348,7 @@ def girth(G) -> float:
                     dq.append(w)
                 elif w != parent[v]:
                     best = min(best, depth[v] + depth[w] + 1)
-    return best
+    return best if best <= limit else math.inf
 
 
 def odd_girth(G) -> float:
@@ -372,7 +381,7 @@ def induced_cycle_lengths(G, s: int, step_cap: int = 2_000_000) -> set[int]:
     is fixed by requiring the second path vertex to be smaller than the
     closing vertex, so each cycle is found once.
     """
-    if girth(G) > s:
+    if girth(G, s) > s:
         return set()
     lengths: set[int] = set()
     steps = 0

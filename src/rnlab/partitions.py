@@ -113,6 +113,11 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     cycles need regions of about 2/epsilon vertices and grid interiors about
     8/epsilon^2, so pass a larger hint there; expanders fail at every hint
     small enough to be meaningful, which is the point.
+
+    Every scan reads one ``G.neighbor_lists()`` and one list of the masses,
+    both built after ``G.probabilities``, so a graph too large to list its
+    masses raises ``TooLarge`` before anything of size n is allocated.
+    Layer masses are summed once each, left to right.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -121,36 +126,43 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     if K_target < 1:
         raise ValueError("component bound must be positive")
     n = G.n
-    probs = G.probabilities
+    p = G.probabilities.tolist()
+    adj = G.neighbor_lists()
     removed: set[int] = set()
     assigned = [False] * n
     component_sizes: list[int] = []
 
     # initial entries: the heaviest vertex of each component, the first in
     # visit order on ties
-    entries = [max(comp, key=probs.__getitem__) for comp in components(G)]
+    entries = [max(comp, key=p.__getitem__) for comp in components(G, adj=adj)]
 
     def explore(seed: int):
         """BFS layers from seed until the prefix exceeds K_target or the
-        component is exhausted.  Returns (layers, exhausted)."""
+        component is exhausted.  Returns (layers, their masses, exhausted);
+        every proper prefix of the layers holds at most K_target vertices."""
         layers = [[seed]]
+        masses = [p[seed]]
         visited = {seed}
         total = 1
         while True:
             frontier = []
+            mass = 0.0
             for v in layers[-1]:
-                for w in G.neighbors(v):
-                    if w not in visited and not assigned[w] and w not in removed:
+                for w in adj[v]:
+                    # removed vertices are assigned too
+                    if w not in visited and not assigned[w]:
                         visited.add(w)
                         frontier.append(w)
+                        mass += p[w]
             if not frontier:
-                return layers, True
+                return layers, masses, True
             layers.append(frontier)
+            masses.append(mass)
             total += len(frontier)
             if total > K_target:
-                return layers, False
+                return layers, masses, False
 
-    def carve(layers, exhausted: bool) -> bool:
+    def carve(layers, masses, exhausted: bool) -> bool:
         """Seal off the best layer prefix of an explored ball.  A failing
         carve changes nothing, so its layers can seed the retries."""
         if exhausted:
@@ -160,17 +172,13 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
             component_sizes.append(len(comp))
             return True
         best_ratio, best_rho = None, None
-        region_mass, region_size = 0.0, 0
+        region_mass = 0.0
         for rho in range(len(layers) - 1):
-            region_mass += float(sum(probs[v] for v in layers[rho]))
-            region_size += len(layers[rho])
-            if region_size > K_target:
-                break
-            sphere_mass = float(sum(probs[v] for v in layers[rho + 1]))
-            ratio = sphere_mass / region_mass if region_mass > 0 else math.inf
+            region_mass += masses[rho]
+            ratio = masses[rho + 1] / region_mass if region_mass > 0 else math.inf
             if best_ratio is None or ratio < best_ratio:
                 best_ratio, best_rho = ratio, rho
-        if best_ratio is None or best_ratio > epsilon:
+        if best_ratio > epsilon:
             return False
         region = [v for lay in layers[: best_rho + 1] for v in lay]
         sphere = layers[best_rho + 1]
@@ -181,7 +189,7 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
             assigned[v] = True
         component_sizes.append(len(region))
         for v in sphere:
-            for w in G.neighbors(v):
+            for w in adj[v]:
                 if not assigned[w]:
                     entries.append(w)
         return True
@@ -190,12 +198,12 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
         e = entries.pop()
         if assigned[e]:
             continue
-        layers, exhausted = explore(e)
-        if carve(layers, exhausted):
+        layers, masses, exhausted = explore(e)
+        if carve(layers, masses, exhausted):
             continue
         # retry from the heaviest vertices of the sampled ball
         pool = sorted(
-            (v for lay in layers for v in lay), key=lambda v: -probs[v]
+            (v for lay in layers for v in lay), key=lambda v: -p[v]
         )[:SEED_TRIES]
         if not any(v != e and carve(*explore(v)) for v in pool):
             raise PartitionInfeasible(

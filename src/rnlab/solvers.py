@@ -105,8 +105,7 @@ def matching_size(n: int, adj: list[list[int]]) -> int:
 
 def exact_matching(G) -> float:
     """Matching ratio |M| / n."""
-    adj = [G.neighbors(v) for v in range(G.n)]
-    return matching_size(G.n, adj) / G.n
+    return matching_size(G.n, G.neighbor_lists()) / G.n
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +444,10 @@ def exact_weighted_mis(G) -> tuple[frozenset, float]:
     """
     n = G.n
     probs = G.probabilities
-    adj = [G.neighbors(v) for v in range(n)]
+    adj = G.neighbor_lists()
     w = {v: float(probs[v]) for v in range(n)}
     chosen: list[int] = []
-    for comp in components(G):
+    for comp in components(G, adj=adj):
         chosen.extend(component_mwis(sorted(comp), adj, w))
     chosen_set = frozenset(chosen)
     if not is_independent(G, chosen_set):

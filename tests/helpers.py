@@ -19,7 +19,8 @@ from rnlab import (
     build_graph,
 )
 from rnlab.balls import FixedPointLabel, LabeledBall
-from rnlab.graphs import RATIO_SLACK
+from rnlab.graphs import RATIO_SLACK, components
+from rnlab.partitions import SEED_TRIES, PartitionCertificate, PartitionInfeasible
 
 LN2 = math.log(2.0)
 
@@ -280,3 +281,95 @@ def scalar_build_graph(edge_list, log_weights, d, K):
         seg = indices[indptr[v] : indptr[v + 1]]
         seg.sort()
     return indptr, indices
+
+
+def scalar_find_weighted_partition(G, epsilon, K_target=None):
+    """find_weighted_partition as it was before it read neighbor lists:
+    one G.neighbors call per visit and numpy masses summed per layer, each
+    sphere twice.  The reference for its certificates and its messages."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    if K_target is None:
+        K_target = math.ceil(1.0 / epsilon)
+    if K_target < 1:
+        raise ValueError("component bound must be positive")
+    n = G.n
+    probs = G.probabilities
+    removed: set[int] = set()
+    assigned = [False] * n
+    component_sizes: list[int] = []
+    entries = [max(comp, key=probs.__getitem__) for comp in components(G)]
+
+    def explore(seed):
+        layers = [[seed]]
+        visited = {seed}
+        total = 1
+        while True:
+            frontier = []
+            for v in layers[-1]:
+                for w in G.neighbors(v):
+                    if w not in visited and not assigned[w] and w not in removed:
+                        visited.add(w)
+                        frontier.append(w)
+            if not frontier:
+                return layers, True
+            layers.append(frontier)
+            total += len(frontier)
+            if total > K_target:
+                return layers, False
+
+    def carve(layers, exhausted):
+        if exhausted:
+            comp = [v for layer in layers for v in layer]
+            for v in comp:
+                assigned[v] = True
+            component_sizes.append(len(comp))
+            return True
+        best_ratio, best_rho = None, None
+        region_mass, region_size = 0.0, 0
+        for rho in range(len(layers) - 1):
+            region_mass += float(sum(probs[v] for v in layers[rho]))
+            region_size += len(layers[rho])
+            if region_size > K_target:
+                break
+            sphere_mass = float(sum(probs[v] for v in layers[rho + 1]))
+            ratio = sphere_mass / region_mass if region_mass > 0 else math.inf
+            if best_ratio is None or ratio < best_ratio:
+                best_ratio, best_rho = ratio, rho
+        if best_ratio is None or best_ratio > epsilon:
+            return False
+        region = [v for lay in layers[: best_rho + 1] for v in lay]
+        sphere = layers[best_rho + 1]
+        for v in region:
+            assigned[v] = True
+        for v in sphere:
+            removed.add(v)
+            assigned[v] = True
+        component_sizes.append(len(region))
+        for v in sphere:
+            for w in G.neighbors(v):
+                if not assigned[w]:
+                    entries.append(w)
+        return True
+
+    while entries:
+        e = entries.pop()
+        if assigned[e]:
+            continue
+        layers, exhausted = explore(e)
+        if carve(layers, exhausted):
+            continue
+        pool = sorted(
+            (v for lay in layers for v in lay), key=lambda v: -probs[v]
+        )[:SEED_TRIES]
+        if not any(v != e and carve(*explore(v)) for v in pool):
+            raise PartitionInfeasible(
+                f"no sphere of relative mass <= {epsilon} around vertex {e} "
+                f"with regions of <= {K_target} vertices"
+            )
+    return PartitionCertificate(
+        removed=frozenset(removed),
+        epsilon=epsilon,
+        component_bound=max(component_sizes, default=0),
+        component_sizes=tuple(sorted(component_sizes)),
+    )

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -244,6 +245,38 @@ class TestAbsoluteDistance:
             lp = absolute_distance(G, FOREST, 2)
             grid = absolute_distance_grid_check(G, FOREST, 2, steps=2 * n)
             assert abs(lp - grid) < 1e-9
+
+    @staticmethod
+    def _fraction_grid_check(G, P, K, steps):
+        """The grid check by its definition: Fraction probabilities i/steps
+        on every vertex, the ratio bound checked on them, and the cheapest
+        edge deletion found among all edge subsets."""
+        edges = G.edge_list()
+        feasible = [
+            drop
+            for k in range(len(edges) + 1)
+            for drop in itertools.combinations(edges, k)
+            if holds_on(P, G.n, [e for e in edges if e not in drop])
+        ]
+        Kf = Fraction(K)
+        best = Fraction(0)
+        for parts in itertools.product(range(steps + 1), repeat=G.n):
+            if sum(parts) != steps:
+                continue
+            p = [Fraction(a, steps) for a in parts]
+            if any(p[u] > Kf * p[v] or p[v] > Kf * p[u] for u, v in edges):
+                continue
+            best = max(best, min(sum(p[u] + p[v] for u, v in drop) for drop in feasible))
+        return float(best)
+
+    def test_grid_check_matches_fraction_definition(self):
+        pendant = build_graph([(0, 1), (1, 2), (0, 2), (0, 3)], [0.0] * 4, d=3, K=4.0)
+        cases = [(gen_cycle(3), 6), (gen_cycle(4), 8), (gen_cycle(5), 7), (pendant, 9), (gen_path(4), 5)]
+        for G, steps in cases:
+            for P in (FOREST, BIPARTITE):
+                for K in (1.0, 1.5, 2, 2.7, 4):
+                    expected = self._fraction_grid_check(G, P, K, steps)
+                    assert absolute_distance_grid_check(G, P, K, steps) == expected
 
     def test_grid_check_is_lower_bound(self):
         G = build_graph([(0, 1), (1, 2), (0, 2), (0, 3)], [0.0] * 4, d=3, K=4.0)

@@ -225,6 +225,21 @@ class TestVectorizedBuilder:
         with pytest.raises(GraphError, match="^edges must be pairs of"):
             build_graph(edges, [0.0] * 3, d=2, K=1.0)
 
+    def test_unsigned_ids_above_int64_are_rejected(self):
+        pairs = [(2, 0), (1, 2)]
+        expected = build_graph(pairs, [0.0] * 3, d=2, K=1.0)
+        assert build_graph(np.array(pairs, dtype=np.uint64), [0.0] * 3, d=2, K=1.0).structurally_equal(expected)
+        assert build_graph(np.array(pairs, dtype=np.uint8), [0.0] * 3, d=2, K=1.0).structurally_equal(expected)
+        # 2**63 + 1 would wrap to -(2**63 - 1) and be reported as that vertex
+        for big in (2**63, 2**63 + 1, 2**64 - 1):
+            edges = np.array([(0, 1), (1, big)], dtype=np.uint64)
+            with pytest.raises(GraphError, match=f"^edges must be pairs of int64 vertex ids, got id {big} "):
+                build_graph(edges, [0.0] * 3, d=2, K=1.0)
+        # the int64 maximum itself passes the cast and fails the range check
+        edges = np.array([(0, 2**63 - 1)], dtype=np.uint64)
+        with pytest.raises(GraphError, match=r"^edge \(0, 9223372036854775807\) references a vertex outside"):
+            build_graph(edges, [0.0] * 3, d=2, K=1.0)
+
 
 class TestRatio:
     def test_uniform_edges(self, c6_uniform):
@@ -414,6 +429,30 @@ class TestGraphProtocol:
         assert all(M.neighbors(v) == sorted(G.neighbors(v)) for v in range(G.n))
         if isinstance(G, WeightedGraph):
             assert M is G
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            build_graph([(2, 0), (1, 2), (3, 1), (0, 4), (4, 3), (5, 2)], [0.0] * 7, d=3, K=1.0),
+            gen_grid(3, 4),
+            build_graph([], [], d=1, K=1.0),
+            LayeredBinaryTree(5, 0.4).materialize(),
+            LayeredBinaryTree(5, 0.4),
+            LayeredBinaryTree(1, 0.0),
+        ],
+        ids=["explicit-isolated", "grid", "empty", "materialized-tree", "tree-5", "tree-1"],
+    )
+    def test_neighbor_lists_match_neighbors(self, G):
+        lists = G.neighbor_lists()
+        assert type(lists) is list and len(lists) == G.n
+        for v in range(G.n):
+            assert type(lists[v]) is list
+            assert all(type(u) is int for u in lists[v])
+            assert lists[v] == G.neighbors(v)
+        # fresh on every call: a caller may mutate what it got
+        for row in lists:
+            row.append(-1)
+        assert G.neighbor_lists() == [G.neighbors(v) for v in range(G.n)]
 
     def test_adjacency_lists(self):
         assert adjacency(4, [(2, 0), (1, 2), (0, 1)]) == [[1, 2], [0, 2], [0, 1], []]

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ from rnlab import (
 )
 from rnlab import GraphError, ball_index, build_graph, canonicalize, extract_ball, gen_grid
 from rnlab import balls, graphs
-from helpers import GIRTH8_CUBIC_EDGES, GIRTH8_CUBIC_N
+from helpers import GIRTH8_CUBIC_EDGES, GIRTH8_CUBIC_N, random_bounded_graph, random_tree
 
 LN2 = math.log(2.0)
 
@@ -269,6 +270,24 @@ class TestCycleOracles:
         assert girth(gen_cycle(7)) == 7
         assert girth(gen_path(9)) == math.inf
         assert girth(gen_theta_graph((2, 3, 4))) == 5
+
+    def test_bounded_girth_matches_unbounded(self, rng):
+        graphs = [
+            random_bounded_graph(rng, int(rng.integers(1, 40)), int(rng.integers(2, 5)), 2.0,
+                                 edge_factor=float(rng.uniform(0.4, 1.6)))
+            for _ in range(80)
+        ]
+        for n in (1, 2, 7, 30):
+            graphs.append(build_graph(random_tree(rng, n), [0.0] * n, d=4, K=1.0))
+        graphs += [gen_cycle(n) for n in range(3, 13)]
+        graphs += [gen_theta_graph((2, 3, 4)), gen_grid(3, 5)]
+        graphs.append(build_graph(GIRTH8_CUBIC_EDGES, [0.0] * GIRTH8_CUBIC_N, d=3, K=1.0))
+        for G in graphs:
+            g = girth(G)
+            # networkx is the independent reference for the unbounded form
+            assert g == nx.girth(nx.Graph(list(G.edges())))
+            for limit in [*range(G.n + 3), 2.5, math.inf]:
+                assert girth(G, limit) == (g if g <= limit else math.inf), (G, limit)
 
     def test_odd_girth(self):
         assert odd_girth(gen_cycle(6)) == math.inf

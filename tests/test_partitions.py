@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from helpers import random_bounded_graph, reweighted, scalar_find_weighted_partition
 from rnlab import (
     PartitionCertificate,
     PartitionInfeasible,
@@ -15,6 +18,7 @@ from rnlab import (
     gen_disjoint_triangles,
     gen_grid,
     gen_path,
+    gen_random_regular,
     gen_perturbed_union,
     removed_mass,
     verify_uniform_cover,
@@ -175,6 +179,70 @@ class TestTiedWeightCertificates:
     def test_pinned_infeasible(self):
         with pytest.raises(PartitionInfeasible):
             find_weighted_partition(_tied_graph(), 0.4, 8)
+
+
+def _outcome(find, G, epsilon, K_target):
+    try:
+        return find(G, epsilon, K_target)
+    except PartitionInfeasible as e:
+        return ("infeasible", str(e))
+
+
+def _agreed_outcome(G, epsilon, K_target):
+    """find_weighted_partition against the scalar reference, which calls
+    G.neighbors once per visit and sums numpy masses per layer: the same
+    certificate or the same PartitionInfeasible text."""
+    new = _outcome(find_weighted_partition, G, epsilon, K_target)
+    assert new == _outcome(scalar_find_weighted_partition, G, epsilon, K_target)
+    return new
+
+
+class TestAgainstScalarReference:
+    def test_random_bounded_graphs(self):
+        rng = np.random.default_rng(20261018)
+        kinds = Counter()
+        for i in range(2000):
+            n = int(rng.integers(1, 48))
+            d = int(rng.integers(2, 5))
+            # sparse draws leave several components
+            G = random_bounded_graph(rng, n, d, K=2.0, edge_factor=float(rng.uniform(0.2, 1.3)))
+            if i % 2:
+                # up to three weight levels: many vertices tie for heaviest
+                levels = rng.integers(0, int(rng.integers(1, 4)), size=n)
+                G = build_graph(G.edge_list(), (levels * (LN2 / 2)).tolist(), d=d, K=2.0)
+            epsilon = float(rng.uniform(0.02, 0.9))
+            K_target = None if i % 10 == 0 else int(rng.integers(1, n + 2))
+            out = _agreed_outcome(G, epsilon, K_target)
+            if isinstance(out, tuple):
+                kinds["infeasible"] += 1
+            else:
+                kinds["cut" if out.removed else "whole"] += 1
+                assert verify_weighted_partition(G, out)
+        # every branch is exercised many times
+        assert min(kinds["infeasible"], kinds["cut"], kinds["whole"]) >= 200, kinds
+
+    @pytest.mark.parametrize("representation", ["implicit", "explicit"])
+    def test_trees(self, representation):
+        rng = np.random.default_rng(7)
+        for depth in (1, 2, 4, 7, 9):
+            for beta in (0.0, 0.4, LN2, 2 * LN2):
+                T = gen_binary_tree(depth, beta, representation=representation)
+                for _ in range(6):
+                    epsilon = float(rng.uniform(0.03, 0.8))
+                    _agreed_outcome(T, epsilon, int(rng.integers(1, T.n + 2)))
+
+    def test_paths_cycles_and_grids(self):
+        rng = np.random.default_rng(3)
+        graphs = [gen_path(n) for n in (1, 2, 5, 40, 200)]
+        graphs += [gen_cycle(n) for n in (3, 8, 121)]
+        graphs += [gen_grid(r, c) for r, c in ((1, 6), (4, 4), (12, 12))]
+        graphs += [reweighted(G, rng, 4.0) for G in graphs if G.n > 1]
+        graphs += [gen_random_regular(60, 3, seed=1), gen_perturbed_union(16, profile="adversarial", seed=0)]
+        for G in graphs:
+            for _ in range(8):
+                epsilon = float(rng.uniform(0.03, 0.8))
+                _agreed_outcome(G, epsilon, int(rng.integers(1, 2 * G.n + 2)))
+            _agreed_outcome(G, 0.1, None)
 
 
 class TestUniformCover:

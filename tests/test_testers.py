@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from rnlab import (
     gen_disjoint_triangles,
     gen_grid,
     gen_path,
+    gen_perturbed_union,
     observable_test,
     observation_depth,
 )
@@ -175,6 +177,17 @@ class TestObservableTester:
         for n in (3, 7, 10, 11):
             v = observable_test(gen_cycle(n), FOREST, 0.2)
             assert v.verdict == "REJECT"
+
+    def test_large_perturbed_union_answers_in_seconds(self):
+        # 40,200 vertices, mostly trees: the cycle check looks only within
+        # the observation depth of each vertex, where a BFS over the whole
+        # graph from every vertex ran for minutes
+        G = gen_perturbed_union(200)
+        t0 = time.perf_counter()
+        v = observable_test(G, FOREST, 0.3)
+        assert time.perf_counter() - t0 < 60.0
+        assert v.verdict == "REJECT"
+        assert v.evidence == {cycle_key(k): True for k in range(3, observation_depth(0.3) + 1)}
 
     def test_forest_accepted(self, rng):
         edges = random_tree(rng, 30)
