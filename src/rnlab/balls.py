@@ -9,6 +9,7 @@ label-preserving isomorphism exists between them.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -67,29 +68,30 @@ class LabeledBall:
         return len(self.edges) == self.n - 1
 
 
-def extract_ball(G, x: int, r: int, t: int) -> LabeledBall:
+def extract_ball(G, x: int, r: int, t: int, *, adj=None) -> LabeledBall:
     """BFS ball of radius r around x with floor-truncated relative labels.
 
     Labels come from exp of log-weight differences against the root, so the
     root label is exactly 1.  Reads G only through the graph protocol (``n``,
     ``neighbors`` returning lists of ints, ``log_weight``), so explicit
-    graphs and implicitly represented ones serve alike.  Raises GraphError
-    when x is not a vertex of G.
+    graphs and implicitly represented ones serve alike; a caller that holds
+    ``G.neighbor_lists()`` passes them as ``adj``, and neighbors are read
+    from there instead.  Raises GraphError when x is not a vertex of G.
     """
-    return extract_ball_with_map(G, x, r, t)[0]
+    return extract_ball_with_map(G, x, r, t, adj=adj)[0]
 
 
-def extract_ball_with_map(G, x: int, r: int, t: int) -> tuple[LabeledBall, tuple]:
+def extract_ball_with_map(G, x: int, r: int, t: int, *, adj=None) -> tuple[LabeledBall, tuple]:
     """extract_ball plus the original vertex ids in ball order (root first)."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     if not 0 <= x < G.n:
         raise GraphError(f"root {x} is not a vertex of a graph on {G.n} vertices")
-    order, depths, local = bfs(G.neighbors, x, r)
+    neighbors = G.neighbors if adj is None else adj.__getitem__
+    order, depths, local = bfs(neighbors, x, r)
     edges = []
-    for v in order:
-        iv = local[v]
-        for w in G.neighbors(v):
+    for iv, v in enumerate(order):
+        for w in neighbors(v):
             iw = local.get(w)
             if iw is not None and iv < iw:
                 edges.append((iv, iw))
@@ -98,6 +100,27 @@ def extract_ball_with_map(G, x: int, r: int, t: int) -> tuple[LabeledBall, tuple
     labels = tuple(truncate_label(math.exp(G.log_weight(v) - lw_root), t) for v in order)
     ball = LabeledBall(radius=r, depths=tuple(depths), edges=tuple(edges), labels=labels)
     return ball, tuple(order)
+
+
+def ball_prefix(ball: LabeledBall, r: int) -> LabeledBall:
+    """The radius-r ball of the same root, for r <= ball.radius.
+
+    A FIFO scan meets the vertices within distance r in the same order
+    whatever its radius cap, so the smaller ball is a prefix: the first
+    ``cut`` vertices (those at depth <= r) with their labels, and the edges
+    among them, which are the sorted (low, high) pairs with high < cut.
+    """
+    if not 0 <= r <= ball.radius:
+        raise ValueError(f"radius {r} is outside [0, {ball.radius}]")
+    if r == ball.radius:
+        return ball
+    cut = bisect.bisect_right(ball.depths, r)
+    return LabeledBall(
+        radius=r,
+        depths=ball.depths[:cut],
+        edges=tuple(e for e in ball.edges if e[1] < cut),
+        labels=ball.labels[:cut],
+    )
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import generators
 from .distances import PropertySpec, absolute_distance, distance_to_property
-from .graphs import graph_to_json, load_graph, save_graph
+from .graphs import GraphError, graph_to_json, load_graph, save_graph
 from .local import estimate_matching, independent_set_estimate
-from .oracles import OracleConfig, RadonNikodymOracle, observe, uniform_query
+from .oracles import RadonNikodymOracle, observe, uniform_query
 from .partitions import (
     PartitionInfeasible,
     UnsupportedFamily,
@@ -25,7 +25,7 @@ from .partitions import (
     find_weighted_partition,
 )
 from .scenarios import ExperimentConfig, report_to_csv, run_scenario
-from .statistics import empirical_stats, exact_stats
+from .statistics import empirical_profile, stats_profile
 from .testers import observable_test, test_property
 
 EXIT_REJECT = 3
@@ -118,18 +118,11 @@ def cmd_sample(args) -> int:
 
 def cmd_stats(args) -> int:
     G = load_graph(args.graph)
-    per_radius = {}
-    for r in range(1, args.rmax + 1):
-        if args.mode == "exact":
-            st = exact_stats(G, r, args.t)
-        else:
-            st = empirical_stats(
-                G,
-                OracleConfig(
-                    radius=r, depth=args.t, query_budget=args.queries, seed=args.seed
-                ),
-            )
-        per_radius[str(r)] = st.to_json_dict()
+    if args.mode == "exact":
+        profile = stats_profile(G, args.rmax, args.t)
+    else:
+        profile = empirical_profile(G, args.rmax, args.t, args.queries, args.seed)
+    per_radius = {str(r): st.to_json_dict() for r, st in profile.items()}
     _emit({"r_max": args.rmax, "mode": args.mode, "per_radius": per_radius}, args.out)
     return 0
 
@@ -192,8 +185,8 @@ def cmd_estimate(args) -> int:
     else:
         try:
             value = estimate_matching(G, args.epsilon, seed=args.seed)
-        except PartitionInfeasible as e:
-            _emit({"error": "PartitionInfeasible", "message": str(e)}, args.out)
+        except GraphError as e:  # PartitionInfeasible, or weights it cannot take
+            _emit({"error": type(e).__name__, "message": str(e)}, args.out)
             return 1
         _emit({"value": value}, args.out)
     return 0

@@ -59,10 +59,15 @@ class BallIndex:
     predicate first needs it: keeping a ball object per type keeps its label
     objects alive, which on cold sweeps doubled the garbage collector's runs.
 
-    A miss extracts the ball and canonicalizes it; an entry is stored only
-    after both succeed, so a lookup that raises (``BudgetExceeded`` from the
-    canonical search, say) raises again next time.  Fills hold a lock and
-    are idempotent, so concurrent callers see the same type ids.
+    A miss in :meth:`types` extracts the ball at one root per untyped orbit
+    and canonicalizes it.  Exact sweeps fill several radii at once: they
+    extract each root once, at the largest radius still untyped, and hand
+    each index the ball cut down to its radius (``balls.ball_prefix``).
+    Both go through one fill step, which stores an entry only after
+    extraction and canonicalization succeed, so a lookup that raises
+    (``BudgetExceeded`` from the canonical search, say) raises again next
+    time.  Fills hold the index's lock and are idempotent, so concurrent
+    callers see the same type ids.
     """
 
     def __init__(self, G, r: int, t: int):
@@ -98,22 +103,33 @@ class BallIndex:
                 # one root per untyped orbit, the first in input order
                 todo, first = np.unique(orbits[missing], return_index=True)
                 reps = np.asarray(roots)[missing][first]
-                keep = fill[todo] < 0  # another thread may have typed some
-                # extract_ball is this module's global and canonicalize is
-                # looked up on balls at call time, so wrappers installed on
-                # either module see every miss
-                found = [
-                    self._type_of(extract_ball(G, root, self.r, self.t), root)
-                    for root in reps[keep].tolist()
-                ]
-                fill[todo[keep]] = found
-                self._untyped -= len(found)
-                if self._untyped == 0:
-                    # every orbit has its type, so no later call of types()
-                    # reads the memo: free it, as a full sweep ends
-                    self._type_of_raw.clear()
+                for orbit, root in zip(todo.tolist(), reps.tolist()):
+                    if fill[orbit] < 0:  # another thread may have typed it
+                        # extract_ball is this module's global and canonicalize
+                        # is looked up on balls at call time, so wrappers
+                        # installed on either module see every miss
+                        self._fill(orbit, root, extract_ball(G, root, self.r, self.t))
                 types = fill[orbits]
         return types
+
+    def untyped(self) -> np.ndarray:
+        """Mask of the orbits (the vertices, where the graph knows no orbits)
+        that still lack their type."""
+        return self._type_of_orbit < 0
+
+    def _fill(self, orbit: int, root: int, ball: LabeledBall) -> None:
+        """Type the orbit by the ball at its root (radius r, depth t), unless
+        another caller already did.  The entry is stored only once
+        canonicalization has succeeded."""
+        with self._lock:
+            if self._type_of_orbit[orbit] >= 0:
+                return
+            self._type_of_orbit[orbit] = self._type_of(ball, root)
+            self._untyped -= 1
+            if self._untyped == 0:
+                # every orbit has its type, so no later call of types() reads
+                # the memo: free it, as a full sweep ends
+                self._type_of_raw.clear()
 
     def _type_of(self, ball: LabeledBall, root: int) -> int:
         raw = (ball.depths, ball.edges, ball.labels)
@@ -236,6 +252,8 @@ def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes
         raise ValueError("depth must be at least 1")
     start = (1, ())
     seen: dict[bytes, tuple[int, tuple]] = {unrooted_key(1, []): start}
+    # a child is reached from many parents: one key per shape, for this call
+    shape_keys: dict[tuple, bytes] = {}
     frontier = [start]
     while frontier:
         nxt = []
@@ -257,7 +275,9 @@ def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes
                     if (u, v) not in es and deg[u] < d and deg[v] < d:
                         children.append((n, tuple(sorted(edges + ((u, v),)))))
             for child in children:
-                key = unrooted_key(child[0], list(child[1]))
+                key = shape_keys.get(child)
+                if key is None:
+                    key = shape_keys[child] = unrooted_key(*child)
                 if key not in seen:
                     if len(seen) >= cap:
                         raise BudgetExceeded(
@@ -271,6 +291,8 @@ def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes
 
 def _connected_induced_keys(G, s: int, subset_cap: int = 500_000) -> set[bytes]:
     found: set[bytes] = set()
+    # subsets of the same shape share their key: one key per shape, per call
+    shape_keys: dict[tuple, bytes] = {}
     visited: set[frozenset] = set()
     n = G.n
     queue: deque[frozenset] = deque()
@@ -282,13 +304,14 @@ def _connected_induced_keys(G, s: int, subset_cap: int = 500_000) -> set[bytes]:
         S = queue.popleft()
         verts = sorted(S)
         pos = {v: i for i, v in enumerate(verts)}
-        edges = [
-            (pos[u], pos[v])
-            for u in verts
-            for v in G.neighbors(u)
-            if v in S and u < v
-        ]
-        found.add(unrooted_key(len(verts), edges))
+        edges = tuple(
+            (pos[u], pos[v]) for u in verts for v in G.neighbors(u) if v in S and u < v
+        )
+        shape = (len(verts), edges)
+        key = shape_keys.get(shape)
+        if key is None:
+            key = shape_keys[shape] = unrooted_key(*shape)
+        found.add(key)
         if len(S) < s:
             for u in verts:
                 for w in G.neighbors(u):

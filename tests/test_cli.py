@@ -164,6 +164,28 @@ class TestStats:
             assert st["weights"] and abs(sum(st["weights"].values()) - 1.0) < 1e-9
             assert st["degree_bound"] == 2
 
+    @pytest.mark.parametrize("name", ["path", "grid", "weighted_tree"])
+    def test_exact_file_matches_per_radius_stats(self, name, graph_file, tmp_path, capsys):
+        """The exact profile file holds the bytes of a per-radius loop over
+        exact_stats, which the command ran before it went through
+        stats_profile."""
+        if name == "path":
+            G = gen_path(25)
+        elif name == "grid":
+            G = gen_grid(6, 7)
+        else:
+            edges = [(v, 2 * v + c) for v in range(31) for c in (1, 2)]
+            lw = np.random.default_rng(4).uniform(-0.5, 0.5, size=63)
+            G = build_graph(edges, lw, d=3, K=float(np.exp(1.0)))
+        g = graph_file(G)
+        out = tmp_path / "stats.json"
+        rc, _ = run(capsys, ["stats", "--graph", g, "--rmax", "3", "--t", "2", "--out", str(out)])
+        assert rc == 0
+        G = load_graph(g)
+        per_radius = {str(r): rnlab.exact_stats(G, r, 2).to_json_dict() for r in (1, 2, 3)}
+        expected = {"r_max": 3, "mode": "exact", "per_radius": per_radius}
+        assert out.read_text() == json.dumps(expected, indent=1, sort_keys=True) + "\n"
+
     def test_empirical_mode(self, graph_file, capsys):
         g = graph_file(gen_path(15))
         rc, out = run(
@@ -337,6 +359,24 @@ class TestEstimate:
         )
         assert rc == 1
         assert json.loads(out)["error"] == "PartitionInfeasible"
+
+    def test_matching_non_uniform_weights_is_a_json_error(self, tmp_path, capsys):
+        g = tmp_path / "tree.json"
+        rc, _ = run(
+            capsys,
+            ["gen", "--family", "binary_tree", "--param", "depth=8",
+             "--param", "beta=0.69", "--out", str(g)],
+        )
+        assert rc == 0
+        rc, out = run(
+            capsys,
+            ["estimate", "--what", "matching", "--graph", str(g), "--epsilon", "0.1"],
+        )
+        assert rc == 1
+        assert json.loads(out) == {
+            "error": "GraphError",
+            "message": "matching estimation expects uniform weights",
+        }
 
 
 class TestTest:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import networkx as nx
@@ -14,6 +15,7 @@ from rnlab import (
     gen_cycle,
     gen_disjoint_triangles,
     gen_path,
+    gen_random_regular,
     gen_theta_graph,
     girth,
     induced_cycle_lengths,
@@ -263,6 +265,39 @@ class TestObserve:
     def test_class_cap(self):
         with pytest.raises(BudgetExceeded):
             enumerate_connected_classes(6, 5, cap=30)
+
+    # sha256 of the sorted "key value" lines of each table, with the table's
+    # size and positive count, as computed one key per induced subset
+    PINNED_TABLES = {
+        "grid12x12_s5": (
+            "18fe7af6768bc893f9f5bbc8c4e0ca725187b99c6993f71b6f581056b573dfbd", 31, 10
+        ),
+        "path200_s6": (
+            "a27db774e3945b96127c0f754b483dec6ccc8e096677ab622fbdf39a78eb0006", 10, 6
+        ),
+        "cubic60_s5": (
+            "a8f56fafd69023c374a74b6231dda8a7e1416b9204a53447914c51c80a5267e7", 20, 14
+        ),
+    }
+    TABLE_INPUTS = {
+        "grid12x12_s5": (lambda: gen_grid(12, 12), 5),
+        "path200_s6": (lambda: gen_path(200), 6),
+        "cubic60_s5": (lambda: gen_random_regular(60, 3, seed=1), 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_tables_pinned(self, name):
+        make, s = self.TABLE_INPUTS[name]
+        entries = observe(make(), s).entries
+        lines = "\n".join(f"{k} {v}" for k, v in sorted(entries.items()))
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert (digest, len(entries), sum(entries.values())) == self.PINNED_TABLES[name]
+
+    def test_path_and_cycle_keys_pinned(self):
+        lines = [path_key(k) for k in range(1, 9)] + [cycle_key(k) for k in range(3, 9)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "c23eb3d08a1ccef7c1fb60851b2cf3435d5c8634b83af604b587fdde760ec0fe"
+        )
 
 
 class TestCycleOracles:

@@ -41,6 +41,9 @@ def test_tracer_installs_and_restores_every_binding():
         # the partition ladder is traced through local's own binding
         assert ("rnlab.local", "find_weighted_partition") in patched
         assert ("rnlab.partitions", "verify_weighted_partition") in patched
+        # exact sweeps extract through statistics' own binding, so the
+        # tracer must wrap that name to count their extractions
+        assert ("rnlab.statistics", "extract_ball") in patched
         for owner, attr, original in tracer._patches:
             assert getattr(owner, attr) is not original, (owner, attr)
     finally:
