@@ -9,7 +9,6 @@ label-preserving isomorphism exists between them.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -97,30 +96,17 @@ def extract_ball_with_map(G, x: int, r: int, t: int, *, adj=None) -> tuple[Label
                 edges.append((iv, iw))
     edges.sort()
     lw_root = G.log_weight(x)
-    labels = tuple(truncate_label(math.exp(G.log_weight(v) - lw_root), t) for v in order)
-    ball = LabeledBall(radius=r, depths=tuple(depths), edges=tuple(edges), labels=labels)
+    # a label depends only on the vertex's log-weight, which balls often repeat
+    label_of: dict[float, FixedPointLabel] = {}
+    labels = []
+    for v in order:
+        lw = G.log_weight(v)
+        label = label_of.get(lw)
+        if label is None:
+            label = label_of[lw] = truncate_label(math.exp(lw - lw_root), t)
+        labels.append(label)
+    ball = LabeledBall(radius=r, depths=tuple(depths), edges=tuple(edges), labels=tuple(labels))
     return ball, tuple(order)
-
-
-def ball_prefix(ball: LabeledBall, r: int) -> LabeledBall:
-    """The radius-r ball of the same root, for r <= ball.radius.
-
-    A FIFO scan meets the vertices within distance r in the same order
-    whatever its radius cap, so the smaller ball is a prefix: the first
-    ``cut`` vertices (those at depth <= r) with their labels, and the edges
-    among them, which are the sorted (low, high) pairs with high < cut.
-    """
-    if not 0 <= r <= ball.radius:
-        raise ValueError(f"radius {r} is outside [0, {ball.radius}]")
-    if r == ball.radius:
-        return ball
-    cut = bisect.bisect_right(ball.depths, r)
-    return LabeledBall(
-        radius=r,
-        depths=ball.depths[:cut],
-        edges=tuple(e for e in ball.edges if e[1] < cut),
-        labels=ball.labels[:cut],
-    )
 
 
 @dataclass(frozen=True)

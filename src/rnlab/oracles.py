@@ -60,14 +60,12 @@ class BallIndex:
     objects alive, which on cold sweeps doubled the garbage collector's runs.
 
     A miss in :meth:`types` extracts the ball at one root per untyped orbit
-    and canonicalizes it.  Exact sweeps fill several radii at once: they
-    extract each root once, at the largest radius still untyped, and hand
-    each index the ball cut down to its radius (``balls.ball_prefix``).
-    Both go through one fill step, which stores an entry only after
-    extraction and canonicalization succeed, so a lookup that raises
-    (``BudgetExceeded`` from the canonical search, say) raises again next
-    time.  Fills hold the index's lock and are idempotent, so concurrent
-    callers see the same type ids.
+    and canonicalizes it.  Exact sweeps extract their roots themselves, from
+    the graph's neighbor lists, and type them through the same fill step,
+    which stores an entry only after extraction and canonicalization
+    succeed, so a lookup that raises (``BudgetExceeded`` from the canonical
+    search, say) raises again next time.  Fills hold the index's lock and
+    are idempotent, so concurrent callers see the same type ids.
     """
 
     def __init__(self, G, r: int, t: int):

@@ -6,10 +6,9 @@ astronomically large layered trees tractable); empirical statistics count
 oracle queries.  Both read ball types from the graph's
 :class:`~rnlab.oracles.BallIndex`: a root (or orbit) typed before on the same
 graph at the same (r, t) is not extracted again, and a raw ball seen before
-is not canonicalized again.  A profile over radii 1..r_max extracts each
-root once, at the largest radius it still needs: a FIFO scan meets the
-vertices of a smaller radius first, so each smaller ball is a prefix of the
-larger one (``balls.ball_prefix``).  Masses are summed per type id with
+is not canonicalized again.  A full sweep reads neighbors from one
+``G.neighbor_lists()`` per radius instead of calling ``G.neighbors`` per
+ball vertex.  Masses are summed per type id with
 ``bincount``, in sweep order or sorted-root order, and keys appear in the
 order their types are first met there.
 """
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # canonicalize is not called here; bench/layertrace.py wraps this name
-from .balls import CanonicalBallKey, ball_prefix, canonicalize, extract_ball
+from .balls import CanonicalBallKey, canonicalize, extract_ball
 from .graphs import GraphError
 from .oracles import BallIndex, OracleConfig, RadonNikodymOracle, ball_index
 
@@ -104,39 +103,23 @@ def _sweep(G) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(G.n), G.probabilities
 
 
-def _typed_sweep(G, radii, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Roots and masses of the exact sweep, once every root has its type at
-    each radius in radii.
-
-    Root k of the sweep is the representative of orbit k (vertex k, without
-    orbits), and roots are visited in that order, the order in which
-    :meth:`BallIndex.types` would type them.  A root untyped at some radius
-    is extracted once, at the largest such radius, and every smaller radius
-    is cut from that ball.
-    """
-    roots, masses = _sweep(G)
-    indexes = [ball_index(G, r, t) for r in sorted(radii)]
-    untyped = [index.untyped() for index in indexes]
-    if not any(mask.any() for mask in untyped):
-        return roots, masses
-    untyped = [mask.tolist() for mask in untyped]
-    # one conversion of the CSR pays off only when every vertex is a root
-    adj = G.neighbor_lists() if len(roots) == G.n else None
-    for orbit, root in enumerate(roots.tolist()):
-        todo = [index for index, lacking in zip(indexes, untyped) if lacking[orbit]]
-        if todo:
-            # extract_ball is this module's global, looked up at call time
-            ball = extract_ball(G, root, todo[-1].r, t, adj=adj)
-            for index in todo:
-                index._fill(orbit, root, ball_prefix(ball, index.r))
-    return roots, masses
-
-
 def exact_stats(G, r: int, t: int) -> BallStatistics:
     """Exact ball statistic by full sweep, or by orbit representatives when
     the graph carries an orbit labeling."""
-    roots, masses = _typed_sweep(G, (r,), t)
+    roots, masses = _sweep(G)
     index = ball_index(G, r, t)
+    untyped = index.untyped()
+    if untyped.any():
+        # Root k of the sweep represents orbit k (vertex k, without orbits),
+        # so visiting the untyped orbits in order types them as
+        # BallIndex.types(roots) would.  One conversion of the CSR pays off
+        # only when every vertex is a root.
+        adj = G.neighbor_lists() if len(roots) == G.n else None
+        reps = roots.tolist()
+        for orbit in np.flatnonzero(untyped).tolist():
+            root = reps[orbit]
+            # extract_ball is this module's global, looked up at call time
+            index._fill(orbit, root, extract_ball(G, root, r, t, adj=adj))
     return BallStatistics(
         radius=r,
         digits=t,
@@ -187,11 +170,7 @@ def statistical_distance(
 
 
 def stats_profile(G, r_max: int, t: int) -> dict[int, BallStatistics]:
-    """Exact statistics at every radius 1..r_max, extracting each root once."""
-    radii = range(1, r_max + 1)
-    _typed_sweep(G, radii, t)
-    # every root is typed now, so these only read the indexes
-    return {r: exact_stats(G, r, t) for r in radii}
+    return {r: exact_stats(G, r, t) for r in range(1, r_max + 1)}
 
 
 def empirical_profile(

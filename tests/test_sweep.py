@@ -1,8 +1,8 @@
-"""Exact sweeps extract each root once, at the largest radius a profile
-needs, and cut every smaller radius from that ball.  These tests hold the
-cut balls, and the statistics and ball indexes built from them, to the
-per-radius path: extraction at each radius, and exact_stats one radius at a
-time on a fresh graph."""
+"""Exact sweeps extract their roots from the graph's neighbor lists and type
+them through the ball index's fill step.  These tests hold the balls they
+extract, and the statistics and ball indexes built from them, to the
+per-root path that sampled lookups take (BallIndex.types, which calls
+G.neighbors per vertex), on fresh copies of each graph."""
 import math
 import sys
 import threading
@@ -15,7 +15,6 @@ from rnlab import (
     OracleConfig,
     PropertySpec,
     ball_index,
-    ball_prefix,
     build_graph,
     empirical_stats,
     exact_stats,
@@ -28,6 +27,7 @@ from rnlab import (
     gen_path,
     gen_random_regular,
     stats_profile,
+    truncate_label,
 )
 from rnlab import balls, statistics
 from rnlab.testers import test_property as run_tester
@@ -55,6 +55,11 @@ def tied_random_graph(seed=3, levels=3):
     return build_graph(base.edge_list(), lw, d=4, K=2.0 ** (levels - 1))
 
 
+def signed_zero_path():
+    """Log-weights 0.0 and -0.0 are equal floats with different bits."""
+    return build_graph([(v, v + 1) for v in range(5)], [0.0, -0.0, 0.0, -0.0, LN2, 0.0], d=2, K=2.0)
+
+
 # every maker returns a fresh graph object, so no index carries over
 EXPLICIT = {
     "weighted_grid": weighted_grid,
@@ -63,7 +68,8 @@ EXPLICIT = {
     "cubic_b": lambda: gen_random_regular(20, 3, seed=3),
     "tied_random": tied_random_graph,
     "tied_random_two_levels": lambda: tied_random_graph(seed=8, levels=2),
-    # smaller than a radius-4 ball, so the cut keeps every vertex
+    "signed_zero_path": signed_zero_path,
+    # smaller than a radius-4 ball
     "path3": lambda: gen_path(3),
     "cycle4": lambda: gen_cycle(4),
     "triangles": lambda: gen_disjoint_triangles(2),
@@ -73,40 +79,14 @@ GRAPHS = {
     "implicit_tree": lambda: gen_binary_tree(6, 0.4, representation="implicit"),
     "orbit_tree": lambda: gen_binary_tree(6, LN2, representation="explicit"),
 }
-# sweep-sized graphs for the profile comparison; orbit trees sweep one
+# sweep-sized graphs for the sweep comparison; orbit trees sweep one
 # representative per layer (the deep tree is as deep as sampling allows)
-PROFILE_GRAPHS = {
+SWEEP_GRAPHS = {
     **EXPLICIT,
     "implicit_tree": lambda: gen_binary_tree(9, 0.4, representation="implicit"),
     "orbit_tree": lambda: gen_binary_tree(7, LN2, representation="explicit"),
     "deep_implicit_tree": lambda: gen_binary_tree(60, LN2, representation="implicit"),
 }
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-@pytest.mark.parametrize("t", [1, 2])
-def test_prefix_equals_extraction_at_every_radius(name, t):
-    G = GRAPHS[name]()
-    for x in range(G.n):
-        for R in range(5):
-            ball = extract_ball(G, x, R, t)
-            for r in range(R + 1):
-                assert ball_prefix(ball, r) == extract_ball(G, x, r, t), (x, R, r)
-
-
-def test_prefix_keeps_radius_when_the_cut_keeps_every_vertex():
-    G = gen_path(3)
-    ball = extract_ball(G, 1, 4, 2)
-    cut = ball_prefix(ball, 2)
-    assert cut.n == ball.n and cut.radius == 2
-    assert cut == extract_ball(G, 1, 2, 2)
-
-
-@pytest.mark.parametrize("r", [-1, 3])
-def test_prefix_outside_the_radius_is_rejected(r):
-    ball = extract_ball(gen_grid(3, 3), 4, 2, 2)
-    with pytest.raises(ValueError, match="outside"):
-        ball_prefix(ball, r)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -117,6 +97,21 @@ def test_neighbor_lists_give_the_same_balls(name):
         for r in range(5):
             assert extract_ball_with_map(G, x, r, 2, adj=adj) == extract_ball_with_map(G, x, r, 2)
             assert extract_ball(G, x, r, 2, adj=adj) == extract_ball(G, x, r, 2)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_labels_are_truncated_weight_ratios(name, t):
+    """Vertices that share a log-weight share a label object; each label is
+    still truncate_label of exp of the log-weight difference."""
+    G = GRAPHS[name]()
+    for x in range(G.n):
+        for r in range(4):
+            ball, order = extract_ball_with_map(G, x, r, t)
+            lw_root = G.log_weight(x)
+            assert ball.labels == tuple(
+                truncate_label(math.exp(G.log_weight(v) - lw_root), t) for v in order
+            )
 
 
 def _sweep_roots(G):
@@ -147,25 +142,24 @@ def _index_state(G, r, t):
 
 def per_root_stats(G, r, t):
     """exact_stats through BallIndex.types, the per-root path sampled lookups
-    take: every root extracted at radius r, in sweep order."""
+    take: every untyped root extracted with G.neighbors, in sweep order."""
     roots, masses = statistics._sweep(G)
     index = ball_index(G, r, t)
     weights = statistics._key_weights(index, index.types(roots), masses)
     return statistics.BallStatistics(r, t, G.d, G.K, weights)
 
 
-@pytest.mark.parametrize("name", sorted(PROFILE_GRAPHS))
+@pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
 @pytest.mark.parametrize("prefill", ["none", "tester", "empirical"])
-@pytest.mark.parametrize("reference", [exact_stats, per_root_stats])
-def test_profile_matches_per_radius_sweeps(name, prefill, reference):
-    make = PROFILE_GRAPHS[name]
+def test_sweep_matches_per_root_lookups(name, prefill):
+    make = SWEEP_GRAPHS[name]
     a, b = make(), make()
     _prefill(a, prefill)
     _prefill(b, prefill)
     profile = stats_profile(a, 3, 2)
-    per_radius = {r: reference(b, r, 2) for r in (1, 2, 3)}
     assert list(profile) == [1, 2, 3]
-    for r, st in per_radius.items():
+    for r in (1, 2, 3):
+        st = per_root_stats(b, r, 2)
         assert profile[r].to_json_dict() == st.to_json_dict()
         assert [(k.hex(), v.hex()) for k, v in profile[r].weights.items()] == [
             (k.hex(), v.hex()) for k, v in st.weights.items()
@@ -173,7 +167,7 @@ def test_profile_matches_per_radius_sweeps(name, prefill, reference):
         assert _index_state(a, r, 2) == _index_state(b, r, 2)
 
 
-def test_profile_of_a_depth_100_tree_matches_per_radius_sweeps():
+def test_sweep_of_a_depth_100_tree_matches_per_root_lookups():
     a, b = (gen_binary_tree(100, LN2, representation="implicit") for _ in range(2))
     profile = stats_profile(a, 3, 2)
     for r in (1, 2, 3):
@@ -181,13 +175,13 @@ def test_profile_of_a_depth_100_tree_matches_per_radius_sweeps():
         assert _index_state(a, r, 2) == _index_state(b, r, 2)
 
 
-def test_profile_extracts_each_root_once_and_types_as_often(monkeypatch):
+def _count_calls(monkeypatch):
     extracted = []
     canonicalized = []
     real_extract, real_canonicalize = statistics.extract_ball, balls.canonicalize
 
     def extract(G, x, r, t, **kwargs):
-        extracted.append((x, r))
+        extracted.append((x, r, kwargs.get("adj") is not None))
         return real_extract(G, x, r, t, **kwargs)
 
     def canonicalize(ball):
@@ -196,34 +190,42 @@ def test_profile_extracts_each_root_once_and_types_as_often(monkeypatch):
 
     monkeypatch.setattr(statistics, "extract_ball", extract)
     monkeypatch.setattr(balls, "canonicalize", canonicalize)
+    return extracted, canonicalized
+
+
+def test_sweep_extracts_each_root_once_per_radius_and_types_as_often(monkeypatch):
+    extracted, canonicalized = _count_calls(monkeypatch)
     G = weighted_grid()
     stats_profile(G, 3, 2)
-    assert extracted == [(x, 3) for x in range(G.n)]
+    # every vertex is a root, so every extraction reads the neighbor lists
+    assert extracted == [(x, r, True) for r in (1, 2, 3) for x in range(G.n)]
     per_profile = len(canonicalized)
     stats_profile(G, 3, 2)
-    assert len(extracted) == G.n and len(canonicalized) == per_profile
+    assert len(extracted) == 3 * G.n and len(canonicalized) == per_profile
 
     canonicalized.clear()
     H = weighted_grid()
     for r in (1, 2, 3):
-        exact_stats(H, r, 2)
+        per_root_stats(H, r, 2)
     assert len(canonicalized) == per_profile
-    assert len(extracted) == 4 * G.n
+    assert len(extracted) == 3 * G.n  # the per-root path binds oracles' name
 
 
-def test_profile_extracts_only_the_radii_still_untyped(monkeypatch):
+def test_sweep_extracts_only_the_roots_still_untyped(monkeypatch):
     G = weighted_grid()
-    exact_stats(G, 3, 2)
-    extracted = []
-    real_extract = statistics.extract_ball
+    empirical_stats(G, OracleConfig(radius=2, depth=2, query_budget=8, seed=2))
+    untyped = ball_index(G, 2, 2).untyped()
+    assert 0 < untyped.sum() < G.n
+    extracted, _ = _count_calls(monkeypatch)
+    exact_stats(G, 2, 2)
+    assert extracted == [(x, 2, True) for x in np.flatnonzero(untyped).tolist()]
 
-    def extract(G, x, r, t, **kwargs):
-        extracted.append((x, r))
-        return real_extract(G, x, r, t, **kwargs)
 
-    monkeypatch.setattr(statistics, "extract_ball", extract)
-    stats_profile(G, 3, 2)
-    assert extracted == [(x, 2) for x in range(G.n)]
+def test_orbit_sweeps_extract_without_neighbor_lists(monkeypatch):
+    extracted, _ = _count_calls(monkeypatch)
+    G = gen_binary_tree(100, LN2, representation="implicit")
+    exact_stats(G, 2, 2)
+    assert [roots for _, _, roots in extracted] == [False] * len(G.orbit_reps())
 
 
 def test_concurrent_profiles_and_lookups_agree():
