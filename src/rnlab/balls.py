@@ -52,7 +52,8 @@ def truncate_label(value: float, t: int) -> FixedPointLabel:
 
 @dataclass(frozen=True)
 class LabeledBall:
-    """Rooted labeled ball with local vertex ids 0..n-1, root = 0."""
+    """Rooted labeled ball with local vertex ids 0..n-1, root = 0; edges
+    are sorted (low, high) pairs."""
 
     radius: int
     depths: tuple[int, ...]
@@ -126,15 +127,19 @@ class CanonicalBallKey:
 # _canonical_form is the one entry: it picks a canonical vertex order and
 # serializes the ball under it, with prefix T for trees and G otherwise.
 # Tree-shaped balls use the classic sorted-subtree encoding, which is linear
-# and immune to the large automorphism groups of regular trees.  Balls with
-# cycles go through iterative partition refinement seeded by
-# (depth, degree, label) followed by a backtracking search that takes the
-# lexicographically least encoding over all discrete refinements.  The
-# search skips subtrees that an automorphism it has already found maps onto
-# an explored one (see _RefinementSearch); those hold the same codes, so
-# the least encoding does not change.  Both routes are complete invariants
-# on their domain, and the tree test is itself isomorphism-invariant, so
-# keys remain well defined.
+# and immune to the large automorphism groups of regular trees; it reads
+# each vertex's children straight off the sorted edge list, and only balls
+# with cycles build adjacency lists.  Those go through iterative partition
+# refinement seeded by (depth, degree, label) followed by a backtracking
+# search that takes the lexicographically least encoding over all discrete
+# refinements.  Refinement keeps the color classes as cells in color order
+# and re-splits only the cells with more than one vertex, which gives the
+# colors that ranking every vertex each round gives.  The search skips
+# subtrees that an automorphism it has already found maps onto an explored
+# one (see _RefinementSearch); those hold the same codes, so the least
+# encoding does not change.  Both routes are complete invariants on their
+# domain, and the tree test is itself isomorphism-invariant, so keys remain
+# well defined.
 # ---------------------------------------------------------------------------
 
 
@@ -162,16 +167,27 @@ def _encode_ordered(perm: Sequence[int], edges, decorations) -> bytes:
     )
 
 
-def _tree_perm(depths, adj, decorations) -> list[int]:
+def _tree_perm(depths, edges, decorations) -> list[int]:
     """Canonical order for a tree ball: preorder with children sorted by
-    their recursively computed subtree certificates."""
+    their recursively computed subtree certificates.  Every edge of a tree
+    ball joins a vertex to one a level deeper, so the sorted edges list each
+    vertex's children in ascending id, which orders tied children."""
     n = len(depths)
-    children = [[w for w in adj[v] if depths[w] == depths[v] + 1] for v in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if depths[u] < depths[v]:
+            children[u].append(v)
+        else:
+            children[v].append(u)
     cert: list[Optional[bytes]] = [None] * n
-    # Process vertices deepest-first so child certificates exist.
-    for v in sorted(range(n), key=lambda v: -depths[v]):
-        parts = sorted(cert[c] for c in children[v])
-        cert[v] = b"(" + decorations[v] + b"".join(parts) + b")"
+    # Process vertices deepest-first so child certificates exist; leaves,
+    # most of a tree's vertices, skip the sorts.
+    for v in sorted(range(n), key=depths.__getitem__, reverse=True):
+        kids = children[v]
+        if kids:
+            cert[v] = b"(" + decorations[v] + b"".join(sorted([cert[c] for c in kids])) + b")"
+        else:
+            cert[v] = b"(" + decorations[v] + b")"
     perm = [0] * n
     counter = 0
     stack = [0]
@@ -179,7 +195,9 @@ def _tree_perm(depths, adj, decorations) -> list[int]:
         v = stack.pop()
         perm[v] = counter
         counter += 1
-        stack.extend(sorted(children[v], key=lambda c: cert[c], reverse=True))
+        kids = children[v]
+        if kids:
+            stack.extend(sorted(kids, key=cert.__getitem__, reverse=True))
     return perm
 
 
@@ -187,7 +205,9 @@ class _RefinementSearch:
     """Individualization-refinement search for the minimum encoding.
 
     Colorings are contiguous ranks 0..k-1 throughout, so a discrete one is
-    itself the vertex order old id -> color.
+    itself the vertex order old id -> color.  Each coloring travels with its
+    cells: cells[c] lists the vertices of color c in ascending id, which is
+    the order the search branches in.
 
     Two leaves with equal codes differ by an automorphism of the ball, which
     the search records.  Before a node branches on a vertex of its target
@@ -214,22 +234,46 @@ class _RefinementSearch:
         self.automorphisms: list[list[int]] = []
         self.leaves = 0
 
-    def _refine(self, colors: list[int]) -> list[int]:
-        """Split color classes by neighbor colors until nothing splits."""
-        # a discrete coloring cannot split, so it needs no confirming round
-        while max(colors) + 1 < self.n:
-            refined = _ranks(
-                [(colors[v], tuple(sorted(colors[w] for w in self.adj[v]))) for v in range(self.n)]
-            )
-            # ranks sort by old color first, so no split leaves colors as they were
-            if refined == colors:
+    def _refine(
+        self, colors: list[int], cells: list[list[int]]
+    ) -> tuple[list[int], list[list[int]]]:
+        """Split cells by their vertices' sorted neighbor colors until
+        nothing splits; returns colors and cells, both updated in place.
+
+        Each round splits every multi-vertex cell where it stands into
+        groups in the order of their neighbor colors: the ranks of (color,
+        sorted neighbor colors) over all vertices, since those sort by
+        color first.  Member lists are replaced, never changed, so a child
+        coloring may share them with its parent.
+        """
+        adj = self.adj
+        n = self.n
+        while len(cells) < n:
+            first = None
+            # split from the last cell back, so earlier positions stay valid
+            for c in range(len(cells) - 1, -1, -1):
+                cell = cells[c]
+                if len(cell) == 1:
+                    continue
+                groups: dict[tuple, list[int]] = {}
+                for v in cell:
+                    groups.setdefault(tuple(sorted([colors[w] for w in adj[v]])), []).append(v)
+                if len(groups) > 1:
+                    cells[c : c + 1] = [groups[sig] for sig in sorted(groups)]
+                    first = c
+            if first is None:
                 break
-            colors = refined
-        return colors
+            for c in range(first, len(cells)):
+                for v in cells[c]:
+                    colors[v] = c
+        return colors, cells
 
     def run(self) -> tuple[list[int], bytes]:
-        initial = [(self.depths[v], len(self.adj[v]), self.deco[v]) for v in range(self.n)]
-        self._descend(self._refine(_ranks(initial)), ())
+        colors = _ranks([(self.depths[v], len(self.adj[v]), self.deco[v]) for v in range(self.n)])
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        self._descend(*self._refine(colors, cells), ())
         assert self.best_perm is not None and self.best is not None
         return self.best_perm, self.best
 
@@ -246,8 +290,8 @@ class _RefinementSearch:
                     stack.append(a[v])
         return orbit
 
-    def _descend(self, colors: list[int], prefix: tuple[int, ...]) -> None:
-        fresh = max(colors) + 1
+    def _descend(self, colors: list[int], cells: list[list[int]], prefix: tuple[int, ...]) -> None:
+        fresh = len(cells)
         if fresh == self.n:
             self.leaves += 1
             if self.leaves > self.MAX_LEAVES:
@@ -262,27 +306,30 @@ class _RefinementSearch:
                 best_inv = sorted(range(self.n), key=self.best_perm.__getitem__)
                 self.automorphisms.append([best_inv[c] for c in colors])
             return
-        cells: list[list[int]] = [[] for _ in range(fresh)]
-        for v, c in enumerate(colors):
-            cells[c].append(v)
+        at = next(c for c, cell in enumerate(cells) if len(cell) > 1)
+        target = cells[at]
         explored: list[int] = []
-        for v in next(cell for cell in cells if len(cell) > 1):
+        for v in target:
             if self.automorphisms and v in self._orbit(explored, prefix):
                 continue
             explored.append(v)
-            child = list(colors)
-            child[v] = fresh
-            self._descend(self._refine(child), prefix + (v,))
+            # individualize v: it leaves its cell for a new last one
+            child_colors = list(colors)
+            child_colors[v] = fresh
+            child_cells = list(cells)
+            child_cells[at] = [w for w in target if w != v]
+            child_cells.append([v])
+            self._descend(*self._refine(child_colors, child_cells), prefix + (v,))
 
 
 def _canonical_form(
     ball: LabeledBall, decorations: list[bytes]
 ) -> tuple[list[int], CanonicalBallKey]:
     """Canonical vertex order (old id -> new id) and the key it serializes to."""
-    adj = adjacency(ball.n, ball.edges)
     if ball.is_tree():
-        perm = _tree_perm(ball.depths, adj, decorations)
+        perm = _tree_perm(ball.depths, ball.edges, decorations)
         return perm, CanonicalBallKey(b"T" + _encode_ordered(perm, ball.edges, decorations))
+    adj = adjacency(ball.n, ball.edges)
     perm, code = _RefinementSearch(ball.depths, ball.edges, adj, decorations).run()
     return perm, CanonicalBallKey(b"G" + code)
 

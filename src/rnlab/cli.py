@@ -44,6 +44,18 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative integer, so a negative radius, label
+    depth or query count is a usage error (exit code 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _emit(obj, path: str | None) -> None:
     text = json.dumps(obj, indent=1, sort_keys=True)
     if path:
@@ -273,18 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw oracle queries, count ball keys")
     p.add_argument("--graph", required=True)
     p.add_argument("--oracle", choices=["rn", "uniform"], default="rn")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--queries", type=int, default=1000)
+    p.add_argument("--r", type=_count, default=2)
+    p.add_argument("--t", type=_count, default=2)
+    p.add_argument("--queries", type=_count, default=1000)
     common(p)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("stats", help="ball statistics profile")
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
-    p.add_argument("--rmax", type=int, default=3)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--queries", type=int, default=10_000)
+    p.add_argument("--rmax", type=_count, default=3)
+    p.add_argument("--t", type=_count, default=2)
+    p.add_argument("--queries", type=_count, default=10_000)
     common(p)
     p.set_defaults(fn=cmd_stats)
 

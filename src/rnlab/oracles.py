@@ -69,6 +69,8 @@ class BallIndex:
     """
 
     def __init__(self, G, r: int, t: int):
+        if r < 0 or t < 0:
+            raise ValueError(f"ball radius and label digits must be nonnegative, got r={r}, t={t}")
         # a weak reference: the graph owns the index, and without a cycle
         # the graph is freed by reference counting as soon as it is dropped
         self._graph = weakref.ref(G)
@@ -186,6 +188,8 @@ class RadonNikodymOracle:
         """Roots for queries [start_query, start_query + count)."""
         if start_query < 0:
             raise ValueError(f"queries are numbered from 0, got start_query={start_query}")
+        if count < 0:
+            raise ValueError(f"query count must be nonnegative, got count={count}")
         words = _raw_words(self.seed, start_query, count)
         return self.G.roots_from_words(
             words[0::WORDS_PER_QUERY], words[1::WORDS_PER_QUERY], words[2::WORDS_PER_QUERY]

@@ -17,9 +17,19 @@ from rnlab import (
     RatioBoundViolated,
     SelfLoop,
     build_graph,
+    gen_grid,
 )
-from rnlab.balls import FixedPointLabel, LabeledBall
-from rnlab.graphs import RATIO_SLACK, components
+from rnlab.balls import (
+    CanonicalBallKey,
+    CanonicalDecoratedBall,
+    FixedPointLabel,
+    LabeledBall,
+    _encode_ordered,
+    _label_bytes,
+    _ranks,
+    _relabel,
+)
+from rnlab.graphs import RATIO_SLACK, BudgetExceeded, adjacency, components
 from rnlab.partitions import SEED_TRIES, PartitionCertificate, PartitionInfeasible
 
 LN2 = math.log(2.0)
@@ -177,6 +187,21 @@ def random_bounded_graph(rng: np.random.Generator, n: int, d: int, K: float,
     else:
         lw = rng.uniform(0.0, math.log(K), size=n).tolist() if K > 1 else [0.0] * n
     return build_graph(sorted(edges), lw, d=d, K=K)
+
+
+def weighted_grid(rows: int, cols: int, rng: np.random.Generator):
+    """A grid whose vertices weigh 2, 3 or 4, drawn from rng: cyclic balls
+    with tied and distinct labels."""
+    grid = gen_grid(rows, cols)
+    w = rng.choice([2, 3, 4], size=grid.n)
+    return build_graph(grid.edge_list(), [math.log(x) for x in w], d=4, K=2.0)
+
+
+def heap_tree(n: int, rng: np.random.Generator):
+    """The binary heap tree on n vertices (v's parent is (v - 1) // 2) with
+    log-weights uniform in [-0.5, 0.5], drawn from rng."""
+    lw = rng.uniform(-0.5, 0.5, size=n).tolist()
+    return build_graph([((v - 1) // 2, v) for v in range(1, n)], lw, d=3, K=3.0)
 
 
 def random_tree(rng: np.random.Generator, n: int, d: int = 4):
@@ -372,4 +397,123 @@ def scalar_find_weighted_partition(G, epsilon, K_target=None):
         epsilon=epsilon,
         component_bound=max(component_sizes, default=0),
         component_sizes=tuple(sorted(component_sizes)),
+    )
+
+
+def reference_tree_perm(depths, adj, decorations):
+    """The tree-ball order as it was computed before children came from the
+    edges: children filtered from the sorted adjacency lists."""
+    n = len(depths)
+    children = [[w for w in adj[v] if depths[w] == depths[v] + 1] for v in range(n)]
+    cert = [None] * n
+    for v in sorted(range(n), key=lambda v: -depths[v]):
+        parts = sorted(cert[c] for c in children[v])
+        cert[v] = b"(" + decorations[v] + b"".join(parts) + b")"
+    perm = [0] * n
+    counter = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        perm[v] = counter
+        counter += 1
+        stack.extend(sorted(children[v], key=lambda c: cert[c], reverse=True))
+    return perm
+
+
+class ReferenceRefinementSearch:
+    """The refinement search as it was before refinement kept its cells:
+    every round ranks (color, sorted neighbor colors) over all vertices and
+    a last full round confirms that nothing split.  Same pruning, budget and
+    branching order; the reference for perms, keys, leaf counts and the
+    automorphisms found."""
+
+    MAX_LEAVES = 200_000
+
+    def __init__(self, depths, edges, adj, decorations):
+        self.n = len(depths)
+        self.depths = depths
+        self.edges = edges
+        self.adj = adj
+        self.deco = decorations
+        self.best = None
+        self.best_perm = None
+        self.automorphisms = []
+        self.leaves = 0
+
+    def _refine(self, colors):
+        while max(colors) + 1 < self.n:
+            refined = _ranks(
+                [(colors[v], tuple(sorted(colors[w] for w in self.adj[v]))) for v in range(self.n)]
+            )
+            if refined == colors:
+                break
+            colors = refined
+        return colors
+
+    def run(self):
+        initial = [(self.depths[v], len(self.adj[v]), self.deco[v]) for v in range(self.n)]
+        self._descend(self._refine(_ranks(initial)), ())
+        return self.best_perm, self.best
+
+    def _orbit(self, seeds, prefix):
+        fixing = [a for a in self.automorphisms if all(a[p] == p for p in prefix)]
+        orbit = set(seeds)
+        stack = list(seeds)
+        while stack:
+            v = stack.pop()
+            for a in fixing:
+                if a[v] not in orbit:
+                    orbit.add(a[v])
+                    stack.append(a[v])
+        return orbit
+
+    def _descend(self, colors, prefix):
+        fresh = max(colors) + 1
+        if fresh == self.n:
+            self.leaves += 1
+            if self.leaves > self.MAX_LEAVES:
+                raise BudgetExceeded("canonical search exceeded its leaf budget")
+            code = _encode_ordered(colors, self.edges, self.deco)
+            if self.best is None or code < self.best:
+                self.best = code
+                self.best_perm = colors
+            elif code == self.best:
+                best_inv = sorted(range(self.n), key=self.best_perm.__getitem__)
+                self.automorphisms.append([best_inv[c] for c in colors])
+            return
+        cells = [[] for _ in range(fresh)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        explored = []
+        for v in next(cell for cell in cells if len(cell) > 1):
+            if self.automorphisms and v in self._orbit(explored, prefix):
+                continue
+            explored.append(v)
+            child = list(colors)
+            child[v] = fresh
+            self._descend(self._refine(child), prefix + (v,))
+
+
+def reference_canonical_form(ball: LabeledBall, decorations):
+    """(perm, key, search) by the reference tree order or search; search is
+    None for trees."""
+    adj = adjacency(ball.n, ball.edges)
+    if ball.is_tree():
+        perm = reference_tree_perm(ball.depths, adj, decorations)
+        return perm, CanonicalBallKey(b"T" + _encode_ordered(perm, ball.edges, decorations)), None
+    search = ReferenceRefinementSearch(ball.depths, ball.edges, adj, decorations)
+    perm, code = search.run()
+    return perm, CanonicalBallKey(b"G" + code), search
+
+
+def reference_canonicalize_decorated(ball: LabeledBall, bits) -> CanonicalDecoratedBall:
+    deco = [_label_bytes(lab) + b"#%d" % bits[i] for i, lab in enumerate(ball.labels)]
+    perm, key, _ = reference_canonical_form(ball, deco)
+    inv = sorted(range(ball.n), key=perm.__getitem__)
+    return CanonicalDecoratedBall(
+        depths=tuple(ball.depths[v] for v in inv),
+        edges=tuple(_relabel(perm, ball.edges)),
+        labels=tuple(ball.labels[v] for v in inv),
+        bits=tuple(int(bits[v]) for v in inv),
+        key=key,
     )

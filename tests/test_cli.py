@@ -204,6 +204,37 @@ class TestStats:
             main(["stats", "--graph", g, "--mode", "empirical", "--queries", "0"])
 
 
+class TestNegativeCounts:
+    """Negative radii, label depths and query counts are usage errors of
+    sample and stats (exit code 2), caught before any work is done; zero
+    passes parsing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--r", "-1"], ["sample", "--t", "-2"], ["sample", "--queries", "-5"],
+        ["stats", "--rmax", "-1"], ["stats", "--t", "-1"],
+        ["stats", "--mode", "empirical", "--queries", "-3"],
+    ])
+    def test_rejected_at_parsing(self, argv, graph_file, capsys):
+        g = graph_file(gen_path(6))
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--graph", g])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be nonnegative, got {argv[-1]}" in err
+
+    def test_non_numbers_keep_the_int_message(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["sample", "--graph", graph_file(gen_path(6)), "--r", "two"])
+        assert e.value.code == 2
+        assert "argument --r: invalid int value: 'two'" in capsys.readouterr().err
+
+    def test_zero_passes(self, graph_file, capsys):
+        g = graph_file(gen_path(6))
+        assert run(capsys, ["sample", "--graph", g, "--queries", "0", "--r", "0", "--t", "0"]) == (0, "\n")
+        rc, out = run(capsys, ["stats", "--graph", g, "--rmax", "0", "--t", "0"])
+        assert rc == 0 and json.loads(out)["per_radius"] == {}
+
+
 class TestDistance:
     def test_property_distance_with_witness(self, graph_file, capsys):
         g = graph_file(gen_cycle(8))

@@ -125,6 +125,12 @@ class TestRootSampling:
             oracle.query(-1)
         assert oracle.query(0) == oracle.ball_at(int(oracle.sample_roots(1)[0]))
 
+    def test_negative_query_counts_are_rejected(self):
+        oracle = RadonNikodymOracle(gen_path(5), r=1, t=2, seed=0)
+        with pytest.raises(ValueError, match="count=-1"):
+            oracle.sample_roots(-1)
+        assert oracle.sample_roots(0).tolist() == []
+
 
 class TestBallQueries:
     def test_center_ball_labels(self, weighted_p3):
@@ -172,6 +178,15 @@ class TestBallIndex:
         assert ball_index(weighted_p3, 2, 2) is not index
         equal = build_graph([(0, 1), (1, 2)], weighted_p3.log_weights, d=2, K=3.0)
         assert ball_index(equal, 1, 2) is not index
+
+    @pytest.mark.parametrize("r, t", [(-1, 1), (1, -1)])
+    def test_negative_radius_or_digits_rejected(self, weighted_p3, r, t):
+        with pytest.raises(ValueError, match=f"r={r}, t={t}"):
+            RadonNikodymOracle(weighted_p3, r, t)
+        with pytest.raises(ValueError, match=f"r={r}, t={t}"):
+            ball_index(weighted_p3, r, t)
+        # nothing is left behind in the graph's derived structures
+        assert ("balls", r, t) not in weighted_p3._derived
 
     def test_index_does_not_keep_its_graph_alive(self):
         index = ball_index(gen_path(5), 1, 2)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import mpmath
@@ -19,6 +21,7 @@ from rnlab import (
     gen_cycle,
     gen_grid,
     gen_path,
+    gen_random_regular,
     load_stats,
     save_stats,
     statistical_distance,
@@ -28,7 +31,7 @@ from rnlab import (
     vertex_entropy,
 )
 from rnlab import GraphError, statistics
-from helpers import random_bounded_graph
+from helpers import heap_tree, random_bounded_graph, weighted_grid
 
 LN2 = math.log(2.0)
 
@@ -297,3 +300,31 @@ class TestSerialization:
         again = BallStatistics.from_json_dict(stats.to_json_dict())
         assert again.weights == stats.weights
         assert again.total_queries == stats.total_queries
+
+
+def _cold_sweep_graphs():
+    """The three kinds of the benchmark's cold sweep: a grid with cyclic
+    weighted balls, a heap tree on the tree path and a cubic graph with
+    symmetric cyclic balls."""
+    rng = np.random.default_rng(20261019)
+    return {
+        "grid": weighted_grid(10, 10, rng),
+        "heap_tree": heap_tree(127, rng),
+        "cubic": gen_random_regular(40, 3, seed=0),
+    }
+
+
+COLD_SWEEP_DIGESTS = {
+    "grid": "50b3d25e3211a0bd6a21597c05aed94de8e568eea2bafae6a0f1656e13d15a5a",
+    "heap_tree": "c523e7bda70a07641bccae173737706cd83ff24c23731f4e176d714c39683b77",
+    "cubic": "6075142af520d8569260d9aeed0dd733fe187d8c2081988c9e9611530029bac3",
+}
+
+
+def test_cold_sweep_profiles_pinned():
+    """Keys, key order and masses of stats_profile(G, 3, 2) on fresh graphs,
+    computed before the canonical form was last made faster."""
+    for name, G in _cold_sweep_graphs().items():
+        profile = stats_profile(G, 3, 2)
+        text = json.dumps({str(r): st.to_json_dict() for r, st in profile.items()}, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == COLD_SWEEP_DIGESTS[name], name

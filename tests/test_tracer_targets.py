@@ -44,6 +44,8 @@ def test_tracer_installs_and_restores_every_binding():
         # exact sweeps extract through statistics' own binding, so the
         # tracer must wrap that name to count their extractions
         assert ("rnlab.statistics", "extract_ball") in patched
+        # ball indexes canonicalize through the balls module's own name
+        assert ("rnlab.balls", "canonicalize") in patched
         for owner, attr, original in tracer._patches:
             assert getattr(owner, attr) is not original, (owner, attr)
     finally:
@@ -52,3 +54,16 @@ def test_tracer_installs_and_restores_every_binding():
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
     assert rnlab.local.find_weighted_partition is rnlab.partitions.find_weighted_partition
+
+
+def test_tracer_sees_the_canonicalizations_of_a_profile():
+    """A profile's index fills are timed as tree and cyclic canonicalizations:
+    the grid's radius-1 balls are stars and its radius-2 balls hold squares."""
+    tracer = _load_layertrace().Tracer()
+    tracer.install()
+    try:
+        rnlab.stats_profile(rnlab.gen_grid(4, 4), 2, 1)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["balls.canonicalize_tree"] > 0
+    assert tracer.calls["balls.canonicalize_cyclic"] > 0
