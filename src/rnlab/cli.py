@@ -44,16 +44,23 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 0) -> int:
     """An argparse type: a nonnegative integer, so a negative radius, label
     depth or query count is a usage error (exit code 2)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value < least:
+        rule = "nonnegative" if least == 0 else f"at least {least}"
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    """An argparse type: an integer of at least 1, so a statistical distance
+    over no radius or an observation depth below 1 is a usage error."""
+    return _count(text, least=1)
 
 
 def _emit(obj, path: str | None) -> None:
@@ -141,7 +148,7 @@ def cmd_stats(args) -> int:
 
 def cmd_distance(args) -> int:
     if args.stats_a and args.stats_b:
-        from .statistics import BallStatistics, statistical_distance
+        from .statistics import BallStatistics, ParamMismatch, statistical_distance
 
         def load_profile(path):
             with open(path) as fh:
@@ -153,7 +160,12 @@ def cmd_distance(args) -> int:
 
         a = load_profile(args.stats_a)
         b = load_profile(args.stats_b)
-        _emit({"statistical_distance": statistical_distance(a, b, args.rmax)}, args.out)
+        try:
+            value = statistical_distance(a, b, args.rmax)
+        except ParamMismatch as e:  # a missing radius, or other (r, t, d)
+            _emit({"error": type(e).__name__, "message": str(e)}, args.out)
+            return 1
+        _emit({"statistical_distance": value}, args.out)
         return 0
     if not args.graph or not args.property:
         raise SystemExit("need either --stats-a/--stats-b or --graph/--property")
@@ -303,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", aliases=["dist"], help="statistical or property distance")
     p.add_argument("--stats-a", dest="stats_a")
     p.add_argument("--stats-b", dest="stats_b")
-    p.add_argument("--rmax", type=int, default=3)
+    p.add_argument("--rmax", type=_positive, default=3)
     p.add_argument("--graph")
     p.add_argument("--property")
     p.add_argument("--forbidden")
@@ -341,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observe", help="induced-subgraph observation table")
     p.add_argument("--graph", required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_positive, required=True)
     common(p)
     p.set_defaults(fn=cmd_observe)
 

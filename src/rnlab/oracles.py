@@ -25,8 +25,7 @@ import numpy as np
 
 from . import balls
 from .balls import CanonicalBallKey, LabeledBall, extract_ball, truncate_label, unrooted_key
-# AliasSampler is not used here; rnlab/__init__.py imports it from this module
-from .graphs import AliasSampler, BudgetExceeded, GraphError
+from .graphs import BudgetExceeded, GraphError
 
 WORDS_PER_QUERY = 4
 
@@ -59,10 +58,9 @@ class BallIndex:
     predicate first needs it: keeping a ball object per type keeps its label
     objects alive, which on cold sweeps doubled the garbage collector's runs.
 
-    A miss in :meth:`types` extracts the ball at one root per untyped orbit
-    and canonicalizes it.  Exact sweeps extract their roots themselves, from
-    the graph's neighbor lists, and type them through the same fill step,
-    which stores an entry only after extraction and canonicalization
+    :meth:`types` is the one fill path, for exact sweeps and sampled
+    lookups alike.  A miss extracts the ball at one root per orbit still
+    without a type and canonicalizes it; an entry is stored only after both
     succeed, so a lookup that raises (``BudgetExceeded`` from the canonical
     search, say) raises again next time.  Fills hold the index's lock and
     are idempotent, so concurrent callers see the same type ids.
@@ -79,7 +77,7 @@ class BallIndex:
         self.keys: list[CanonicalBallKey] = []
         self.roots: list[int] = []
         self._type_of_orbit = np.full(G.orbit_count, -1, dtype=np.int32)
-        self._untyped = G.orbit_count
+        self._remaining = G.orbit_count
         self._type_of_raw: dict[tuple, int] = {}
         self._type_of_key: dict[CanonicalBallKey, int] = {}
         self._flags: dict[object, list[bool]] = {}
@@ -92,15 +90,19 @@ class BallIndex:
         return G
 
     def types(self, roots) -> np.ndarray:
-        """Type id of the ball at each root."""
+        """Type id of the ball at each root.  When the roots are every vertex
+        (an exact sweep), misses read neighbors from one
+        ``G.neighbor_lists()``; otherwise from ``G.neighbors``."""
         G = self._graph_or_raise()
         orbits = G.orbit_ids(roots)
         types = self._type_of_orbit[orbits]
         missing = types < 0
         if missing.any():
+            # one conversion of the CSR pays off only when every vertex is a root
+            adj = G.neighbor_lists() if len(roots) == G.n else None
             with self._lock:
                 fill = self._type_of_orbit
-                # one root per untyped orbit, the first in input order
+                # one root per orbit without a type, the first in input order
                 todo, first = np.unique(orbits[missing], return_index=True)
                 reps = np.asarray(roots)[missing][first]
                 for orbit, root in zip(todo.tolist(), reps.tolist()):
@@ -108,28 +110,16 @@ class BallIndex:
                         # extract_ball is this module's global and canonicalize
                         # is looked up on balls at call time, so wrappers
                         # installed on either module see every miss
-                        self._fill(orbit, root, extract_ball(G, root, self.r, self.t))
+                        ball = extract_ball(G, root, self.r, self.t, adj=adj)
+                        # stored only once canonicalization has succeeded
+                        fill[orbit] = self._type_of(ball, root)
+                        self._remaining -= 1
+                if self._remaining == 0:
+                    # every orbit has its type, so no later call reads the
+                    # memo: free it, as a full sweep ends
+                    self._type_of_raw.clear()
                 types = fill[orbits]
         return types
-
-    def untyped(self) -> np.ndarray:
-        """Mask of the orbits (the vertices, where the graph knows no orbits)
-        that still lack their type."""
-        return self._type_of_orbit < 0
-
-    def _fill(self, orbit: int, root: int, ball: LabeledBall) -> None:
-        """Type the orbit by the ball at its root (radius r, depth t), unless
-        another caller already did.  The entry is stored only once
-        canonicalization has succeeded."""
-        with self._lock:
-            if self._type_of_orbit[orbit] >= 0:
-                return
-            self._type_of_orbit[orbit] = self._type_of(ball, root)
-            self._untyped -= 1
-            if self._untyped == 0:
-                # every orbit has its type, so no later call of types() reads
-                # the memo: free it, as a full sweep ends
-                self._type_of_raw.clear()
 
     def _type_of(self, ball: LabeledBall, root: int) -> int:
         raw = (ball.depths, ball.edges, ball.labels)

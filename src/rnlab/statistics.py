@@ -4,11 +4,11 @@ A statistic maps canonical ball keys to probability mass.  Exact statistics
 walk every vertex (or one representative per orbit, which is what makes
 astronomically large layered trees tractable); empirical statistics count
 oracle queries.  Both read ball types from the graph's
-:class:`~rnlab.oracles.BallIndex`: a root (or orbit) typed before on the same
+:class:`~rnlab.oracles.BallIndex` through ``BallIndex.types``, the one place
+that maps a root to its ball type: a root (or orbit) typed before on the same
 graph at the same (r, t) is not extracted again, and a raw ball seen before
-is not canonicalized again.  A full sweep reads neighbors from one
-``G.neighbor_lists()`` per radius instead of calling ``G.neighbors`` per
-ball vertex.  Masses are summed per type id with
+is not canonicalized again; a full sweep's misses read one
+``G.neighbor_lists()`` per radius.  Masses are summed per type id with
 ``bincount``, in sweep order or sorted-root order, and keys appear in the
 order their types are first met there.
 """
@@ -108,18 +108,6 @@ def exact_stats(G, r: int, t: int) -> BallStatistics:
     the graph carries an orbit labeling."""
     roots, masses = _sweep(G)
     index = ball_index(G, r, t)
-    untyped = index.untyped()
-    if untyped.any():
-        # Root k of the sweep represents orbit k (vertex k, without orbits),
-        # so visiting the untyped orbits in order types them as
-        # BallIndex.types(roots) would.  One conversion of the CSR pays off
-        # only when every vertex is a root.
-        adj = G.neighbor_lists() if len(roots) == G.n else None
-        reps = roots.tolist()
-        for orbit in np.flatnonzero(untyped).tolist():
-            root = reps[orbit]
-            # extract_ball is this module's global, looked up at call time
-            index._fill(orbit, root, extract_ball(G, root, r, t, adj=adj))
     return BallStatistics(
         radius=r,
         digits=t,
@@ -160,7 +148,9 @@ def statistical_distance(
     stats_b: dict[int, BallStatistics],
     r_max: int,
 ) -> float:
-    """Sum over radii r of 2^-r times the TV distance at radius r."""
+    """Sum over radii 1..r_max of 2^-r times the TV distance at radius r."""
+    if r_max < 1:
+        raise ValueError(f"a statistical distance needs r_max >= 1, got {r_max}")
     total = 0.0
     for r in range(1, r_max + 1):
         if r not in stats_a or r not in stats_b:

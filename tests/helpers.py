@@ -19,6 +19,7 @@ from rnlab import (
     build_graph,
     gen_grid,
 )
+from rnlab import balls
 from rnlab.balls import (
     CanonicalBallKey,
     CanonicalDecoratedBall,
@@ -31,6 +32,7 @@ from rnlab.balls import (
 )
 from rnlab.graphs import RATIO_SLACK, BudgetExceeded, adjacency, components
 from rnlab.partitions import SEED_TRIES, PartitionCertificate, PartitionInfeasible
+from rnlab.statistics import BallStatistics, _sweep
 
 LN2 = math.log(2.0)
 
@@ -517,3 +519,16 @@ def reference_canonicalize_decorated(ball: LabeledBall, bits) -> CanonicalDecora
         bits=tuple(int(bits[v]) for v in inv),
         key=key,
     )
+
+
+def reference_exact_stats(G, r: int, t: int) -> BallStatistics:
+    """exact_stats with no ball index: the ball at every sweep root is
+    extracted and canonicalized afresh, masses are added with ``+=`` in
+    sweep order (the bits ``bincount`` gives), and keys are ordered by where
+    they first occur."""
+    roots, masses = _sweep(G)
+    weights: dict[CanonicalBallKey, float] = {}
+    for root, mass in zip(roots.tolist(), masses.tolist()):
+        key = balls.canonicalize(balls.extract_ball(G, root, r, t))
+        weights[key] = weights.get(key, 0.0) + mass
+    return BallStatistics(r, t, G.d, G.K, weights)

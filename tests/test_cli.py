@@ -285,6 +285,37 @@ class TestDistance:
         d = json.loads(out)["statistical_distance"]
         assert 0.0 < d < 0.5
 
+    @pytest.mark.parametrize("rmax", ["0", "-1"])
+    def test_no_radius_rejected_at_parsing(self, tmp_path, capsys, rmax):
+        with pytest.raises(SystemExit) as e:
+            main(["distance", "--stats-a", str(tmp_path / "a.json"),
+                  "--stats-b", str(tmp_path / "b.json"), "--rmax", rmax])
+        assert e.value.code == 2
+        assert f"argument --rmax: must be at least 1, got {rmax}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("other, rmax, message", [
+        ("b", "2", "statistics computed with different radius/digits/degree"),
+        ("a", "3", "missing radius 3 in statistics profile"),
+    ])
+    def test_incompatible_profiles_are_a_json_error(self, graph_file, tmp_path, capsys,
+                                                    other, rmax, message):
+        """A grid profile (d=4) against a binary-tree profile (d=3), and a
+        radius the profiles do not hold."""
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        run(capsys, ["stats", "--graph", graph_file(gen_grid(4, 4), "g.json"),
+                     "--rmax", "2", "--out", str(a)])
+        run(capsys, ["stats", "--graph", graph_file(rnlab.gen_binary_tree(5, 0.4), "t.json"),
+                     "--rmax", "2", "--out", str(b)])
+        out = tmp_path / "d.json"
+        argv = ["distance", "--stats-a", str(a), "--stats-b", str(tmp_path / f"{other}.json"),
+                "--rmax", rmax]
+        rc, printed = run(capsys, argv)
+        assert rc == 1
+        assert json.loads(printed) == {"error": "ParamMismatch", "message": message}
+        assert run(capsys, argv + ["--out", str(out)]) == (1, "")
+        assert json.loads(out.read_text()) == {"error": "ParamMismatch", "message": message}
+
     def test_needs_some_input(self, capsys):
         with pytest.raises(SystemExit):
             main(["distance"])
@@ -462,6 +493,13 @@ class TestObserve:
         assert obj["depth"] == 5
         assert obj["degree_bound"] == table.degree_bound
         assert obj["entries"] == {k: v for k, v in sorted(table.entries.items())}
+
+    @pytest.mark.parametrize("s", ["0", "-1"])
+    def test_depth_below_one_rejected_at_parsing(self, graph_file, capsys, s):
+        with pytest.raises(SystemExit) as e:
+            main(["observe", "--graph", graph_file(gen_grid(3, 3)), "--s", s])
+        assert e.value.code == 2
+        assert f"argument --s: must be at least 1, got {s}" in capsys.readouterr().err
 
 
 class TestScenario:

@@ -6,7 +6,8 @@ No linter is installed, so these tests are the check:
 - no module branches on which graph class it holds, by ``hasattr`` or by
   ``isinstance`` against a graph class: both classes answer one protocol;
 - every parameter of a private (``_``-prefixed) module-level function or
-  method is read somewhere in its body.
+  method is read somewhere in its body;
+- a private method is called only from the module that defines it.
 """
 import ast
 import pathlib
@@ -19,8 +20,6 @@ KEPT = {
     # and time its calls
     ("testers.py", "canonicalize"),
     ("statistics.py", "canonicalize"),
-    # rnlab/__init__.py imports AliasSampler from oracles
-    ("oracles.py", "AliasSampler"),
 }
 
 
@@ -124,3 +123,56 @@ def test_unread_parameter_check_catches_them(tmp_path):
         "bad.py:5 _closure(rest)",
         "bad.py:10 _step(fresh)",
     ]
+
+
+def _private_methods(tree: ast.Module) -> set[str]:
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        fn.name
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, functions) and fn.name.startswith("_") and not fn.name.endswith("__")
+    }
+
+
+def _foreign_private_calls(paths: list[pathlib.Path]) -> list[str]:
+    """Calls ``obj._name(...)`` of a private method that another of the given
+    modules defines and this one does not."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    defined = {p: _private_methods(tree) for p, tree in trees.items()}
+    found = []
+    for p, tree in trees.items():
+        foreign = set().union(*(names for q, names in defined.items() if q != p)) - defined[p]
+        found += [
+            f"{p.name}:{node.lineno} {node.func.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in foreign
+        ]
+    return found
+
+
+def test_private_methods_stay_in_their_module():
+    src = pathlib.Path(rnlab.__file__).parent
+    assert _foreign_private_calls(sorted(src.glob("*.py"))) == []
+
+
+def test_private_method_check_catches_foreign_calls(tmp_path):
+    owner = tmp_path / "owner.py"
+    owner.write_text(
+        "class Index:\n"
+        "    def _fill(self, k):\n        return self._grow(k)\n"
+        "    def _grow(self, k):\n        return k\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "def sweep(index):\n"
+        "    index._fill(0)\n"
+        "    index.__len__()\n"
+        "    return index._other()\n"
+        "class Own:\n"
+        "    def _grow(self):\n        return self._grow()\n"
+    )
+    assert _foreign_private_calls([caller, owner]) == ["caller.py:2 _fill"]

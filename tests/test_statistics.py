@@ -173,6 +173,15 @@ class TestStatisticalDistance:
         with pytest.raises(ParamMismatch):
             statistical_distance(a, b, 2)
 
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_no_radius_rejected(self, r_max):
+        """A sum over no radius would call any two profiles equal, even
+        incompatible ones."""
+        a = stats_profile(gen_grid(3, 3), 2, 2)
+        b = stats_profile(gen_binary_tree(5, LN2), 2, 2)
+        with pytest.raises(ValueError, match=f"r_max >= 1, got {r_max}"):
+            statistical_distance(a, b, r_max)
+
     def test_incompatible_digits_rejected(self):
         a = exact_stats(gen_path(6), 1, 2)
         b = exact_stats(gen_path(6), 1, 3)

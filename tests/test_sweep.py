@@ -1,8 +1,9 @@
-"""Exact sweeps extract their roots from the graph's neighbor lists and type
-them through the ball index's fill step.  These tests hold the balls they
-extract, and the statistics and ball indexes built from them, to the
-per-root path that sampled lookups take (BallIndex.types, which calls
-G.neighbors per vertex), on fresh copies of each graph."""
+"""Exact sweeps and sampled lookups type their roots through one path,
+BallIndex.types, which reads one G.neighbor_lists() when its roots are every
+vertex and calls G.neighbors otherwise.  These tests hold the balls read
+from neighbor lists to those read through G.neighbors, and the statistics
+and ball indexes of exact sweeps to a reference that extracts and
+canonicalizes every sweep root's ball afresh, with no index."""
 import math
 import sys
 import threading
@@ -10,10 +11,12 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import random_bounded_graph
+from helpers import random_bounded_graph, reference_exact_stats
 from rnlab import (
     OracleConfig,
     PropertySpec,
+    RadonNikodymOracle,
+    WeightedGraph,
     ball_index,
     build_graph,
     empirical_stats,
@@ -26,10 +29,12 @@ from rnlab import (
     gen_grid,
     gen_path,
     gen_random_regular,
+    save_graph,
     stats_profile,
     truncate_label,
 )
-from rnlab import balls, statistics
+from rnlab import balls, oracles
+from rnlab.cli import main
 from rnlab.testers import test_property as run_tester
 
 LN2 = math.log(2.0)
@@ -130,55 +135,50 @@ def _prefill(G, how):
         empirical_stats(G, OracleConfig(radius=1, depth=2, query_budget=10, seed=6))
 
 
-def _index_state(G, r, t):
+def _assert_matches_reference(stats, G, r, t, keys_before):
+    """stats (the exact sweep of G) and G's index at (r, t), held to the
+    reference, which reads no index; keys_before are the index's keys from
+    before the sweep."""
+    ref = reference_exact_stats(G, r, t)
+    assert stats.to_json_dict() == ref.to_json_dict()
+    assert [(k.hex(), v.hex()) for k, v in stats.weights.items()] == [
+        (k.hex(), v.hex()) for k, v in ref.weights.items()
+    ]
     index = ball_index(G, r, t)
-    return (
-        [k.hex() for k in index.keys],
-        [int(root) for root in index.roots],
-        index.types(_sweep_roots(G)).tolist(),
-        index.untyped().tolist(),
-    )
-
-
-def per_root_stats(G, r, t):
-    """exact_stats through BallIndex.types, the per-root path sampled lookups
-    take: every untyped root extracted with G.neighbors, in sweep order."""
-    roots, masses = statistics._sweep(G)
-    index = ball_index(G, r, t)
-    weights = statistics._key_weights(index, index.types(roots), masses)
-    return statistics.BallStatistics(r, t, G.d, G.K, weights)
+    # types the sweep adds come after the prefilled ones, in sweep order
+    assert index.keys == keys_before + [k for k in ref.weights if k not in keys_before]
+    assert len(index.roots) == len(index.keys)
+    for key, root in zip(index.keys, index.roots):
+        assert balls.canonicalize(extract_ball(G, root, r, t)) == key
+    roots = _sweep_roots(G)
+    assert [index.keys[tid] for tid in index.types(roots).tolist()] == [
+        balls.canonicalize(extract_ball(G, root, r, t)) for root in roots
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
 @pytest.mark.parametrize("prefill", ["none", "tester", "empirical"])
 def test_sweep_matches_per_root_lookups(name, prefill):
-    make = SWEEP_GRAPHS[name]
-    a, b = make(), make()
-    _prefill(a, prefill)
-    _prefill(b, prefill)
-    profile = stats_profile(a, 3, 2)
+    G = SWEEP_GRAPHS[name]()
+    _prefill(G, prefill)
+    keys_before = {r: list(ball_index(G, r, 2).keys) for r in (1, 2, 3)}
+    profile = stats_profile(G, 3, 2)
     assert list(profile) == [1, 2, 3]
     for r in (1, 2, 3):
-        st = per_root_stats(b, r, 2)
-        assert profile[r].to_json_dict() == st.to_json_dict()
-        assert [(k.hex(), v.hex()) for k, v in profile[r].weights.items()] == [
-            (k.hex(), v.hex()) for k, v in st.weights.items()
-        ]
-        assert _index_state(a, r, 2) == _index_state(b, r, 2)
+        _assert_matches_reference(profile[r], G, r, 2, keys_before[r])
 
 
 def test_sweep_of_a_depth_100_tree_matches_per_root_lookups():
-    a, b = (gen_binary_tree(100, LN2, representation="implicit") for _ in range(2))
-    profile = stats_profile(a, 3, 2)
+    G = gen_binary_tree(100, LN2, representation="implicit")
+    profile = stats_profile(G, 3, 2)
     for r in (1, 2, 3):
-        assert profile[r].to_json_dict() == per_root_stats(b, r, 2).to_json_dict()
-        assert _index_state(a, r, 2) == _index_state(b, r, 2)
+        _assert_matches_reference(profile[r], G, r, 2, [])
 
 
 def _count_calls(monkeypatch):
     extracted = []
     canonicalized = []
-    real_extract, real_canonicalize = statistics.extract_ball, balls.canonicalize
+    real_extract, real_canonicalize = oracles.extract_ball, balls.canonicalize
 
     def extract(G, x, r, t, **kwargs):
         extracted.append((x, r, kwargs.get("adj") is not None))
@@ -188,7 +188,8 @@ def _count_calls(monkeypatch):
         canonicalized.append(ball)
         return real_canonicalize(ball)
 
-    monkeypatch.setattr(statistics, "extract_ball", extract)
+    # the ball index extracts through oracles' own binding
+    monkeypatch.setattr(oracles, "extract_ball", extract)
     monkeypatch.setattr(balls, "canonicalize", canonicalize)
     return extracted, canonicalized
 
@@ -200,25 +201,34 @@ def test_sweep_extracts_each_root_once_per_radius_and_types_as_often(monkeypatch
     # every vertex is a root, so every extraction reads the neighbor lists
     assert extracted == [(x, r, True) for r in (1, 2, 3) for x in range(G.n)]
     per_profile = len(canonicalized)
+    # one canonicalization per distinct raw ball
+    assert per_profile == sum(
+        len({(b.depths, b.edges, b.labels) for b in (extract_ball(G, x, r, 2) for x in range(G.n))})
+        for r in (1, 2, 3)
+    )
     stats_profile(G, 3, 2)
     assert len(extracted) == 3 * G.n and len(canonicalized) == per_profile
 
+    # one root per lookup, as sampled queries come: through G.neighbors
     canonicalized.clear()
+    extracted.clear()
     H = weighted_grid()
     for r in (1, 2, 3):
-        per_root_stats(H, r, 2)
+        for x in range(H.n):
+            ball_index(H, r, 2).types([x])
+    assert extracted == [(x, r, False) for r in (1, 2, 3) for x in range(H.n)]
     assert len(canonicalized) == per_profile
-    assert len(extracted) == 3 * G.n  # the per-root path binds oracles' name
 
 
 def test_sweep_extracts_only_the_roots_still_untyped(monkeypatch):
     G = weighted_grid()
-    empirical_stats(G, OracleConfig(radius=2, depth=2, query_budget=8, seed=2))
-    untyped = ball_index(G, 2, 2).untyped()
-    assert 0 < untyped.sum() < G.n
+    config = OracleConfig(radius=2, depth=2, query_budget=8, seed=2)
+    empirical_stats(G, config)
+    sampled = set(RadonNikodymOracle(G, 2, 2, seed=config.seed).sample_roots(8).tolist())
+    assert 0 < len(sampled) < G.n
     extracted, _ = _count_calls(monkeypatch)
     exact_stats(G, 2, 2)
-    assert extracted == [(x, 2, True) for x in np.flatnonzero(untyped).tolist()]
+    assert extracted == [(x, 2, True) for x in range(G.n) if x not in sampled]
 
 
 def test_orbit_sweeps_extract_without_neighbor_lists(monkeypatch):
@@ -228,9 +238,29 @@ def test_orbit_sweeps_extract_without_neighbor_lists(monkeypatch):
     assert [roots for _, _, roots in extracted] == [False] * len(G.orbit_reps())
 
 
+def test_neighbor_lists_read_on_full_sweeps_only(monkeypatch, tmp_path):
+    """rnlab stats reads one G.neighbor_lists() per radius; rnlab sample,
+    whose queries reach only some of the vertices, reads none."""
+    calls = []
+    real = WeightedGraph.neighbor_lists
+
+    def neighbor_lists(G):
+        calls.append(G.n)
+        return real(G)
+
+    monkeypatch.setattr(WeightedGraph, "neighbor_lists", neighbor_lists)
+    path = str(tmp_path / "g.json")
+    save_graph(weighted_grid(), path)
+    assert main(["sample", "--graph", path, "--r", "2", "--queries", "12"]) == 0
+    assert calls == []
+    assert main(["stats", "--graph", path, "--rmax", "3"]) == 0
+    assert calls == [30] * 3
+
+
 def test_concurrent_profiles_and_lookups_agree():
-    """Sweeps fill outside any one lock hold: threads that sweep and sample
-    the same graphs at once must still type each orbit exactly once."""
+    """Sweeps and sampled lookups fill through one locked path: threads that
+    sweep and sample the same graphs at once must still type each orbit
+    exactly once."""
     shared = [weighted_grid(), tied_random_graph()]
     expected = [
         [st.to_json_dict() for st in stats_profile(make(), 3, 2).values()]
@@ -271,5 +301,5 @@ def test_concurrent_profiles_and_lookups_agree():
         for r in (1, 2, 3):
             index = ball_index(G, r, 2)
             # a second fill of one orbit would drive the count below zero
-            assert index._untyped == 0 and not index.untyped().any()
+            assert index._remaining == 0 and (index._type_of_orbit >= 0).all()
             assert len(set(index.keys)) == len(index.keys) == len(index.roots)

@@ -41,8 +41,11 @@ def test_tracer_installs_and_restores_every_binding():
         # the partition ladder is traced through local's own binding
         assert ("rnlab.local", "find_weighted_partition") in patched
         assert ("rnlab.partitions", "verify_weighted_partition") in patched
-        # exact sweeps extract through statistics' own binding, so the
-        # tracer must wrap that name to count their extractions
+        # ball indexes, which type the roots of exact sweeps and sampled
+        # lookups alike, extract through oracles' own binding, and
+        # truncation_stability through statistics' own binding: the tracer
+        # must wrap both names to count every extraction
+        assert ("rnlab.oracles", "extract_ball") in patched
         assert ("rnlab.statistics", "extract_ball") in patched
         # ball indexes canonicalize through the balls module's own name
         assert ("rnlab.balls", "canonicalize") in patched
