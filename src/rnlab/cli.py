@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen, sample, stats, distance, partition, estimate, test,
-observe, scenario.  Every command that involves randomness takes --seed and
-is reproducible bit for bit.
+observe, scenario.  Those that draw randomness (all but distance, partition
+and observe) take --seed and are reproducible bit for bit.  Exit codes: 0
+done; 1 a GraphError, which ``main`` reports as ``{"error": <class name>,
+"message": ...}`` on stdout or in the --out file; 2 a usage error, reported
+on stderr; 3 a REJECT from ``rnlab test``.
 """
 from __future__ import annotations
 
@@ -18,14 +21,15 @@ from .distances import PropertySpec, absolute_distance, distance_to_property
 from .graphs import GraphError, graph_to_json, load_graph, save_graph
 from .local import estimate_matching, independent_set_estimate
 from .oracles import RadonNikodymOracle, observe, uniform_query
-from .partitions import (
-    PartitionInfeasible,
-    UnsupportedFamily,
-    build_uniform_cover,
-    find_weighted_partition,
-)
+from .partitions import build_uniform_cover, find_weighted_partition
 from .scenarios import ExperimentConfig, report_to_csv, run_scenario
-from .statistics import empirical_profile, stats_profile
+from .statistics import (
+    empirical_profile,
+    load_profile,
+    profile_to_json,
+    statistical_distance,
+    stats_profile,
+)
 from .testers import observable_test, test_property
 
 EXIT_REJECT = 3
@@ -36,7 +40,7 @@ def _parse_params(pairs: list[str]) -> dict:
     for pair in pairs or []:
         key, _, raw = pair.partition("=")
         if not _:
-            raise SystemExit(f"bad --param {pair!r}, expected key=value")
+            raise argparse.ArgumentError(None, f"bad --param {pair!r}, expected key=value")
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -63,13 +67,29 @@ def _positive(text: str) -> int:
     return _count(text, least=1)
 
 
-def _emit(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=1, sort_keys=True)
+def _epsilon(text: str) -> float:
+    """An argparse type: a float strictly between 0 and 1, so an accuracy
+    outside (0, 1), nan and inf included, is a usage error (exit code 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
+def _write(text: str, path: str | None) -> None:
+    """text and a newline, written to the file at path or else printed."""
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj, path: str | None) -> None:
+    _write(json.dumps(obj, indent=1, sort_keys=True), path)
 
 
 def _property_from_name(name: str, forbidden: str | None, colors: int | None) -> PropertySpec:
@@ -79,7 +99,7 @@ def _property_from_name(name: str, forbidden: str | None, colors: int | None) ->
         return PropertySpec.bipartite()
     if name == "h_free":
         if not forbidden:
-            raise SystemExit("h_free needs --forbidden n:u-v,u-v,...")
+            raise argparse.ArgumentError(None, "h_free needs --forbidden n:u-v,u-v,...")
         head, _, rest = forbidden.partition(":")
         edges = []
         if rest:
@@ -89,9 +109,9 @@ def _property_from_name(name: str, forbidden: str | None, colors: int | None) ->
         return PropertySpec.h_free(int(head), edges)
     if name == "k_colorable":
         if not colors:
-            raise SystemExit("k_colorable needs --colors")
+            raise argparse.ArgumentError(None, "k_colorable needs --colors")
         return PropertySpec.k_colorable(colors)
-    raise SystemExit(f"unknown property {name!r}")
+    raise argparse.ArgumentError(None, f"unknown property {name!r}")
 
 
 def cmd_gen(args) -> int:
@@ -108,30 +128,21 @@ def cmd_gen(args) -> int:
 
 def cmd_sample(args) -> int:
     G = load_graph(args.graph)
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     if args.oracle == "rn":
         oracle = RadonNikodymOracle(G, args.r, args.t, seed=args.seed)
         roots, per_root = np.unique(oracle.sample_roots(args.queries), return_counts=True)
         for tid, c in zip(oracle.index.types(roots).tolist(), per_root.tolist()):
-            key = oracle.index.keys[tid].hex()
-            counts[key] = counts.get(key, 0) + c
+            counts[oracle.index.keys[tid].hex()] += c
     else:
         from .balls import canonicalize
 
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         tally = Counter(uniform_query(G, args.r, rng, t=args.t) for _ in range(args.queries))
         for ball, c in tally.items():
-            key = canonicalize(ball).hex()
-            counts[key] = counts.get(key, 0) + c
-    lines = [
-        json.dumps({"key": k, "count": c}, sort_keys=True)
-        for k, c in sorted(counts.items())
-    ]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
+            counts[canonicalize(ball).hex()] += c
+    lines = (json.dumps({"key": k, "count": c}, sort_keys=True) for k, c in sorted(counts.items()))
+    _write("\n".join(lines), args.out)
     return 0
 
 
@@ -141,34 +152,17 @@ def cmd_stats(args) -> int:
         profile = stats_profile(G, args.rmax, args.t)
     else:
         profile = empirical_profile(G, args.rmax, args.t, args.queries, args.seed)
-    per_radius = {str(r): st.to_json_dict() for r, st in profile.items()}
-    _emit({"r_max": args.rmax, "mode": args.mode, "per_radius": per_radius}, args.out)
+    _write(profile_to_json(profile, args.mode), args.out)
     return 0
 
 
 def cmd_distance(args) -> int:
     if args.stats_a and args.stats_b:
-        from .statistics import BallStatistics, ParamMismatch, statistical_distance
-
-        def load_profile(path):
-            with open(path) as fh:
-                obj = json.load(fh)
-            return {
-                int(r): BallStatistics.from_json_dict(st)
-                for r, st in obj["per_radius"].items()
-            }
-
-        a = load_profile(args.stats_a)
-        b = load_profile(args.stats_b)
-        try:
-            value = statistical_distance(a, b, args.rmax)
-        except ParamMismatch as e:  # a missing radius, or other (r, t, d)
-            _emit({"error": type(e).__name__, "message": str(e)}, args.out)
-            return 1
-        _emit({"statistical_distance": value}, args.out)
+        a, b = load_profile(args.stats_a), load_profile(args.stats_b)
+        _emit({"statistical_distance": statistical_distance(a, b, args.rmax)}, args.out)
         return 0
     if not args.graph or not args.property:
-        raise SystemExit("need either --stats-a/--stats-b or --graph/--property")
+        raise argparse.ArgumentError(None, "need either --stats-a/--stats-b or --graph/--property")
     G = load_graph(args.graph)
     P = _property_from_name(args.property, args.forbidden, args.colors)
     if args.absolute:
@@ -185,18 +179,14 @@ def cmd_distance(args) -> int:
 
 def cmd_partition(args) -> int:
     G = load_graph(args.graph)
-    try:
-        if args.cover:
-            dims = None
-            if args.grid_dims:
-                a, _, b = args.grid_dims.partition(",")
-                dims = (int(a), int(b))
-            cert = build_uniform_cover(G, args.epsilon, grid_dims=dims)
-        else:
-            cert = find_weighted_partition(G, args.epsilon, K_target=args.k_target)
-    except (PartitionInfeasible, UnsupportedFamily) as e:
-        _emit({"error": type(e).__name__, "message": str(e)}, args.out)
-        return 1
+    if args.cover:
+        dims = None
+        if args.grid_dims:
+            a, _, b = args.grid_dims.partition(",")
+            dims = (int(a), int(b))
+        cert = build_uniform_cover(G, args.epsilon, grid_dims=dims)
+    else:
+        cert = find_weighted_partition(G, args.epsilon, K_target=args.k_target)
     _emit(cert.to_json_dict(), args.out)
     return 0
 
@@ -207,12 +197,7 @@ def cmd_estimate(args) -> int:
         J, value, guaranteed = independent_set_estimate(G, args.epsilon, seed=args.seed)
         _emit({"value": value, "witness_size": len(J), "guaranteed": guaranteed}, args.out)
     else:
-        try:
-            value = estimate_matching(G, args.epsilon, seed=args.seed)
-        except GraphError as e:  # PartitionInfeasible, or weights it cannot take
-            _emit({"error": type(e).__name__, "message": str(e)}, args.out)
-            return 1
-        _emit({"value": value}, args.out)
+        _emit({"value": estimate_matching(G, args.epsilon, seed=args.seed)}, args.out)
     return 0
 
 
@@ -253,23 +238,17 @@ def cmd_scenario(args) -> int:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        cfg = ExperimentConfig(
-            scenario=raw["scenario"],
-            params=raw.get("params", {}),
-            seed=int(raw.get("seed", args.seed)),
-            output_path=raw.get("output_path", args.out or "report.jsonl"),
-            threads=int(raw.get("threads", args.threads)),
-        )
+    elif args.name:
+        raw = {"scenario": args.name, "params": _parse_params(args.param)}
     else:
-        if not args.name:
-            raise SystemExit("need --name or --config")
-        cfg = ExperimentConfig(
-            scenario=args.name,
-            params=_parse_params(args.param),
-            seed=args.seed,
-            output_path=args.out or "report.jsonl",
-            threads=args.threads,
-        )
+        raise argparse.ArgumentError(None, "need --name or --config")
+    cfg = ExperimentConfig(
+        scenario=raw["scenario"],
+        params=raw.get("params", {}),
+        seed=int(raw.get("seed", args.seed)),
+        output_path=raw.get("output_path", args.out or "report.jsonl"),
+        threads=int(raw.get("threads", args.threads)),
+    )
     path = run_scenario(cfg)
     if args.csv:
         report_to_csv(path, args.csv)
@@ -284,15 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, fn, seed=True):
+        """--out and the command's function; --seed where it draws randomness."""
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    common(p)
-    p.set_defaults(fn=cmd_gen)
+    common(p, cmd_gen)
 
     p = sub.add_parser("sample", help="draw oracle queries, count ball keys")
     p.add_argument("--graph", required=True)
@@ -300,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_count, default=2)
     p.add_argument("--t", type=_count, default=2)
     p.add_argument("--queries", type=_count, default=1000)
-    common(p)
-    p.set_defaults(fn=cmd_sample)
+    common(p, cmd_sample)
 
     p = sub.add_parser("stats", help="ball statistics profile")
     p.add_argument("--graph", required=True)
@@ -309,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=_count, default=3)
     p.add_argument("--t", type=_count, default=2)
     p.add_argument("--queries", type=_count, default=10_000)
-    common(p)
-    p.set_defaults(fn=cmd_stats)
+    common(p, cmd_stats)
 
     p = sub.add_parser("distance", aliases=["dist"], help="statistical or property distance")
     p.add_argument("--stats-a", dest="stats_a")
@@ -322,40 +301,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int)
     p.add_argument("--absolute", action="store_true")
     p.add_argument("--K", type=float, default=2.0)
-    common(p)
-    p.set_defaults(fn=cmd_distance)
+    common(p, cmd_distance, seed=False)
 
     p = sub.add_parser("partition", help="hyperfinite removal certificates")
     p.add_argument("--graph", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--k-target", dest="k_target", type=int, default=None)
     p.add_argument("--cover", action="store_true")
     p.add_argument("--grid-dims", dest="grid_dims")
-    common(p)
-    p.set_defaults(fn=cmd_partition)
+    common(p, cmd_partition, seed=False)
 
     p = sub.add_parser("estimate", help="independence or matching estimators")
     p.add_argument("--what", choices=["independence", "matching"], required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_estimate)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    common(p, cmd_estimate)
 
     p = sub.add_parser("test", help="property tester (exit 3 on REJECT)")
     p.add_argument("--graph", required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--forbidden")
     p.add_argument("--colors", type=int)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--observable", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_test)
+    common(p, cmd_test)
 
     p = sub.add_parser("observe", help="induced-subgraph observation table")
     p.add_argument("--graph", required=True)
     p.add_argument("--s", type=_positive, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_observe)
+    common(p, cmd_observe, seed=False)
 
     p = sub.add_parser("scenario", help="run a canned experiment")
     p.add_argument("--name")
@@ -365,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for row tasks; rows hold the interpreter "
                         "lock, so this is no faster, but the report must not change")
-    common(p)
-    p.set_defaults(fn=cmd_scenario)
+    common(p, cmd_scenario)
 
     return parser
 
@@ -374,7 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except argparse.ArgumentError as e:  # a usage error found after parsing
+        parser.error(str(e))
+    except GraphError as e:
+        _emit({"error": type(e).__name__, "message": str(e)}, args.out)
+        return 1
 
 
 if __name__ == "__main__":

@@ -165,7 +165,7 @@ def algebraic_connectivity(G: WeightedGraph) -> float:
     if n > 3000:
         raise GraphError("algebraic connectivity check is dense-only (n <= 3000)")
     L = np.zeros((n, n))
-    for u, v in G.edges():
+    for u, v in G.edge_list():
         L[u, u] += 1
         L[v, v] += 1
         L[u, v] -= 1
@@ -230,7 +230,7 @@ def gen_perturbed_union(n: int, profile: str = "uniform", seed: int = 0) -> Weig
     H = gen_random_regular(n, 3, seed=seed)
     n_path = n * n
     edges = [(i, i + 1) for i in range(n_path - 1)]
-    for u, v in H.edges():
+    for u, v in H.edge_list():
         edges.append((n_path + u, n_path + v))
     edges.append((n_path - 1, n_path))
     total = n_path + n

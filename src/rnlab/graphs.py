@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -225,12 +225,9 @@ class WeightedGraph(_GraphProtocol):
         up = tails < heads
         return np.column_stack((tails[up], heads[up]))
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """The rows of edge_array() as tuples of Python ints."""
-        return map(tuple, self.edge_array().tolist())
-
     def edge_list(self) -> list[tuple[int, int]]:
-        return list(self.edges())
+        """The rows of edge_array() as tuples of Python ints."""
+        return list(map(tuple, self.edge_array().tolist()))
 
     # Vertex orbits under weight-preserving automorphisms, when the
     # constructor knows them.  Statistics use these to collapse identical
@@ -656,15 +653,21 @@ def graph_from_json_dict(obj: dict) -> WeightedGraph:
     return build_graph(obj["edges"], lw, d=int(obj["d"]), K=float(obj["K"]))
 
 
-def graph_from_json(text: str) -> WeightedGraph:
-    return graph_from_json_dict(json.loads(text))
-
-
 def save_graph(G: WeightedGraph, path) -> None:
     with open(path, "w") as fh:
         fh.write(graph_to_json(G))
 
 
 def load_graph(path) -> WeightedGraph:
+    """Read a graph file as save_graph writes it.  Raises GraphError for a
+    file of any other kind: text that is not JSON, or JSON that is not an
+    object with n, d, K, edges and log_weights."""
+    fields = ("n", "d", "K", "edges", "log_weights")
     with open(path) as fh:
-        return graph_from_json(fh.read())
+        try:
+            obj = json.load(fh)
+        except ValueError as e:  # not JSON, or not text
+            raise GraphError(f"{path} is not a graph file: {e}") from None
+    if not (isinstance(obj, dict) and obj.keys() >= set(fields)):
+        raise GraphError(f"{path} is not a graph file: it needs {', '.join(fields)}")
+    return graph_from_json_dict(obj)

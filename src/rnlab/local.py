@@ -105,8 +105,11 @@ def _solve_components(G, epsilon: float, solve) -> list:
     when no partition exists there (PartitionInfeasible) or when solve gives
     out on one of its components (TooLarge).  Raises PartitionInfeasible
     when every bound is dropped.  A TooLarge from the partition itself, such
-    as a graph too large to list its masses, propagates at once.
+    as a graph too large to list its masses, propagates at once.  Raises
+    ValueError unless 0 < epsilon < 1, before any bound is tried.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     last_error = None
     for K_target in _escalating_targets(G.n, epsilon):
         try:

@@ -11,6 +11,9 @@ is not canonicalized again; a full sweep's misses read one
 ``G.neighbor_lists()`` per radius.  Masses are summed per type id with
 ``bincount``, in sweep order or sorted-root order, and keys appear in the
 order their types are first met there.
+
+A profile, one statistic per radius 1..r_max, is the one file format:
+:func:`profile_to_json` writes it and :func:`load_profile` reads it.
 """
 from __future__ import annotations
 
@@ -227,11 +230,21 @@ def truncation_stability(G, r: int, t: int, threshold: float = 0.01):
     return boundary_mass <= threshold, boundary_mass
 
 
-def save_stats(stats: BallStatistics, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(stats.to_json_dict(), fh, indent=1, sort_keys=True)
+def profile_to_json(profile: dict[int, BallStatistics], mode: str) -> str:
+    """A profile as its file holds it: the largest radius, the mode that
+    made it ("exact" or "empirical") and each radius's statistic."""
+    per_radius = {str(r): st.to_json_dict() for r, st in profile.items()}
+    obj = {"r_max": max(profile, default=0), "mode": mode, "per_radius": per_radius}
+    return json.dumps(obj, indent=1, sort_keys=True)
 
 
-def load_stats(path: str) -> BallStatistics:
+def load_profile(path) -> dict[int, BallStatistics]:
+    """Read a profile file as profile_to_json writes it.  Raises GraphError
+    for a file of any other kind, or one with a statistic that
+    BallStatistics.from_json_dict cannot read."""
     with open(path) as fh:
-        return BallStatistics.from_json_dict(json.load(fh))
+        try:
+            per_radius = json.load(fh)["per_radius"]
+            return {int(r): BallStatistics.from_json_dict(st) for r, st in per_radius.items()}
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise GraphError(f"{path} is not a statistics profile: {e!r}") from None

@@ -1,8 +1,12 @@
+import argparse
+import ast
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,8 @@ from rnlab import (
     save_graph,
     uniform_query,
 )
-from rnlab.cli import main
+from rnlab import cli
+from rnlab.cli import build_parser, main
 
 
 @pytest.fixture
@@ -532,6 +537,153 @@ class TestScenario:
     def test_needs_name_or_config(self, capsys):
         with pytest.raises(SystemExit):
             main(["scenario"])
+
+
+def json_error(capsys, argv, out):
+    """The error object main reports for argv: printed with exit code 1, and
+    the same object written to --out with nothing printed."""
+    rc, printed = run(capsys, argv)
+    assert rc == 1
+    obj = json.loads(printed)
+    assert run(capsys, argv + ["--out", str(out)]) == (1, "")
+    assert json.loads(out.read_text()) == obj
+    return obj
+
+
+class TestErrorBoundary:
+    """main is the one error path: a GraphError from any command, a file of
+    the wrong kind included, becomes {"error", "message"} with exit code 1."""
+
+    @pytest.fixture
+    def files(self, graph_file, tmp_path, capsys):
+        g = graph_file(gen_grid(4, 4))
+        paths = {"graph": g, "profile": str(tmp_path / "p.json"), "sample": str(tmp_path / "s.jsonl"),
+                 "single": str(tmp_path / "single.json")}
+        run(capsys, ["stats", "--graph", g, "--rmax", "2", "--out", paths["profile"]])
+        run(capsys, ["sample", "--graph", g, "--queries", "50", "--out", paths["sample"]])
+        with open(paths["single"], "w") as fh:
+            json.dump(rnlab.exact_stats(load_graph(g), 2, 2).to_json_dict(), fh)
+        return paths
+
+    def test_single_statistic_is_not_a_profile(self, files, tmp_path, capsys):
+        argv = ["distance", "--stats-a", files["single"], "--stats-b", files["profile"], "--rmax", "2"]
+        assert json_error(capsys, argv, tmp_path / "d.json") == {
+            "error": "GraphError",
+            "message": f"{files['single']} is not a statistics profile: KeyError('per_radius')",
+        }
+
+    def test_sample_output_is_not_a_profile(self, files, tmp_path, capsys):
+        argv = ["distance", "--stats-a", files["profile"], "--stats-b", files["sample"], "--rmax", "2"]
+        obj = json_error(capsys, argv, tmp_path / "d.json")
+        assert obj["error"] == "GraphError"
+        assert obj["message"].startswith(
+            f"{files['sample']} is not a statistics profile: JSONDecodeError('Extra data"
+        )
+
+    def test_stats_file_is_not_a_graph(self, files, tmp_path, capsys):
+        argv = ["sample", "--graph", files["profile"], "--queries", "5"]
+        assert json_error(capsys, argv, tmp_path / "s.jsonl") == {
+            "error": "GraphError",
+            "message": f"{files['profile']} is not a graph file: it needs n, d, K, edges, log_weights",
+        }
+
+    def test_error_of_a_command_without_a_handler(self, files, tmp_path, capsys):
+        argv = ["test", "--graph", files["graph"], "--observable", "--property", "k_colorable",
+                "--colors", "3", "--epsilon", "0.3"]
+        assert json_error(capsys, argv, tmp_path / "t.json") == {
+            "error": "UnsupportedProperty",
+            "message": "observation-based testing covers forest and bipartite",
+        }
+
+
+class TestUsageErrors:
+    """Usage errors exit with code 2, whether argparse finds them or the
+    command does after parsing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--graph", "G"], ["estimate", "--what", "matching", "--graph", "G"],
+        ["test", "--graph", "G", "--property", "forest"],
+    ])
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "1", "1.5", "nan", "inf", "-inf"])
+    def test_epsilon_outside_the_unit_interval(self, argv, epsilon, graph_file, capsys):
+        argv = [graph_file(gen_grid(4, 4)) if a == "G" else a for a in argv]
+        with pytest.raises(SystemExit) as e:
+            main(argv + [f"--epsilon={epsilon}"])
+        assert e.value.code == 2
+        assert f"argument --epsilon: must lie in (0, 1), got {float(epsilon)}" in capsys.readouterr().err
+
+    def test_epsilon_that_is_not_a_number(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["partition", "--graph", graph_file(gen_path(4)), "--epsilon", "half"])
+        assert e.value.code == 2
+        assert "argument --epsilon: invalid float value: 'half'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["distance", "--graph", "G", "--property", "forest"],
+        ["partition", "--graph", "G", "--epsilon", "0.5"],
+        ["observe", "--graph", "G", "--s", "2"],
+    ])
+    def test_no_seed_where_nothing_is_random(self, argv, graph_file, capsys):
+        argv = [graph_file(gen_path(4)) if a == "G" else a for a in argv]
+        assert run(capsys, argv)[0] == 0
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--seed", "1"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "path", "--param", "n8"], "bad --param 'n8', expected key=value"),
+        (["distance"], "need either --stats-a/--stats-b or --graph/--property"),
+        (["distance", "--graph", "G", "--property", "planar"], "unknown property 'planar'"),
+        (["distance", "--graph", "G", "--property", "k_colorable"], "k_colorable needs --colors"),
+        (["distance", "--graph", "G", "--property", "h_free"], "h_free needs --forbidden"),
+        (["scenario"], "need --name or --config"),
+    ])
+    def test_found_after_parsing(self, argv, message, graph_file, capsys):
+        argv = [graph_file(gen_path(4)) if a == "G" else a for a in argv]
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert f"rnlab: error: {message}" in capsys.readouterr().err
+
+
+def _args_read(fn) -> set[str]:
+    """Every name that fn reads as args.<name>."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's parser by name, aliases included."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def unread_options(parser: argparse.ArgumentParser) -> list[str]:
+    """Options of a subcommand that neither its cmd_* function nor main reads."""
+    commands = {}
+    for name, p in subcommands(parser).items():  # an alias maps to its command's parser
+        commands.setdefault(p, name)
+    in_main = _args_read(cli.main)
+    return [
+        f"{name} {action.option_strings[0]}"
+        for p, name in commands.items()
+        for action in p._actions
+        if action.dest != "help" and action.dest not in _args_read(p.get_default("fn")) | in_main
+    ]
+
+
+class TestOptions:
+    def test_every_option_is_read(self):
+        assert unread_options(build_parser()) == []
+
+    def test_check_catches_an_unread_option(self):
+        parser = build_parser()
+        subcommands(parser)["observe"].add_argument("--seed", type=int, default=0)
+        subcommands(parser)["dist"].add_argument("--verbose", action="store_true")
+        assert unread_options(parser) == ["distance --verbose", "observe --seed"]
 
 
 class TestModuleEntryPoint:

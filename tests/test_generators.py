@@ -166,7 +166,7 @@ class TestPerturbedUnion:
         path_part, dense_part = perturbed_union_parts(4)
         cross = [
             (u, v)
-            for u, v in G.edges()
+            for u, v in G.edge_list()
             if (u in path_part) != (v in path_part)
         ]
         assert len(cross) == 1

@@ -243,7 +243,7 @@ class TestVectorizedBuilder:
 
 class TestRatio:
     def test_uniform_edges(self, c6_uniform):
-        for u, v in c6_uniform.edges():
+        for u, v in c6_uniform.edge_list():
             assert ratio(c6_uniform, u, v) == 1.0
 
     def test_critical_tree_parent_child(self, critical_tree):
@@ -257,7 +257,7 @@ class TestRatio:
 
     def test_reciprocal_in_log_space(self, rng):
         G = random_bounded_graph(rng, 30, d=4, K=4.0)
-        for u, v in G.edges():
+        for u, v in G.edge_list():
             # exact cancellation: same two log-weights subtracted both ways
             assert (G.log_weight(v) - G.log_weight(u)) + (
                 G.log_weight(u) - G.log_weight(v)
@@ -602,7 +602,7 @@ class TestTraversals:
             assert (color is not None) == nx.is_bipartite(self._nx(G))
             if color is not None:
                 assert sorted(color) == list(range(G.n))
-                assert all(color[u] != color[v] for u, v in G.edges())
+                assert all(color[u] != color[v] for u, v in G.edge_list())
                 # depth parity of the scan from each component's first vertex
                 for comp in components(G):
                     s = min(comp)
@@ -645,8 +645,8 @@ class TestEdgeView:
         graphs += [random_bounded_graph(rng, int(rng.integers(1, 30)), d=4, K=2.0) for _ in range(20)]
         for G in graphs:
             expected = [(u, v) for u in range(G.n) for v in G.neighbors(u) if u < v]
-            assert G.edge_list() == list(G.edges()) == expected
-            assert all(type(u) is int and type(v) is int for u, v in G.edges())
+            assert G.edge_list() == expected
+            assert all(type(u) is int and type(v) is int for u, v in G.edge_list())
             arr = G.edge_array()
             assert arr.dtype == np.int64 and arr.shape == (G.edge_count, 2)
             assert arr.tolist() == [list(e) for e in expected]
@@ -692,6 +692,20 @@ class TestJsonRoundTrip:
         assert H.structurally_equal(critical_tree)
         assert H.K == critical_tree.K
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"key": "ab", "count": 3}\n{"key": "cd", "count": 1}\n', "Extra data"),
+        (b"\xff\xfe", "can't decode byte"),
+        (b"[0, 1]", "it needs n, d, K, edges, log_weights"),
+        (b'"n d K edges log_weights"', "it needs n, d, K, edges, log_weights"),
+        (b'{"n": 2, "d": 1, "K": 1.0, "edges": [[0, 1]]}', "it needs n, d, K, edges, log_weights"),
+    ])
+    def test_other_file_kinds_rejected(self, tmp_path, content, reason):
+        path = tmp_path / "g.json"
+        path.write_bytes(content)
+        pattern = f"^{re.escape(str(path))} is not a graph file: .*{re.escape(reason)}"
+        with pytest.raises(GraphError, match=pattern):
+            load_graph(path)
+
     def test_format_fields(self, p3_uniform):
         obj = json.loads(graph_to_json(p3_uniform))
         assert set(obj) >= {"n", "d", "K", "edges", "log_weights"}
@@ -703,6 +717,6 @@ class TestJsonRoundTrip:
         from rnlab import extract_ball
 
         extract_ball(critical_tree, 3, 2, 2)
-        list(critical_tree.edges())
+        critical_tree.edge_list()
         critical_tree.orbit_reps()
         assert np.array_equal(critical_tree.probabilities, before)

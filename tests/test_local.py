@@ -84,7 +84,7 @@ class TestRankRule:
         bits = draw_vertex_bits(G.n, 32, seed=5)
         perm = [int(v) for v in rng.permutation(G.n)]
         edges_p = sorted(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in G.edges()
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in G.edge_list()
         )
         lw_p = [0.0] * G.n
         bits_p = [0] * G.n
@@ -231,6 +231,22 @@ class TestEstimateMatching:
             "no usable partition at any component bound: "
             "matching solver limited to 200 vertices"
         )
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, 1.0, 1.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "estimator", [local_independent_set, independent_set_estimate, estimate_matching]
+)
+def test_epsilon_outside_the_unit_interval_is_rejected(estimator, epsilon, monkeypatch):
+    """Before any component bound is tried: below 0 or at infinity the
+    bound ladder would never end, at 0 it would divide by zero, and at 1 or
+    more it would claim a guarantee the partition cannot give."""
+    calls = []
+    monkeypatch.setattr(local, "find_weighted_partition", lambda *a: calls.append(a))
+    with pytest.raises(ValueError) as e:
+        estimator(gen_grid(12, 9), epsilon)
+    assert type(e.value) is ValueError and str(e.value) == "epsilon must lie in (0, 1)"
+    assert calls == []
 
 
 class TestIndistinguishablePair:

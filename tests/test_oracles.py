@@ -335,7 +335,7 @@ class TestCycleOracles:
         for G in graphs:
             g = girth(G)
             # networkx is the independent reference for the unbounded form
-            assert g == nx.girth(nx.Graph(list(G.edges())))
+            assert g == nx.girth(nx.Graph(G.edge_list()))
             for limit in [*range(G.n + 3), 2.5, math.inf]:
                 assert girth(G, limit) == (g if g <= limit else math.inf), (G, limit)
 

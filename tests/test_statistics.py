@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -22,8 +23,8 @@ from rnlab import (
     gen_grid,
     gen_path,
     gen_random_regular,
-    load_stats,
-    save_stats,
+    load_profile,
+    profile_to_json,
     statistical_distance,
     stats_profile,
     truncation_stability,
@@ -286,23 +287,50 @@ def test_sweep_without_orbits_is_bounded(monkeypatch):
 
 
 class TestSerialization:
+    """A profile is the one statistics file format: profile_to_json writes
+    it, as ``rnlab stats`` does, and load_profile reads it."""
+
     def test_round_trip(self, tmp_path, weighted_p3):
-        stats = exact_stats(weighted_p3, 2, 2)
-        path = str(tmp_path / "stats.json")
-        save_stats(stats, path)
-        loaded = load_stats(path)
-        assert loaded.weights == stats.weights
-        assert (loaded.radius, loaded.digits) == (stats.radius, stats.digits)
-        assert loaded.ratio_bound == stats.ratio_bound
+        profile = stats_profile(weighted_p3, 2, 2)
+        path = tmp_path / "profile.json"
+        path.write_text(profile_to_json(profile, "exact"))
+        loaded = load_profile(str(path))
+        assert list(loaded) == [1, 2]
+        for r, stats in profile.items():
+            assert loaded[r].weights == stats.weights
+            assert (loaded[r].radius, loaded[r].digits) == (r, 2)
+            assert loaded[r].ratio_bound == stats.ratio_bound
+            assert tv(loaded[r], stats) == 0.0
 
     def test_loaded_keys_are_usable(self, tmp_path, grid4):
-        stats = exact_stats(grid4, 1, 2)
-        path = str(tmp_path / "stats.json")
-        save_stats(stats, path)
-        loaded = load_stats(path)
-        for key in stats.weights:
-            assert loaded.mass(key) == stats.mass(key)
-        assert tv(loaded, stats) == 0.0
+        profile = empirical_profile(grid4, 2, 2, budget=300, seed=4)
+        path = tmp_path / "profile.json"
+        path.write_text(profile_to_json(profile, "empirical"))
+        assert json.loads(path.read_text())["r_max"] == 2
+        loaded = load_profile(str(path))
+        assert list(loaded) == [1, 2]
+        for r, stats in profile.items():
+            for key in stats.weights:
+                assert loaded[r].mass(key) == stats.mass(key)
+            assert loaded[r].total_queries == 300
+            assert tv(loaded[r], stats) == 0.0
+
+    @pytest.mark.parametrize("obj, reason", [
+        ({"radius": 1, "digits": 2, "degree_bound": 2, "ratio_bound": 1.0, "weights": {}},
+         "KeyError('per_radius')"),
+        ({"per_radius": [1, 2]}, "AttributeError"),
+        ({"per_radius": {"one": {}}}, "ValueError"),
+        ({"per_radius": {"1": {"radius": 1}}}, "KeyError('digits')"),
+        ({"per_radius": {"1": {"radius": 1, "digits": 2, "degree_bound": 2,
+                               "ratio_bound": 1.0, "weights": {"zz": 1.0}}}}, "ValueError"),
+        ([1, 2], "TypeError"),
+    ])
+    def test_other_file_kinds_rejected(self, tmp_path, obj, reason):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        expected = f"{path} is not a statistics profile: {reason}"
+        with pytest.raises(GraphError, match="^" + re.escape(expected)):
+            load_profile(str(path))
 
     def test_json_dict_round_trip(self, weighted_p3):
         stats = exact_stats(weighted_p3, 1, 3)

@@ -209,7 +209,7 @@ class TestObservableTester:
         G = gen_cycle(9)
         perm = [int(v) for v in rng.permutation(9)]
         edges = sorted(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in G.edges()
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in G.edge_list()
         )
         H = build_graph(edges, [0.0] * 9, d=2, K=1.0)
         a = observable_test(G, FOREST, 0.25)
