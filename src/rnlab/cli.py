@@ -18,11 +18,11 @@ import numpy as np
 
 from . import generators
 from .distances import PropertySpec, absolute_distance, distance_to_property
-from .graphs import GraphError, graph_to_json, load_graph, save_graph
+from .graphs import SEED_LIMIT, GraphError, graph_to_json, load_graph, philox, save_graph
 from .local import estimate_matching, independent_set_estimate
 from .oracles import RadonNikodymOracle, observe, uniform_query
 from .partitions import build_uniform_cover, find_weighted_partition
-from .scenarios import ExperimentConfig, report_to_csv, run_scenario
+from .scenarios import ExperimentConfig, load_config, report_to_csv, run_scenario
 from .statistics import (
     empirical_profile,
     load_profile,
@@ -58,6 +58,15 @@ def _count(text: str, least: int = 0) -> int:
     if value < least:
         rule = "nonnegative" if least == 0 else f"at least {least}"
         raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """An argparse type: an integer in [0, 2^128), the keys of the Philox
+    streams seeds select, so a negative or longer seed is a usage error."""
+    value = _count(text)
+    if value >= SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be less than 2^128, got {value}")
     return value
 
 
@@ -128,16 +137,19 @@ def cmd_gen(args) -> int:
 
 def cmd_sample(args) -> int:
     G = load_graph(args.graph)
-    counts: Counter[str] = Counter()
     if args.oracle == "rn":
         oracle = RadonNikodymOracle(G, args.r, args.t, seed=args.seed)
-        roots, per_root = np.unique(oracle.sample_roots(args.queries), return_counts=True)
-        for tid, c in zip(oracle.index.types(roots).tolist(), per_root.tolist()):
-            counts[oracle.index.keys[tid].hex()] += c
+        roots = oracle.sample_roots(args.queries)
+        # sorted, the roots fill the index as their sorted distinct values would
+        roots.sort()
+        keys = oracle.index.keys
+        per_type = np.bincount(oracle.index.types(roots), minlength=len(keys))
+        counts = {keys[i].hex(): int(per_type[i]) for i in np.flatnonzero(per_type).tolist()}
     else:
         from .balls import canonicalize
 
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        rng = np.random.Generator(philox(args.seed))
+        counts = Counter()
         tally = Counter(uniform_query(G, args.r, rng, t=args.t) for _ in range(args.queries))
         for ball, c in tally.items():
             counts[canonicalize(ball).hex()] += c
@@ -235,20 +247,15 @@ def cmd_observe(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    defaults = {
+        "seed": args.seed, "output_path": args.out or "report.jsonl", "threads": args.threads,
+    }
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        cfg = load_config(args.config, **defaults)
     elif args.name:
-        raw = {"scenario": args.name, "params": _parse_params(args.param)}
+        cfg = ExperimentConfig(scenario=args.name, params=_parse_params(args.param), **defaults)
     else:
         raise argparse.ArgumentError(None, "need --name or --config")
-    cfg = ExperimentConfig(
-        scenario=raw["scenario"],
-        params=raw.get("params", {}),
-        seed=int(raw.get("seed", args.seed)),
-        output_path=raw.get("output_path", args.out or "report.jsonl"),
-        threads=int(raw.get("threads", args.threads)),
-    )
     path = run_scenario(cfg)
     if args.csv:
         report_to_csv(path, args.csv)
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fn, seed=True):
         """--out and the command's function; --seed where it draws randomness."""
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", type=str, default=None)
         p.set_defaults(fn=fn)
 

@@ -21,8 +21,10 @@ instead of asking for each vertex's neighbors one call at a time.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,6 +77,51 @@ def _log_sum_exp(values: np.ndarray) -> float:
 
 
 _TWO64 = float(2**64)
+_WORD = 2**64 - 1
+# seeds key Philox streams, whose keys are 128-bit words
+SEED_LIMIT = 2**128
+
+
+@functools.cache
+def _key_type() -> type:
+    """The seed-sequence class of keyed streams.  It is made on first use,
+    so that importing rnlab does not import numpy.random: that costs about
+    12 ms and 1.4 MB, and commands that draw nothing need none of it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        """The seed sequence of a keyed stream: its state is the key's two words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(
+                    f"a Philox key is 2 uint64 words, but numpy asked for {n_words} {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return Key
+
+
+def philox(key: int, counter: int = 0) -> np.random.Philox:
+    """The Philox stream with this 128-bit key, at this 4-word block counter.
+
+    Its words equal ``Philox(key=key)`` after ``advance(counter)``, but no OS
+    entropy is drawn: ``Philox(key=...)`` first builds a ``SeedSequence()``
+    from OS entropy and then discards it.  This relies on numpy's
+    ``numpy.random.bit_generator.ISeedSequence`` interface: a bit generator
+    given one as its seed asks ``generate_state(2, np.uint64)`` for the key
+    and takes the start counter from its ``counter`` argument.  Any other
+    request raises, so a numpy change fails loudly instead of changing the
+    stream.
+    """
+    key = operator.index(key)
+    if not 0 <= key < SEED_LIMIT:
+        raise ValueError("key must be positive and less than 2**128.")
+    words = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+    return np.random.Philox(_key_type()(words), counter=counter)
 
 
 class AliasSampler:
@@ -83,20 +130,38 @@ class AliasSampler:
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
         n = len(probs)
-        # the loops run on Python lists: indexing numpy scalars costs more,
+        scaled = probs * (n / probs.sum())
+        small = np.flatnonzero(scaled < 1.0).tolist()
+        large = np.flatnonzero(scaled >= 1.0).tolist()
+        # the loop runs on Python lists: indexing numpy scalars costs more,
         # and float arithmetic gives the same bits either way
-        scaled = (probs * (n / probs.sum())).tolist()
+        scaled = scaled.tolist()
         prob = [1.0] * n
         alias = list(range(n))
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
+        if small and large:
+            # Walker's pairing, popping one small and one large entry per
+            # step; the current large entry l and its mass stay in locals
+            # while they are at least 1, and once below 1 they are the next
+            # small entry
             s = small.pop()
+            s_mass = scaled[s]
             l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            (small if scaled[l] < 1.0 else large).append(l)
+            l_mass = scaled[l]
+            while True:
+                prob[s] = s_mass
+                alias[s] = l
+                l_mass = l_mass - (1.0 - s_mass)
+                if l_mass < 1.0:
+                    if not large:
+                        break
+                    s, s_mass = l, l_mass
+                    l = large.pop()
+                    l_mass = scaled[l]
+                else:
+                    if not small:
+                        break
+                    s = small.pop()
+                    s_mass = scaled[s]
         self.prob = np.array(prob, dtype=np.float64)
         self.alias = np.array(alias, dtype=np.int64)
         self.n = n
@@ -646,11 +711,26 @@ def graph_to_json(G: WeightedGraph) -> str:
 
 
 def graph_from_json_dict(obj: dict) -> WeightedGraph:
-    n = int(obj["n"])
-    lw = obj["log_weights"]
+    """The graph of a dict as ``to_json_dict`` writes it.  Raises GraphError
+    unless n and d are ints, K is a number, edges is a list and log_weights
+    is a list of numbers; a bool counts as none of these."""
+    for name, kinds, what in (
+        ("n", int, "an integer"),
+        ("d", int, "an integer"),
+        ("K", (int, float), "a number"),
+        ("edges", list, "a list"),
+        ("log_weights", list, "a list of numbers"),
+    ):
+        value = obj[name]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise GraphError(f"graph field {name} must be {what}, got {value!r}")
+    n, lw = obj["n"], obj["log_weights"]
+    # the JSON number types, exactly: bool is a subclass of int
+    if not {type(x) for x in lw} <= {int, float}:
+        raise GraphError("graph field log_weights must be a list of numbers")
     if len(lw) != n:
         raise GraphError(f"n={n} but {len(lw)} log-weights")
-    return build_graph(obj["edges"], lw, d=int(obj["d"]), K=float(obj["K"]))
+    return build_graph(obj["edges"], lw, d=obj["d"], K=float(obj["K"]))
 
 
 def save_graph(G: WeightedGraph, path) -> None:
@@ -660,8 +740,9 @@ def save_graph(G: WeightedGraph, path) -> None:
 
 def load_graph(path) -> WeightedGraph:
     """Read a graph file as save_graph writes it.  Raises GraphError for a
-    file of any other kind: text that is not JSON, or JSON that is not an
-    object with n, d, K, edges and log_weights."""
+    file of any other kind: text that is not JSON, JSON that is not an
+    object with n, d, K, edges and log_weights, or one whose fields have
+    the wrong types (see graph_from_json_dict)."""
     fields = ("n", "d", "K", "edges", "log_weights")
     with open(path) as fh:
         try:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .balls import CanonicalDecoratedBall, canonicalize_decorated, extract_ball_with_map
-from .graphs import GraphError, components
+from .graphs import GraphError, components, philox
 from .partitions import PartitionInfeasible, find_weighted_partition
 from .solvers import (
     TooLarge,
@@ -64,13 +64,11 @@ def rank_rule(radius: int = 1, bits_per_vertex: int = 32) -> LocalRule:
 
 
 def draw_vertex_bits(n: int, k: int, seed: int) -> list[int]:
-    """Private k-bit strings, one per vertex, from per-vertex counter streams."""
+    """Private k-bit strings, one per vertex: the first word of the Philox
+    stream keyed by the seed's low 64 bits and the vertex."""
     mask = (1 << k) - 1
-    out = []
-    for v in range(n):
-        bg = np.random.Philox(key=[seed & (2**64 - 1), v])
-        out.append(int(bg.random_raw(1)[0]) & mask)
-    return out
+    low = seed & (2**64 - 1)
+    return [int(philox(low | v << 64).random_raw()) & mask for v in range(n)]
 
 
 def run_local_rule(G, rule: LocalRule, t: int, seed: int, bits=None) -> frozenset:

@@ -4,7 +4,8 @@ The relative-weight oracle samples a root by the hidden vertex distribution
 and returns its radius-r ball with truncated relative labels.  Query i always
 draws from a fixed 4-word block of a counter-based random stream, so batches
 can be produced in parallel or replayed one index at a time with identical
-results.
+results.  The stream is Philox keyed by the seed; a call builds it at its
+first query's counter and draws no OS entropy (:func:`rnlab.graphs.philox`).
 
 A ball's type (its canonical key) is fixed by the graph, so the work of
 finding it is done once per graph: :class:`BallIndex` maps each root (each
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import balls
 from .balls import CanonicalBallKey, LabeledBall, extract_ball, truncate_label, unrooted_key
-from .graphs import BudgetExceeded, GraphError
+from .graphs import BudgetExceeded, GraphError, philox
 
 WORDS_PER_QUERY = 4
 
@@ -152,10 +153,8 @@ def ball_index(G, r: int, t: int) -> BallIndex:
 
 
 def _raw_words(seed: int, start_query: int, count: int) -> np.ndarray:
-    bg = np.random.Philox(key=seed)
-    # Philox.advance counts 4-word counter blocks, not words
-    bg.advance(WORDS_PER_QUERY * start_query // 4)
-    return bg.random_raw(WORDS_PER_QUERY * count)
+    # the Philox counter counts 4-word blocks, not words
+    return philox(seed, WORDS_PER_QUERY * start_query // 4).random_raw(WORDS_PER_QUERY * count)
 
 
 class RadonNikodymOracle:
@@ -165,6 +164,8 @@ class RadonNikodymOracle:
     explicit graphs draw vertices from an alias table, implicitly represented
     layered trees draw a layer and then a uniform index within it.  The alias
     table and the ball index belong to the graph, so oracles are cheap.
+    Each :meth:`sample_roots` call reads a Philox stream keyed by the seed,
+    started at its first query's counter, and draws no OS entropy.
     """
 
     def __init__(self, G, r: int, t: int, seed: int = 0):

@@ -23,7 +23,7 @@ import numpy as np
 from . import generators as gen
 from .balls import canonicalize, extract_ball
 from .distances import PropertySpec
-from .graphs import build_graph
+from .graphs import SEED_LIMIT, GraphError, build_graph
 from .local import local_independent_set
 from .oracles import RadonNikodymOracle
 from .partitions import PartitionInfeasible, find_weighted_partition
@@ -50,6 +50,39 @@ class ExperimentConfig:
     # more threads are no faster; the value only varies the order rows
     # finish in, which must not change the report.
     threads: int = 1
+
+
+def load_config(
+    path, *, seed: int = 0, output_path: str = "report.jsonl", threads: int = 1
+) -> ExperimentConfig:
+    """Read a scenario config: a JSON object with a ``scenario`` name and
+    optional ``params``, ``seed``, ``output_path`` and ``threads``; missing
+    fields take the keyword values.  Raises GraphError for a file of any
+    other kind or a field it gives with the wrong type (a bool is not an
+    int)."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as e:  # not JSON, or not text
+            raise GraphError(f"{path} is not a scenario config: {e}") from None
+    if not (isinstance(raw, dict) and "scenario" in raw):
+        raise GraphError(f"{path} is not a scenario config: it needs a scenario")
+    fields = {"params": {}, "seed": seed, "output_path": output_path, "threads": threads} | raw
+    checks = {
+        "scenario": (lambda v: isinstance(v, str), "a string"),
+        "params": (lambda v: isinstance(v, dict), "an object"),
+        "seed": (lambda v: _is_int(v) and 0 <= v < SEED_LIMIT, "an integer in [0, 2^128)"),
+        "output_path": (lambda v: isinstance(v, str), "a string"),
+        "threads": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
+    }
+    for name, (ok, what) in checks.items():
+        if name in raw and not ok(raw[name]):
+            raise GraphError(f"{path}: {name} must be {what}, got {raw[name]!r}")
+    return ExperimentConfig(**{name: fields[name] for name in checks})
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def interior_ball_mass(depth: int, radius: int, t: int = 2) -> float:
@@ -253,7 +286,7 @@ def scenario_report_lines(cfg: ExperimentConfig) -> list[str]:
     """Run all row tasks (possibly on several threads) and return the sorted
     serialized rows."""
     if cfg.scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {cfg.scenario!r}")
+        raise GraphError(f"unknown scenario {cfg.scenario!r}")
     tasks = SCENARIOS[cfg.scenario](cfg.params, cfg.seed)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -127,6 +127,7 @@ def empirical_stats(G, config: OracleConfig) -> BallStatistics:
         raise ValueError(f"query budget must be at least 1, got {config.query_budget}")
     oracle = RadonNikodymOracle(G, config.radius, config.depth, seed=config.seed)
     roots = oracle.sample_roots(config.query_budget)
+    # per root, not per type: masses summed root by root keep their float bits
     uniq, counts = np.unique(roots, return_counts=True)
     types = oracle.index.types(uniq)
     return BallStatistics(

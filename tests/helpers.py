@@ -532,3 +532,71 @@ def reference_exact_stats(G, r: int, t: int) -> BallStatistics:
         key = balls.canonicalize(balls.extract_ball(G, root, r, t))
         weights[key] = weights.get(key, 0.0) + mass
     return BallStatistics(r, t, G.d, G.K, weights)
+
+
+def reference_alias_tables(probs) -> tuple[np.ndarray, np.ndarray]:
+    """(prob, alias) of Walker's method as AliasSampler built it before it
+    kept the current large entry in a local: one small and one large entry
+    popped per step, and the large one pushed back onto whichever list its
+    remaining mass puts it in."""
+    probs = np.asarray(probs, dtype=np.float64)
+    n = len(probs)
+    scaled = (probs * (n / probs.sum())).tolist()
+    prob = [1.0] * n
+    alias = list(range(n))
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = scaled[l] - (1.0 - scaled[s])
+        (small if scaled[l] < 1.0 else large).append(l)
+    return np.array(prob, dtype=np.float64), np.array(alias, dtype=np.int64)
+
+
+def reference_vertex_bits(n: int, k: int, seed: int) -> list[int]:
+    """draw_vertex_bits by numpy's own keyed Philox: key words [seed, v],
+    typed uint64 (a plain list holding a word of 2^63 or more converts
+    through float64 and loses its low bits)."""
+    mask = (1 << k) - 1
+    return [
+        int(np.random.Philox(key=np.array([seed & (2**64 - 1), v], dtype=np.uint64)).random_raw(1)[0])
+        & mask
+        for v in range(n)
+    ]
+
+
+def reference_test_property(G, P, epsilon, seed=0, budget=None, radius=None, t=2):
+    """test_property as it counted per distinct root: numpy's keyed Philox
+    advanced to the first query, np.unique over the roots, float bincount
+    weights and a second np.unique over the type ids."""
+    from rnlab.oracles import WORDS_PER_QUERY, ball_index
+    from rnlab.testers import TestVerdict, ball_violates, default_budget, default_radius
+
+    r = radius if radius is not None else default_radius(epsilon)
+    c = budget if budget is not None else default_budget(epsilon)
+    tau = epsilon / 4.0
+    index = ball_index(G, r, t)
+    bg = np.random.Philox(key=seed)
+    words = bg.random_raw(WORDS_PER_QUERY * c)
+    roots = G.roots_from_words(*(words[i::WORDS_PER_QUERY] for i in range(3)))
+    uniq, counts = np.unique(roots, return_counts=True)
+    types = index.types(uniq)
+    violating = index.flags(P, lambda ball: ball_violates(P, ball.n, ball.edges))
+    per_type = np.bincount(types, weights=counts, minlength=len(violating))
+    bad = int(per_type[violating].sum())
+    evidence = {
+        index.keys[i].hex(): (int(per_type[i]), bool(violating[i]))
+        for i in np.unique(types).tolist()
+    }
+    frac = bad / c
+    return TestVerdict(
+        verdict="REJECT" if frac > tau else "ACCEPT",
+        epsilon=epsilon,
+        params={"mode": "sampled", "property": P.id, "K": G.K, "radius": r, "t": t,
+                "budget": c, "threshold": tau, "seed": seed},
+        violating_fraction=frac,
+        evidence=dict(sorted(evidence.items())),
+    )

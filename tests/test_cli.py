@@ -15,6 +15,7 @@ import pytest
 import rnlab
 import rnlab.balls
 from rnlab import (
+    ball_index,
     build_graph,
     canonicalize,
     gen_cycle,
@@ -154,6 +155,43 @@ class TestSample:
         distinct = {uniform_query(G, 2, rng, t=2) for _ in range(300)}
         assert len(distinct) == 15
         assert len(calls) == len(distinct) and set(calls) == distinct
+
+
+    @pytest.mark.parametrize("family, params, oracle, digest", [
+        ("grid", ["rows=5", "cols=7"], "rn",
+         "07d06b59905a452941c828441a50e6fc12c5183335d1235f0c9a8d66e03c56d2"),
+        ("grid", ["rows=5", "cols=7"], "uniform",
+         "b90c78de3912685144944d06c65e49351f9e48693e2e2afc7eafd1e41df70994"),
+        ("binary_tree", ["depth=7", "beta=0.69"], "rn",
+         "0ee00780e6fc90ab727c801bd40861919d4eb6474544f1e7f9b777f7087ed5df"),
+        ("binary_tree", ["depth=7", "beta=0.69"], "uniform",
+         "5dfc3688937e1d233ac5572f69eb062a3304fa592600dbd2566ae81171195c2f"),
+    ])
+    def test_output_files_pinned(self, tmp_path, capsys, family, params, oracle, digest):
+        # computed when both oracles built numpy's Philox(key=seed) and the
+        # rn oracle counted per distinct root
+        g, out = tmp_path / "g.json", tmp_path / "s.jsonl"
+        run(capsys, ["gen", "--family", family, *(a for p in params for a in ("--param", p)),
+                     "--out", str(g)])
+        argv = ["sample", "--graph", str(g), "--oracle", oracle, "--queries", "300",
+                "--seed", "5", "--out", str(out)]
+        assert run(capsys, argv) == (0, "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+    def test_index_filled_as_by_distinct_roots(self, capsys, monkeypatch):
+        # an explicit tree with layer orbits: each type's representative is
+        # the smallest sampled root of its orbit
+        def make():
+            return rnlab.gen_binary_tree(8, 0.69, representation="explicit")
+
+        G, reference = make(), make()
+        monkeypatch.setattr(cli, "load_graph", lambda path: G)
+        run(capsys, ["sample", "--graph", "g.json", "--queries", "300", "--seed", "5"])
+        roots = rnlab.RadonNikodymOracle(reference, 2, 2, seed=5).sample_roots(300)
+        ball_index(reference, 2, 2).types(np.unique(roots))
+        ours, theirs = ball_index(G, 2, 2), ball_index(reference, 2, 2)
+        assert (ours.keys, ours.roots) == (theirs.keys, theirs.roots)
 
 
 class TestStats:
@@ -538,6 +576,66 @@ class TestScenario:
         with pytest.raises(SystemExit):
             main(["scenario"])
 
+    def test_unknown_scenario(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"scenario": "nope"}')
+        expected = {"error": "GraphError", "message": "unknown scenario 'nope'"}
+        for argv in (["scenario", "--name", "nope"], ["scenario", "--config", str(cfg)]):
+            assert json_error(capsys, argv, tmp_path / "r.jsonl") == expected
+
+    def test_config_fields_default_to_options(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "entropy_sweep", "params": {"depths": [25]}}))
+        seen = []
+        monkeypatch.setattr(cli, "run_scenario", lambda c: seen.append(c) or c.output_path)
+        out = str(tmp_path / "r.jsonl")
+        assert run(capsys, ["scenario", "--config", str(cfg), "--seed", "4", "--threads", "2",
+                            "--out", out]) == (0, out + "\n")
+        assert seen == [cli.ExperimentConfig("entropy_sweep", {"depths": [25]}, 4, out, 2)]
+
+
+class TestScenarioConfigErrors:
+    """A config file of the wrong kind or with a mistyped field is a JSON
+    error object with exit code 1, not a traceback."""
+
+    @pytest.fixture
+    def files(self, graph_file, tmp_path, capsys):
+        g = graph_file(gen_grid(4, 4))
+        sample = str(tmp_path / "s.jsonl")
+        run(capsys, ["sample", "--graph", g, "--queries", "50", "--out", sample])
+        return {"graph": g, "sample": sample}
+
+    def test_graph_file_as_config(self, files, tmp_path, capsys):
+        argv = ["scenario", "--config", files["graph"]]
+        assert json_error(capsys, argv, tmp_path / "r.jsonl") == {
+            "error": "GraphError",
+            "message": f"{files['graph']} is not a scenario config: it needs a scenario",
+        }
+
+    def test_sample_output_as_config(self, files, tmp_path, capsys):
+        argv = ["scenario", "--config", files["sample"]]
+        obj = json_error(capsys, argv, tmp_path / "r.jsonl")
+        assert obj["error"] == "GraphError"
+        assert obj["message"].startswith(f"{files['sample']} is not a scenario config: Extra data")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", " is not a scenario config: it needs a scenario"),
+        ('{"params": {}}', " is not a scenario config: it needs a scenario"),
+        ('{"scenario": 3}', ": scenario must be a string, got 3"),
+        ('{"scenario": "entropy_sweep", "params": [25]}', ": params must be an object, got [25]"),
+        ('{"scenario": "entropy_sweep", "seed": "3"}', ": seed must be an integer in [0, 2^128), got '3'"),
+        ('{"scenario": "entropy_sweep", "seed": -1}', ": seed must be an integer in [0, 2^128), got -1"),
+        ('{"scenario": "entropy_sweep", "seed": true}', ": seed must be an integer in [0, 2^128), got True"),
+        ('{"scenario": "entropy_sweep", "threads": 1.5}', ": threads must be an integer of at least 1, got 1.5"),
+        ('{"scenario": "entropy_sweep", "threads": 0}', ": threads must be an integer of at least 1, got 0"),
+        ('{"scenario": "entropy_sweep", "output_path": 7}', ": output_path must be a string, got 7"),
+    ])
+    def test_mistyped_config(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        obj = json_error(capsys, ["scenario", "--config", str(cfg)], tmp_path / "r.jsonl")
+        assert obj == {"error": "GraphError", "message": f"{cfg}{message}"}
+
 
 def json_error(capsys, argv, out):
     """The error object main reports for argv: printed with exit code 1, and
@@ -611,6 +709,31 @@ class TestUsageErrors:
             main(argv + [f"--epsilon={epsilon}"])
         assert e.value.code == 2
         assert f"argument --epsilon: must lie in (0, 1), got {float(epsilon)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--graph", "G"],
+        ["test", "--graph", "G", "--property", "forest", "--epsilon", "0.3"],
+        ["stats", "--graph", "G", "--mode", "empirical"],
+        ["gen", "--family", "random_regular", "--param", "n=8"],
+        ["estimate", "--what", "independence", "--graph", "G", "--epsilon", "0.3"],
+        ["scenario", "--name", "entropy_sweep"],
+    ])
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "must be nonnegative, got -1"),
+        (str(2**128), f"must be less than 2^128, got {2**128}"),
+        ("1.5", "invalid int value: '1.5'"),
+    ])
+    def test_seed_outside_128_bits(self, argv, seed, message, graph_file, capsys):
+        argv = [graph_file(gen_path(4)) if a == "G" else a for a in argv]
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--seed", seed])
+        assert e.value.code == 2
+        assert f"argument --seed: {message}" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, graph_file, capsys):
+        argv = ["sample", "--graph", graph_file(gen_path(4)), "--queries", "5", "--seed", str(2**128 - 1)]
+        rc, out = run(capsys, argv)
+        assert rc == 0 and sum(json.loads(line)["count"] for line in out.splitlines()) == 5
 
     def test_epsilon_that_is_not_a_number(self, graph_file, capsys):
         with pytest.raises(SystemExit) as e:

@@ -42,7 +42,7 @@ from rnlab import (
     two_coloring,
     walk_order,
 )
-from rnlab.graphs import RATIO_SLACK
+from rnlab.graphs import RATIO_SLACK, _key_type, philox
 
 LN2 = math.log(2.0)
 
@@ -706,6 +706,34 @@ class TestJsonRoundTrip:
         with pytest.raises(GraphError, match=pattern):
             load_graph(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("log_weights", 5, "graph field log_weights must be a list of numbers, got 5"),
+        ("log_weights", [0.0, "1"], "graph field log_weights must be a list of numbers"),
+        ("log_weights", [0.0, True], "graph field log_weights must be a list of numbers"),
+        ("n", "two", "graph field n must be an integer, got 'two'"),
+        ("n", True, "graph field n must be an integer, got True"),
+        ("n", 2.0, "graph field n must be an integer, got 2.0"),
+        ("d", 1.5, "graph field d must be an integer, got 1.5"),
+        ("d", False, "graph field d must be an integer, got False"),
+        ("K", "2", "graph field K must be a number, got '2'"),
+        ("K", True, "graph field K must be a number, got True"),
+        ("edges", {"0": 1}, "graph field edges must be a list, got {'0': 1}"),
+    ])
+    def test_mistyped_fields_rejected(self, tmp_path, field, value, message):
+        obj = {"n": 2, "d": 1, "K": 1.0, "edges": [[0, 1]], "log_weights": [0.0, 0.0]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj | {field: value}))
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}"):
+            load_graph(path)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}"):
+            graph_from_json_dict(obj | {field: value})
+
+    def test_int_ratio_bound_accepted(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 2, "d": 1, "K": 1, "edges": [[0, 1]], "log_weights": [0, 0.0]}')
+        G = load_graph(path)
+        assert (G.K, G.edge_list(), G.log_weights.tolist()) == (1.0, [(0, 1)], [0.0, 0.0])
+
     def test_format_fields(self, p3_uniform):
         obj = json.loads(graph_to_json(p3_uniform))
         assert set(obj) >= {"n", "d", "K", "edges", "log_weights"}
@@ -720,3 +748,47 @@ class TestJsonRoundTrip:
         critical_tree.edge_list()
         critical_tree.orbit_reps()
         assert np.array_equal(critical_tree.probabilities, before)
+
+
+class TestKeyedStream:
+    """philox(key, counter) is numpy's Philox(key=key) advanced by counter
+    blocks, built without drawing OS entropy."""
+
+    @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+    @pytest.mark.parametrize("counter", [0, 1, 7, 10**6])
+    def test_words_match_numpy(self, key, counter):
+        reference = np.random.Philox(key=key)
+        reference.advance(counter)
+        assert np.array_equal(philox(key, counter).random_raw(9), reference.random_raw(9))
+
+    def test_default_counter_is_zero(self):
+        assert np.array_equal(philox(5).random_raw(4), np.random.Philox(key=5).random_raw(4))
+
+    def test_numpy_integer_keys(self):
+        assert np.array_equal(philox(np.uint64(3)).random_raw(4), philox(3).random_raw(4))
+
+    @pytest.mark.parametrize("key", [-1, 2**128])
+    def test_keys_outside_128_bits_rejected(self, key):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.Philox(key=key)
+        with pytest.raises(ValueError) as ours:
+            philox(key)
+        assert str(ours.value) == str(numpy_error.value)
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # the stream's seed-sequence class is made on first use
+        code = "import sys, rnlab.cli; print('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rnlab.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_no_seed_sequence_from_os_entropy(self):
+        assert isinstance(philox(9).seed_seq, _key_type())
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint32), (3, np.uint64)])
+    def test_any_other_state_request_raises(self, n_words, dtype):
+        key = _key_type()(np.array([1, 2], dtype=np.uint64))
+        assert key.generate_state(2, np.uint64).tolist() == [1, 2]
+        with pytest.raises(RuntimeError, match="a Philox key is 2 uint64 words"):
+            key.generate_state(n_words, dtype)

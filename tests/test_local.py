@@ -32,7 +32,7 @@ from rnlab import (
     tv,
 )
 from rnlab import local
-from helpers import GIRTH8_CUBIC_EDGES, GIRTH8_CUBIC_N, random_bounded_graph
+from helpers import GIRTH8_CUBIC_EDGES, GIRTH8_CUBIC_N, random_bounded_graph, reference_vertex_bits
 
 LN2 = math.log(2.0)
 
@@ -47,6 +47,16 @@ class TestVertexBits:
     def test_bit_width(self):
         for b in draw_vertex_bits(100, 5, seed=0):
             assert 0 <= b < 32
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1, 2**64 + 5, 2**127 + 11])
+    @pytest.mark.parametrize("k", [1, 32, 64])
+    def test_matches_numpy_keyed_streams(self, seed, k):
+        assert draw_vertex_bits(70, k, seed) == reference_vertex_bits(70, k, seed)
+
+    @pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 2])
+    def test_high_seeds_keep_their_low_bits(self, seed):
+        # keys used to pass through float64 here, so these pairs drew the same bits
+        assert draw_vertex_bits(4, 64, seed) != draw_vertex_bits(4, 64, seed + 1)
 
     def test_per_vertex_streams_are_stable(self):
         # vertex v's bits do not depend on how many other vertices exist

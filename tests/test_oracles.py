@@ -27,7 +27,13 @@ from rnlab import (
 )
 from rnlab import GraphError, ball_index, build_graph, canonicalize, extract_ball, gen_grid
 from rnlab import balls, graphs
-from helpers import GIRTH8_CUBIC_EDGES, GIRTH8_CUBIC_N, random_bounded_graph, random_tree
+from helpers import (
+    GIRTH8_CUBIC_EDGES,
+    GIRTH8_CUBIC_N,
+    random_bounded_graph,
+    random_tree,
+    reference_alias_tables,
+)
 
 LN2 = math.log(2.0)
 
@@ -67,6 +73,57 @@ class TestAliasSampler:
         ]
         assert sampler.alias.tolist() == [0, 3, 3, 0, 5, 3]
         assert sampler.prob.dtype == np.float64 and sampler.alias.dtype == np.int64
+
+
+def ladder_probabilities(rungs=10_000, pattern=((1, 2, 3, 3, 2), (2, 1, 1, 3, 3))):
+    """Vertex masses of a circular ladder whose weights repeat the pattern
+    along each side: the one-shot CLI benchmark's graph file."""
+    edges = [(i, (i + 1) % rungs) for i in range(rungs)]
+    edges += [(rungs + a, rungs + b) for a, b in edges] + [(i, rungs + i) for i in range(rungs)]
+    w = [side[i % len(side)] for side in pattern for i in range(rungs)]
+    return build_graph(edges, [math.log(x) for x in w], d=3, K=3.0).probabilities
+
+
+def random_distributions(count=300, seed=19):
+    """Distributions with ties (weights from {1, 2, 3}, uniform weights),
+    one- and two-point ones, and spread-out ones."""
+    rng = np.random.default_rng(seed)
+    out = [np.ones(1), np.array([1.0, 3.0]), np.array([2.0, 2.0]), np.array([1e-9, 1.0])]
+    while len(out) < count:
+        n = int(rng.integers(1, 400))
+        kind = len(out) % 5
+        if kind == 0:
+            out.append(rng.integers(1, 4, n).astype(np.float64))
+        elif kind == 1:
+            out.append(np.full(n, float(rng.integers(1, 9))))
+        elif kind == 2:
+            out.append(rng.random(n) + 1e-6)
+        elif kind == 3:
+            out.append(np.exp(rng.normal(0.0, 3.0, n)))
+        else:
+            out.append(rng.random(int(rng.integers(1, 3))) + 0.1)
+    return out
+
+
+class TestAliasTablesMatchReference:
+    """AliasSampler builds the prob/alias arrays of the reference loop bit
+    for bit, so every sampled root is unchanged."""
+
+    @staticmethod
+    def check(probs):
+        sampler = AliasSampler(probs)
+        prob, alias = reference_alias_tables(probs)
+        assert sampler.prob.tobytes() == prob.tobytes()
+        assert sampler.alias.tobytes() == alias.tobytes()
+
+    def test_benchmark_ladder(self):
+        self.check(ladder_probabilities())
+
+    def test_random_distributions(self):
+        cases = random_distributions()
+        assert len(cases) == 300 and {len(p) for p in cases} >= {1, 2}
+        for probs in cases:
+            self.check(probs)
 
 
 class TestRootSampling:

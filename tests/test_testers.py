@@ -5,6 +5,7 @@ import pytest
 
 from rnlab import (
     PropertySpec,
+    ball_index,
     UnsupportedProperty,
     ball_violates,
     build_graph,
@@ -20,11 +21,61 @@ from rnlab import (
 )
 from rnlab.testers import default_budget, default_radius
 from rnlab.testers import test_property as run_tester
-from helpers import petersen_edges, random_tree
+from helpers import petersen_edges, random_tree, reference_test_property
 
 FOREST = PropertySpec.forest()
 BIPARTITE = PropertySpec.bipartite()
 TRIANGLE_FREE = PropertySpec.h_free(3, [(0, 1), (1, 2), (0, 2)])
+
+
+# graphs the tester is compared on: explicit ones, an explicit tree that
+# carries its layer orbits, and an implicit layered tree
+DIFFERENTIAL_GRAPHS = {
+    "grid": lambda: build_graph(gen_grid(5, 6).edge_list(), [0.3 * (v % 3) for v in range(30)], d=4, K=2.0),
+    "cycle": lambda: gen_cycle(7),
+    "path": lambda: gen_path(30),
+    "explicit_tree_with_orbits": lambda: gen_binary_tree(7, math.log(2), representation="explicit"),
+    "implicit_tree": lambda: gen_binary_tree(11, 0.4, representation="implicit"),
+}
+
+# (property, epsilon, seed, radius, t)
+DIFFERENTIAL_CALLS = [
+    (FOREST, 0.3, 0, None, 2),
+    (BIPARTITE, 0.25, 5, 2, 2),
+    (FOREST, 0.5, 2**64 + 3, 1, 1),
+    (BIPARTITE, 0.3, 7, None, 2),
+    (TRIANGLE_FREE, 0.1, 11, 2, 2),
+    (FOREST, 0.3, 1, None, 2),
+]
+
+
+def outcome_of(tester, G, call):
+    """The verdict in full, then the ball index's keys and representative roots."""
+    P, eps, seed, radius, t = call
+    v = tester(G, P, eps, seed=seed, radius=radius, t=t)
+    index = ball_index(G, v.params["radius"], t)
+    return (v.verdict, v.violating_fraction, v.params, list(v.evidence.items()),
+            list(index.keys), list(index.roots))
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+class TestCountsMatchPerRootReference:
+    """Per-type counts from one bincount over the sorted roots give the
+    verdicts, evidence and index state of counting per distinct root."""
+
+    def test_cold_index(self, name):
+        make = DIFFERENTIAL_GRAPHS[name]
+        for call in DIFFERENTIAL_CALLS:
+            assert outcome_of(run_tester, make(), call) == outcome_of(
+                reference_test_property, make(), call
+            ), call
+
+    def test_warm_index(self, name):
+        ours, reference = DIFFERENTIAL_GRAPHS[name](), DIFFERENTIAL_GRAPHS[name]()
+        for call in DIFFERENTIAL_CALLS + DIFFERENTIAL_CALLS[::-1]:
+            assert outcome_of(run_tester, ours, call) == outcome_of(
+                reference_test_property, reference, call
+            ), call
 
 
 class TestBallViolates:
