@@ -262,7 +262,11 @@ class WeightedGraph(_GraphProtocol):
 
     @property
     def log_z(self) -> float:
+        """Log of the total weight; an empty graph has none, and no vertex
+        distribution."""
         if self._log_z is None:
+            if self.n == 0:
+                raise GraphError("the graph has no vertices, so no vertex distribution")
             self._log_z = _log_sum_exp(self.log_weights)
         return self._log_z
 
@@ -608,6 +612,10 @@ def walk_order(neighbors, start, count: int) -> list:
     return order
 
 
+# the first vertex 2^k - 1 of each heap layer k an int64 id can reach
+_LAYER_STARTS = np.array([(1 << k) - 1 for k in range(64)], dtype=np.int64)
+
+
 class LayeredBinaryTree(_GraphProtocol):
     """Complete binary tree with per-layer weights, stored implicitly.
 
@@ -672,7 +680,14 @@ class LayeredBinaryTree(_GraphProtocol):
         return self.depth
 
     def orbit_ids(self, vertices) -> np.ndarray:
-        return np.array([self.layer(int(v)) for v in vertices], dtype=np.int64)
+        """Layer of each vertex.  Integer arrays are placed among the layer
+        starts 2^k - 1 by one search; anything else, such as the object
+        arrays of roots past 2^63 in deep sweeps, goes vertex by vertex in
+        exact Python integers."""
+        vertices = np.asarray(vertices)
+        if vertices.dtype.kind != "i":
+            return np.array([self.layer(int(v)) for v in vertices], dtype=np.int64)
+        return np.searchsorted(_LAYER_STARTS, vertices, side="right").astype(np.int64) - 1
 
     @property
     def probabilities(self) -> np.ndarray:

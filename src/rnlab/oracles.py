@@ -199,6 +199,8 @@ def uniform_query(G, r: int, rng: np.random.Generator, t: int = 2) -> LabeledBal
     n = G.n
     if n >= 2**62:
         raise GraphError("sampling supports at most 2^62 vertices")
+    if n == 0:
+        raise GraphError("the graph has no vertices to sample")
     root = int(rng.integers(0, n))
     ball = extract_ball(G, root, r, t)
     unit = truncate_label(1.0, t)

@@ -83,12 +83,13 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
     if L == 0:
         return False
     frequency = [0] * n
+    adj = G.neighbor_lists()
     for cover in cert.covers:
         if len(cover) >= cert.epsilon * n and len(cover) > 0:
             return False
         if not all(0 <= v < n for v in cover):
             return False
-        if any(len(c) > cert.component_bound for c in components(G, cover)):
+        if any(len(c) > cert.component_bound for c in components(G, cover, adj=adj)):
             return False
         for v in cover:
             frequency[v] += 1
@@ -98,7 +99,9 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
 SEED_TRIES = 4
 
 
-def find_weighted_partition(G, epsilon: float, K_target: int = None) -> PartitionCertificate:
+def find_weighted_partition(
+    G, epsilon: float, K_target: int = None, adj=None
+) -> PartitionCertificate:
     """Sphere-cutting heuristic.
 
     Grow a BFS region from a seed inside an oversized component; among layer
@@ -114,10 +117,11 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     8/epsilon^2, so pass a larger hint there; expanders fail at every hint
     small enough to be meaningful, which is the point.
 
-    Every scan reads one ``G.neighbor_lists()`` and one list of the masses,
-    both built after ``G.probabilities``, so a graph too large to list its
-    masses raises ``TooLarge`` before anything of size n is allocated.
-    Layer masses are summed once each, left to right.
+    Every scan reads one list of the masses and one ``G.neighbor_lists()``,
+    or the caller's ``adj`` when it already holds those lists, as
+    ``components`` does.  Both are read after ``G.probabilities``, so a graph
+    too large to list its masses raises ``TooLarge`` before anything of size
+    n is allocated.  Layer masses are summed once each, left to right.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -127,7 +131,8 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
         raise ValueError("component bound must be positive")
     n = G.n
     p = G.probabilities.tolist()
-    adj = G.neighbor_lists()
+    if adj is None:
+        adj = G.neighbor_lists()
     removed: set[int] = set()
     assigned = [False] * n
     component_sizes: list[int] = []
@@ -218,11 +223,11 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     )
 
 
-def _detect_family(G) -> str:
-    degs = [G.degree(v) for v in range(G.n)]
+def _detect_family(G, adj) -> str:
+    degs = [len(nbrs) for nbrs in adj]
     if G.n == 1:
         return "single"
-    if len(components(G)) != 1:
+    if len(components(G, adj=adj)) != 1:
         raise UnsupportedFamily("cover construction needs a connected graph")
     if all(d <= 2 for d in degs):
         if degs.count(1) == 2:
@@ -259,19 +264,22 @@ def build_uniform_cover(G, epsilon: float, grid_dims: tuple = None) -> UniformCo
             covers=tuple(covers), epsilon=epsilon, component_bound=bound
         )
     else:
-        family = _detect_family(G)
+        adj = G.neighbor_lists()
+        family = _detect_family(G, adj)
         if family == "single":
             return UniformCoverCertificate(
                 covers=(frozenset(),), epsilon=epsilon, component_bound=1
             )
         # a path walks from its smaller end, a cycle from vertex 0
-        start = min(v for v in range(G.n) if G.degree(v) == 1) if family == "path" else 0
-        order = walk_order(G.neighbors, start, G.n)
+        start = min(v for v in range(G.n) if len(adj[v]) == 1) if family == "path" else 0
+        order = walk_order(adj.__getitem__, start, G.n)
         covers = tuple(
             frozenset(order[pos] for pos in range(G.n) if pos % m == j)
             for j in range(m)
         )
-        bound = max((len(c) for cov in covers for c in components(G, cov)), default=0)
+        bound = max(
+            (len(c) for cov in covers for c in components(G, cov, adj=adj)), default=0
+        )
         cert = UniformCoverCertificate(
             covers=covers, epsilon=epsilon, component_bound=bound
         )

@@ -1,9 +1,17 @@
 """Exact combinatorial solvers used as ground truth and inside estimators.
 
 Maximum matching is the classic augmenting-path algorithm with blossom
-contraction.  Maximum-weight independent set dispatches per component:
-dynamic programs on forests and cycles, a minimum-cut reduction on bipartite
-components, and branch-and-bound for small general components.
+contraction, started from a greedy maximal matching.  Maximum-weight
+independent set dispatches per component: dynamic programs on forests and
+cycles, a minimum-cut reduction on bipartite components, and
+branch-and-bound for small general components.
+
+The bipartite reduction finds a maximum flow by phases of augmenting paths
+over a search tree grown from every left vertex with source residual, after
+a greedy push.  Its answer does not depend on which maximum flow it finds:
+for fixed integer capacities, the vertices reachable from the source in the
+residual network are the same for every maximum flow, the source side of the
+minimal minimum cut (Picard and Queyranne, 1980).
 """
 from __future__ import annotations
 
@@ -26,6 +34,13 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
     if n > MAX_MATCHING_VERTICES:
         raise TooLarge(f"matching solver limited to {MAX_MATCHING_VERTICES} vertices")
     match = [-1] * n
+    # greedy start; the augmenting search below is exact from any matching
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v], match[u] = u, v
+                    break
     parent = [-1] * n
     base = list(range(n))
     inqueue = [False] * n
@@ -198,106 +213,100 @@ def _cycle_mwis(verts: list[int], adj, w) -> list[int]:
 WEIGHT_SCALE = 10**12
 
 
-class _Dinic:
-    """Blocking-flow max flow over Python integers, so capacities built from
-    WEIGHT_SCALE never overflow.  Blocking flows found iteratively to keep
-    long level graphs off the recursion stack."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def levels(self, s: int) -> list[int]:
-        """Breadth-first depth of each vertex from s over residual edges,
-        -1 where it cannot be reached."""
-        level = [-1] * self.n
-        level[s] = 0
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for e in self.head[v]:
-                u = self.to[e]
-                if self.cap[e] > 0 and level[u] < 0:
-                    level[u] = level[v] + 1
-                    dq.append(u)
-        return level
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = self.levels(s)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-            path: list[int] = []  # edge ids along the current partial path
-            v = s
-            while True:
-                if v == t:
-                    pushed = min(self.cap[e] for e in path)
-                    total += pushed
-                    retreat = None
-                    for i, e in enumerate(path):
-                        self.cap[e] -= pushed
-                        self.cap[e ^ 1] += pushed
-                        if self.cap[e] == 0 and retreat is None:
-                            retreat = i
-                    del path[retreat:]
-                    v = s if not path else self.to[path[-1]]
-                    continue
-                advanced = False
-                while it[v] < len(self.head[v]):
-                    e = self.head[v][it[v]]
-                    u = self.to[e]
-                    if self.cap[e] > 0 and level[u] == level[v] + 1:
-                        path.append(e)
-                        v = u
-                        advanced = True
-                        break
-                    it[v] += 1
-                if advanced:
-                    continue
-                if v == s:
-                    break
-                level[v] = -1  # dead end; prune from this phase
-                v = self.to[path.pop() ^ 1]
-
-
 def _bipartite_mwis(verts: list[int], adj, w, color) -> list[int]:
-    """Min vertex cover via maximum flow on integer-scaled weights."""
-    pos = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    source, sink = k, k + 1
-    big = WEIGHT_SCALE * (k + 2)
-    net = _Dinic(k + 2)
-    for v in verts:
-        scaled = max(1, int(round(w[v] * WEIGHT_SCALE)))
-        if color[v] == 0:
-            net.add_edge(source, pos[v], scaled)
-        else:
-            net.add_edge(pos[v], sink, scaled)
-    for v in verts:
-        if color[v] == 0:
-            for u in adj[v]:
-                net.add_edge(pos[v], pos[u], big)
-    net.max_flow(source, sink)
-    level = net.levels(source)
-    chosen = []
-    for v in verts:
-        if color[v] == 0 and level[pos[v]] >= 0:
-            chosen.append(v)
-        elif color[v] == 1 and level[pos[v]] < 0:
-            chosen.append(v)
-    return chosen
+    """The complement of a minimum-weight vertex cover, read off a maximum
+    flow on integer-scaled weights; chosen vertices in verts order.
+
+    The network runs source -> left -> right -> sink, with the scaled weights
+    on the outer arcs and the left -> right arcs unbounded.  A left -> right
+    arc carries at most its tail's source capacity, so no finite bound above
+    every scaled weight would ever bind.  The residual network is kept as
+    three lists: the source residual of each left vertex, the sink residual
+    of each right vertex and the flow on each left -> right arc, which is
+    also the residual of its reverse.
+    """
+    left = [v for v in verts if color[v] == 0]
+    right = [v for v in verts if color[v] == 1]
+    rpos = {v: i for i, v in enumerate(right)}
+
+    def scaled(v):
+        return max(1, int(round(w[v] * WEIGHT_SCALE)))
+
+    src = [scaled(v) for v in left]
+    snk = [scaled(v) for v in right]
+    # arc e runs from left tail[e] to right head[e]
+    tail: list[int] = []
+    head: list[int] = []
+    out: list[list[int]] = []
+    into: list[list[int]] = [[] for _ in right]
+    for l, v in enumerate(left):
+        arcs = []
+        for u in adj[v]:
+            r = rpos[u]
+            into[r].append(len(head))
+            arcs.append(len(head))
+            tail.append(l)
+            head.append(r)
+        out.append(arcs)
+    # greedy start: push what fits along source -> l -> r -> sink
+    flow = [0] * len(head)
+    for l, arcs in enumerate(out):
+        for e in arcs:
+            r = head[e]
+            push = min(src[l], snk[r])
+            if push:
+                flow[e] = push
+                src[l] -= push
+                snk[r] -= push
+    while True:
+        # one search tree from every left vertex with source residual;
+        # lpar/rpar hold the arc a vertex was reached by, -1 if unreached
+        lpar = [-1] * len(left)
+        rpar = [-1] * len(right)
+        queue = [l for l in range(len(left)) if src[l]]
+        for l in queue:
+            lpar[l] = -2
+        ends = []
+        for l in queue:  # the queue grows as it is scanned
+            for e in out[l]:
+                r = head[e]
+                if rpar[r] != -1:
+                    continue
+                rpar[r] = e
+                if snk[r]:
+                    ends.append(r)
+                for back in into[r]:
+                    if flow[back] and lpar[tail[back]] == -1:
+                        lpar[tail[back]] = back
+                        queue.append(tail[back])
+        if not ends:
+            break
+        # augment along the tree path to every end; earlier paths of the
+        # phase may have used up a later path's bottleneck
+        for r in ends:
+            path = []
+            bottleneck = snk[r]
+            e = rpar[r]
+            while True:
+                path.append(e)
+                back = lpar[tail[e]]
+                if back == -2:
+                    break
+                bottleneck = min(bottleneck, flow[back])
+                path.append(back)
+                e = rpar[head[back]]
+            bottleneck = min(bottleneck, src[tail[e]])
+            if not bottleneck:
+                continue
+            src[tail[e]] -= bottleneck
+            snk[r] -= bottleneck
+            # path alternates forward arcs (even) and undone arcs (odd)
+            for i, e in enumerate(path):
+                flow[e] += -bottleneck if i & 1 else bottleneck
+    # the last search reached exactly the source side of the minimum cut
+    reached = {left[l] for l in range(len(left)) if lpar[l] != -1}
+    reached.update(right[r] for r in range(len(right)) if rpar[r] != -1)
+    return [v for v in verts if (color[v] == 0) == (v in reached)]
 
 
 def _branch_mwis(verts: list[int], adj, w) -> list[int]:

@@ -6,6 +6,7 @@ subset enumeration for optima.  Slow and obviously correct beats fast.
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -310,6 +311,20 @@ def scalar_build_graph(edge_list, log_weights, d, K):
     return indptr, indices
 
 
+def count_neighbor_lists(G) -> list:
+    """A list that grows by one entry per G.neighbor_lists() call, counted
+    through a wrapper set on the instance."""
+    calls = []
+    real = G.neighbor_lists
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    G.neighbor_lists = counted
+    return calls
+
+
 def scalar_find_weighted_partition(G, epsilon, K_target=None):
     """find_weighted_partition as it was before it read neighbor lists:
     one G.neighbors call per visit and numpy masses summed per layer, each
@@ -600,3 +615,104 @@ def reference_test_property(G, P, epsilon, seed=0, budget=None, radius=None, t=2
         violating_fraction=frac,
         evidence=dict(sorted(evidence.items())),
     )
+
+
+class _Dinic:
+    """Blocking-flow max flow over Python integers with an edge-list
+    residual network, the bipartite solver's network before it kept only
+    outer residuals and middle flows."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, c: int) -> None:
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def levels(self, s: int) -> list[int]:
+        level = [-1] * self.n
+        level[s] = 0
+        dq = deque([s])
+        while dq:
+            v = dq.popleft()
+            for e in self.head[v]:
+                u = self.to[e]
+                if self.cap[e] > 0 and level[u] < 0:
+                    level[u] = level[v] + 1
+                    dq.append(u)
+        return level
+
+    def max_flow(self, s: int, t: int) -> int:
+        total = 0
+        while True:
+            level = self.levels(s)
+            if level[t] < 0:
+                return total
+            it = [0] * self.n
+            path: list[int] = []
+            v = s
+            while True:
+                if v == t:
+                    pushed = min(self.cap[e] for e in path)
+                    total += pushed
+                    retreat = None
+                    for i, e in enumerate(path):
+                        self.cap[e] -= pushed
+                        self.cap[e ^ 1] += pushed
+                        if self.cap[e] == 0 and retreat is None:
+                            retreat = i
+                    del path[retreat:]
+                    v = s if not path else self.to[path[-1]]
+                    continue
+                advanced = False
+                while it[v] < len(self.head[v]):
+                    e = self.head[v][it[v]]
+                    u = self.to[e]
+                    if self.cap[e] > 0 and level[u] == level[v] + 1:
+                        path.append(e)
+                        v = u
+                        advanced = True
+                        break
+                    it[v] += 1
+                if advanced:
+                    continue
+                if v == s:
+                    break
+                level[v] = -1
+                v = self.to[path.pop() ^ 1]
+
+
+def reference_bipartite_mwis(verts, adj, w, color) -> list:
+    """The bipartite MWIS by Dinic's algorithm on the full network, left ->
+    right arcs bounded by WEIGHT_SCALE * (k + 2): the reference for the
+    chosen list, ties and order included."""
+    from rnlab.solvers import WEIGHT_SCALE
+
+    pos = {v: i for i, v in enumerate(verts)}
+    k = len(verts)
+    source, sink = k, k + 1
+    big = WEIGHT_SCALE * (k + 2)
+    net = _Dinic(k + 2)
+    for v in verts:
+        scaled = max(1, int(round(w[v] * WEIGHT_SCALE)))
+        if color[v] == 0:
+            net.add_edge(source, pos[v], scaled)
+        else:
+            net.add_edge(pos[v], sink, scaled)
+    for v in verts:
+        if color[v] == 0:
+            for u in adj[v]:
+                net.add_edge(pos[v], pos[u], big)
+    net.max_flow(source, sink)
+    level = net.levels(source)
+    return [
+        v for v in verts
+        if (color[v] == 0 and level[pos[v]] >= 0) or (color[v] == 1 and level[pos[v]] < 0)
+    ]

@@ -694,6 +694,54 @@ class TestErrorBoundary:
         }
 
 
+NO_DISTRIBUTION = {"error": "GraphError", "message": "the graph has no vertices, so no vertex distribution"}
+
+
+class TestEmptyGraph:
+    """A graph file with no vertices loads. Every command that needs the
+    vertex distribution reports a JSON error; the structural ones answer."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0, "d": 1, "K": 1, "edges": [], "log_weights": []}')
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["sample"], NO_DISTRIBUTION),
+            (["sample", "--oracle", "uniform"],
+             {"error": "GraphError", "message": "the graph has no vertices to sample"}),
+            (["stats", "--rmax", "1"], NO_DISTRIBUTION),
+            (["stats", "--rmax", "1", "--mode", "empirical"], NO_DISTRIBUTION),
+            (["test", "--property", "forest", "--epsilon", "0.5"], NO_DISTRIBUTION),
+            (["partition", "--epsilon", "0.3"], NO_DISTRIBUTION),
+            (["partition", "--epsilon", "0.3", "--cover"],
+             {"error": "UnsupportedFamily", "message": "cover construction needs a connected graph"}),
+            (["estimate", "--what", "independence", "--epsilon", "0.3"], NO_DISTRIBUTION),
+            (["estimate", "--what", "matching", "--epsilon", "0.3"],
+             {"error": "GraphError", "message": "the graph has no vertices, so no matching ratio"}),
+        ],
+        ids=["sample", "sample-uniform", "stats", "stats-empirical", "test", "partition",
+             "partition-cover", "estimate-independence", "estimate-matching"],
+    )
+    def test_json_error(self, empty, argv, expected, tmp_path, capsys):
+        argv = argv[:1] + ["--graph", empty] + argv[1:]
+        assert json_error(capsys, argv, tmp_path / "out.json") == expected
+
+    def test_structural_commands_answer(self, empty, capsys):
+        rc, out = run(capsys, ["test", "--graph", empty, "--property", "forest", "--epsilon", "0.5",
+                               "--observable"])
+        assert rc == 0 and json.loads(out)["verdict"] == "ACCEPT"
+        rc, out = run(capsys, ["observe", "--graph", empty, "--s", "2"])
+        assert rc == 0 and json.loads(out)["depth"] == 2
+        rc, out = run(capsys, ["distance", "--graph", empty, "--property", "forest"])
+        assert (rc, json.loads(out)) == (0, {"distance": 0, "witness_deletion_set": []})
+        rc, out = run(capsys, ["distance", "--graph", empty, "--property", "forest", "--absolute"])
+        assert (rc, json.loads(out)) == (0, {"absolute_distance": 0.0, "K": 2.0})
+
+
 class TestUsageErrors:
     """Usage errors exit with code 2, whether argparse finds them or the
     command does after parsing."""

@@ -210,6 +210,12 @@ class TestVectorizedBuilder:
             assert G.edge_count == 0 and G._indptr.tolist() == [0, 0, 0, 0]
         assert build_graph([], [], d=1, K=1.0).n == 0
 
+    def test_empty_graph_has_no_distribution(self):
+        G = build_graph([], [], d=1, K=1.0)
+        for query in ("log_z", "probabilities"):
+            with pytest.raises(GraphError, match="^the graph has no vertices, so no vertex distribution$"):
+                getattr(G, query)
+
     @pytest.mark.parametrize(
         "edges",
         [[(0, 1, 2)], [(0, 1), (2,)], [(0,)], [()], [0, 1], [[0, 1], [1, 2, 0]], [[[0, 1]]],
@@ -321,6 +327,30 @@ class TestLayeredBinaryTree:
         assert T.layer(30) == 4
         assert T.layer_start(3) == 7
         assert T.layer_size(3) == 8
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_orbit_ids_of_integer_arrays_at_layer_edges(self, dtype):
+        T = LayeredBinaryTree(100, 0.0)
+        top = 31 if dtype == np.int32 else 63
+        edges = [0] + [v for k in range(1, top + 1) for v in ((1 << k) - 2, (1 << k) - 1)]
+        edges += [2**62 - 1, 2**62, 2**63 - 1] if top == 63 else [2**31 - 1]
+        roots = np.array(edges, dtype=dtype)
+        ids = T.orbit_ids(roots)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [T.layer(int(v)) for v in roots]
+
+    def test_orbit_ids_of_deep_roots_stay_exact(self):
+        # object arrays hold ids past 2^63: no float or int64 conversion
+        T = LayeredBinaryTree(100, 0.0)
+        reps = [rep for rep, _ in T.orbit_reps()]
+        roots = np.array(reps + [rep + 1 for rep in reps[1:]] + [T.n - 1], dtype=object)
+        assert T.orbit_ids(roots).tolist() == list(range(100)) + list(range(1, 100)) + [99]
+        assert T.orbit_ids([]).tolist() == []
+
+    def test_orbit_ids_of_sampled_roots(self):
+        T = gen_binary_tree(30, 0.5, representation="implicit")
+        roots = rnlab.RadonNikodymOracle(T, 1, 2, seed=4).sample_roots(3000)
+        assert T.orbit_ids(roots).tolist() == [T.layer(int(v)) for v in roots]
 
     def test_neighbors_match_heap_indexing(self):
         T = LayeredBinaryTree(4, 0.0)

@@ -4,7 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_bounded_graph, reweighted, scalar_find_weighted_partition
+from helpers import (
+    count_neighbor_lists,
+    random_bounded_graph,
+    reweighted,
+    scalar_find_weighted_partition,
+)
 from rnlab import (
     PartitionCertificate,
     PartitionInfeasible,
@@ -245,7 +250,35 @@ class TestAgainstScalarReference:
             _agreed_outcome(G, 0.1, None)
 
 
+class TestCallersAdjacency:
+    def test_same_certificate_without_listing_again(self):
+        rng = np.random.default_rng(11)
+        for G in (gen_grid(12, 12), reweighted(gen_cycle(121), rng, 4.0), gen_binary_tree(7, LN2)):
+            adj = G.neighbor_lists()
+            for epsilon, K_target in ((0.1, None), (0.05, G.n), (0.3, 20)):
+                try:
+                    expected = find_weighted_partition(G, epsilon, K_target).to_json_dict()
+                except PartitionInfeasible as e:
+                    expected = str(e)
+                G.neighbor_lists = None  # any listing would fail
+                try:
+                    got = find_weighted_partition(G, epsilon, K_target, adj).to_json_dict()
+                except PartitionInfeasible as e:
+                    got = str(e)
+                del G.neighbor_lists
+                assert got == expected
+
+
 class TestUniformCover:
+    def test_one_adjacency_per_call(self):
+        for G in (gen_cycle(200), gen_path(150)):
+            calls = count_neighbor_lists(G)
+            cert = build_uniform_cover(G, 0.05)
+            # the construction's scans, then the verifier's
+            assert len(calls) == 2
+            assert verify_uniform_cover(G, cert)
+            assert len(calls) == 3
+
     def test_path_shifts(self):
         G = gen_path(40)
         cert = build_uniform_cover(G, 0.5)

@@ -34,6 +34,7 @@ from helpers import (
     GIRTH8_CUBIC_N,
     petersen_edges,
     random_bounded_graph,
+    reference_bipartite_mwis,
 )
 
 
@@ -82,6 +83,131 @@ class TestMatching:
             if m != -1:
                 assert match[m] == v
                 assert m in adj[v]
+
+
+def _nx_matching_size(n, edges):
+    H = nx.Graph(edges)
+    H.add_nodes_from(range(n))
+    return len(nx.max_weight_matching(H, maxcardinality=True))
+
+
+def _k4_chain(links):
+    """K4 blocks in a row, each joined to the next by one edge."""
+    edges = []
+    for b in range(links):
+        base = 4 * b
+        edges += [(base + i, base + j) for i in range(4) for j in range(i + 1, 4)]
+        if b:
+            edges.append((base - 1, base))
+    return 4 * links, edges
+
+
+BLOSSOM_CASES = {
+    "bridged_triangles": (6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]),
+    "petersen": (10, petersen_edges()),
+    "k4_chain_1": _k4_chain(1),
+    "k4_chain_3": _k4_chain(3),
+    "k4_chain_7": _k4_chain(7),
+    # a triangle hanging off each end of an odd path
+    "triangle_path_triangle": (9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5),
+                                   (5, 6), (6, 7), (7, 8), (6, 8)]),
+}
+
+
+class TestMatchingAgainstNetworkx:
+    """The greedy start must not change the size: it is unique, and the
+    augmenting search is exact from any starting matching."""
+
+    @pytest.mark.parametrize("name", sorted(BLOSSOM_CASES))
+    def test_blossom_cases(self, name):
+        n, edges = BLOSSOM_CASES[name]
+        adj = adjacency(n, edges)
+        assert matching_size(n, adj) == _nx_matching_size(n, edges)
+        _assert_valid_matching(maximum_matching(n, adj), adj)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cubic(self, seed):
+        H = nx.random_regular_graph(3, 20 + 10 * seed, seed=seed)
+        n, edges = H.number_of_nodes(), list(H.edges())
+        adj = adjacency(n, edges)
+        assert matching_size(n, adj) == _nx_matching_size(n, edges)
+        _assert_valid_matching(maximum_matching(n, adj), adj)
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_vertex_order_does_not_matter(self, order):
+        # relabeling changes the greedy start, never the size
+        n, edges = _k4_chain(5)
+        if order == "reversed":
+            edges = [(n - 1 - u, n - 1 - v) for u, v in edges]
+        assert matching_size(n, adjacency(n, edges)) == n // 2
+
+
+def _assert_valid_matching(match, adj):
+    for v, m in enumerate(match):
+        if m != -1:
+            assert match[m] == v
+            assert m in adj[v]
+
+
+def _bipartite_cases(rng, kind):
+    """Connected bipartite components with weights of the given kind:
+    random bipartite graphs, grids and hypercubes."""
+    cases = []
+    for _ in range(40):
+        a, b = (int(x) for x in rng.integers(1, 20, size=2))
+        H = nx.bipartite.random_graph(a, b, float(rng.uniform(0.05, 0.5)),
+                                      seed=int(rng.integers(2**31)))
+        cases.extend(H.subgraph(c).copy() for c in nx.connected_components(H) if len(c) > 1)
+    for rows, cols in ((2, 2), (3, 7), (12, 12), (20, 13), (30, 30)):
+        cases.append(nx.grid_2d_graph(rows, cols))
+    for dim in range(1, 8):
+        cases.append(nx.hypercube_graph(dim))
+    out = []
+    for H in cases:
+        H = nx.convert_node_labels_to_integers(H, ordering="sorted")
+        verts = list(H)
+        if kind == "uniform":
+            w = {v: 1.0 / len(verts) for v in verts}
+        elif kind == "small_ints":
+            w = {v: float(rng.integers(1, 4)) for v in verts}
+        else:
+            w = {v: float(rng.uniform(0.25, 1.0)) for v in verts}
+        out.append((verts, {v: sorted(H[v]) for v in verts}, w))
+    return out
+
+
+class TestBipartiteFlow:
+    """The compact flow returns the reference Dinic's exact list: every
+    maximum flow leaves the same vertices reachable from the source."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "small_ints", "quarter_to_one"])
+    def test_identical_to_reference(self, rng, kind):
+        for verts, adj, w in _bipartite_cases(rng, kind):
+            color = two_coloring(adj.__getitem__, verts)
+            got = _bipartite_mwis(verts, adj, w, color)
+            assert got == reference_bipartite_mwis(verts, adj, w, color)
+
+    def test_workload_grid_weights(self, rng):
+        # the 12x12 grid with weights within a factor 4, as the partition
+        # estimators see it whole
+        adj = adjacency(144, gen_grid(12, 12).edge_list())
+        verts = list(range(144))
+        for _ in range(5):
+            lw = rng.uniform(-math.log(2.0), math.log(2.0), size=144)
+            p = np.exp(lw) / np.exp(lw).sum()
+            w = p.tolist()
+            color = two_coloring(adj.__getitem__, verts)
+            got = _bipartite_mwis(verts, adj, w, color)
+            assert got == reference_bipartite_mwis(verts, adj, w, color)
+            assert got == component_mwis(verts, adj, w)
+
+    def test_output_follows_verts_order(self):
+        # the list keeps the caller's order, not the left-then-right order
+        adj = adjacency(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        verts = [3, 1, 2, 0]
+        w = {0: 1.0, 1: 2.0, 2: 1.0, 3: 2.0}
+        color = two_coloring(adj.__getitem__, verts)
+        assert _bipartite_mwis(verts, adj, w, color) == [3, 1]
 
 
 class TestComponentDispatch:
