@@ -1,5 +1,13 @@
 """Sampling oracles, ball statistics, distances, partitions, and testers
-for very large bounded-degree graphs with non-uniform vertex weights."""
+for very large bounded-degree graphs with non-uniform vertex weights.
+
+The names exported here are the public surface: each one is used by the
+package itself, the demos, the benchmark or the acceptance tests, or is
+one of the paper's own notions (its edit distances, membership, local
+rules and truncated labels); ``tests/test_imports.py`` checks this.
+Brute-force references that only tests compare against, such as
+exhaustive MWIS and exact matching, live in ``tests/helpers.py``.
+"""
 
 from .balls import (
     CanonicalBallKey,
@@ -38,19 +46,15 @@ from .generators import (
     gen_cycle,
     gen_disjoint_triangles,
     gen_grid,
-    gen_layered_weights,
-    gen_lcf,
     gen_orbit_tree,
     gen_path,
     gen_perturbed_union,
     gen_random_regular,
     gen_theta_graph,
-    perturbed_union_parts,
 )
 from .graphs import (
     AliasSampler,
     DegreeExceeded,
-    Disconnected,
     DuplicateEdge,
     GraphError,
     LayeredBinaryTree,
@@ -97,7 +101,6 @@ from .oracles import (
     induced_cycle_lengths,
     observe,
     odd_girth,
-    path_key,
     uniform_query,
 )
 from .partitions import (
@@ -121,10 +124,7 @@ from .scenarios import (
 from .simplex import LPInfeasible, LPUnbounded, solve_lp
 from .solvers import (
     component_mwis,
-    exact_matching,
     exact_weighted_mis,
-    exhaustive_mwis,
-    independent_set_weight,
     is_independent,
     matching_size,
     maximum_matching,

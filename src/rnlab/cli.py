@@ -5,12 +5,14 @@ observe, scenario.  Those that draw randomness (all but distance, partition
 and observe) take --seed and are reproducible bit for bit.  Exit codes: 0
 done; 1 a GraphError, which ``main`` reports as ``{"error": <class name>,
 "message": ...}`` on stdout or in the --out file; 2 a usage error, reported
-on stderr; 3 a REJECT from ``rnlab test``.
+on stderr; 3 a REJECT from ``rnlab test``; 141 stdout closed by its reader
+(as in ``rnlab test ... | head``), with nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -33,6 +35,7 @@ from .statistics import (
 from .testers import observable_test, test_property
 
 EXIT_REJECT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by it
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -353,14 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except argparse.ArgumentError as e:  # a usage error found after parsing
-        parser.error(str(e))
-    except GraphError as e:
-        _emit({"error": type(e).__name__, "message": str(e)}, args.out)
-        return 1
+        args = parser.parse_args(argv)
+        try:
+            code = args.fn(args)
+        except argparse.ArgumentError as e:  # a usage error found after parsing
+            parser.error(str(e))
+        except GraphError as e:
+            _emit({"error": type(e).__name__, "message": str(e)}, args.out)
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at os.devnull leaves the
+        # interpreter's last flush nothing to fail on, so no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

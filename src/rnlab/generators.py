@@ -13,10 +13,8 @@ import numpy as np
 
 from .graphs import (
     GraphError,
-    Disconnected,
     LayeredBinaryTree,
     WeightedGraph,
-    bfs,
     build_graph,
     components,
 )
@@ -147,18 +145,6 @@ def gen_theta_graph(arm_lengths: tuple[int, int, int] = (2, 3, 4)) -> WeightedGr
     return build_graph(edges, [0.0] * counter, d=3, K=1.0)
 
 
-def gen_lcf(n: int, shifts: list[int], reps: int) -> WeightedGraph:
-    """Hamiltonian cycle plus chords given in LCF notation (uniform weights)."""
-    if len(shifts) * reps != n:
-        raise InvalidSize("LCF pattern length times repetitions must equal n")
-    edge_set = {(i, (i + 1) % n) if i < (i + 1) % n else ((i + 1) % n, i) for i in range(n)}
-    for i in range(n):
-        s = shifts[i % len(shifts)]
-        j = (i + s) % n
-        edge_set.add((i, j) if i < j else (j, i))
-    return build_graph(sorted(edge_set), [0.0] * n, d=3, K=1.0)
-
-
 def algebraic_connectivity(G: WeightedGraph) -> float:
     """Second-smallest eigenvalue of the graph Laplacian (dense, n <= 3000)."""
     n = G.n
@@ -243,37 +229,6 @@ def gen_perturbed_union(n: int, profile: str = "uniform", seed: int = 0) -> Weig
     else:
         raise ValueError(f"unknown profile {profile!r}")
     return build_graph(edges, lw, d=4, K=K)
-
-
-def perturbed_union_parts(n: int) -> tuple[range, range]:
-    """Vertex ranges (path part, dense part) of gen_perturbed_union(n)."""
-    return range(n * n), range(n * n, n * n + n)
-
-
-def gen_layered_weights(G: WeightedGraph, root: int, mode: str, beta: float = 0.0) -> WeightedGraph:
-    """Replace weights by a function of BFS distance from the root.
-
-    Modes: "exp_beta" gives a layer-k vertex weight exp(-beta*k);
-    "inverse_sphere" gives weight 1/|S_k| where S_k is the k-th BFS sphere,
-    so every sphere carries equal mass.  The ratio bound is recomputed as
-    the minimal valid one.  Raises Disconnected when some vertex is
-    unreachable from the root.
-    """
-    order, depths, _ = bfs(G.neighbors, root)
-    if len(order) < G.n:
-        raise Disconnected("layered weights need every vertex reachable from the root")
-    dist = np.empty(G.n, dtype=np.int64)
-    dist[order] = depths
-    if mode == "exp_beta":
-        lw = (-beta * dist).astype(np.float64)
-    elif mode == "inverse_sphere":
-        sizes = np.bincount(dist)
-        lw = -np.log(sizes[dist].astype(np.float64))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    edges = G.edge_array()
-    max_diff = float(np.abs(lw[edges[:, 0]] - lw[edges[:, 1]]).max(initial=0.0))
-    return build_graph(edges, lw, d=G.d, K=max(math.exp(max_diff), 1.0))
 
 
 @dataclass

@@ -59,10 +59,6 @@ class NotAdjacent(GraphError):
     pass
 
 
-class Disconnected(GraphError):
-    pass
-
-
 class TooLarge(GraphError):
     """An operation was asked to materialize or search beyond its size cap."""
 
@@ -336,16 +332,6 @@ class WeightedGraph(_GraphProtocol):
         """The explicit form of this graph, which is the graph itself."""
         return self
 
-    def structurally_equal(self, other: "WeightedGraph") -> bool:
-        return (
-            self.n == other.n
-            and self.d == other.d
-            and self.K == other.K
-            and np.array_equal(self._indptr, other._indptr)
-            and np.array_equal(self._indices, other._indices)
-            and np.array_equal(self.log_weights, other.log_weights)
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -389,7 +375,16 @@ def _as_edge_array(edge_list) -> np.ndarray:
         raise GraphError(
             f"edges must be pairs of int64 vertex ids, got id {int(edges.max())} > {_INT64_MAX}"
         )
-    return edges.astype(np.int64, copy=False)
+    edges = edges.astype(np.int64, copy=False)
+    if not isinstance(edge_list, np.ndarray):
+        # numpy reads a bool among ints as 0 or 1, so only the pairs holding
+        # those can hide one (flat position // 2 is the pair)
+        for i in (np.flatnonzero((edges == 0) | (edges == 1)) // 2).tolist():
+            if any(isinstance(x, (bool, np.bool_)) for x in edge_list[i]):
+                raise GraphError(
+                    f"edges must be pairs of int64 vertex ids, got {edge_list[i]!r} at edge {i}"
+                )
+    return edges
 
 
 def build_graph(
@@ -651,9 +646,6 @@ class LayeredBinaryTree(_GraphProtocol):
 
     def layer_start(self, k: int) -> int:
         return (1 << k) - 1
-
-    def layer_size(self, k: int) -> int:
-        return 1 << k
 
     def neighbors(self, v: int) -> list[int]:
         out = []

@@ -231,10 +231,6 @@ class ObservationTable:
         return {k for k, v in self.entries.items() if v}
 
 
-def path_key(k: int) -> str:
-    return unrooted_key(k, [(i, i + 1) for i in range(k - 1)]).hex()
-
-
 def cycle_key(k: int) -> str:
     return unrooted_key(k, [(i, (i + 1) % k) for i in range(k)]).hex()
 

@@ -118,11 +118,6 @@ def matching_size(n: int, adj: list[list[int]]) -> int:
     return sum(1 for v in range(n) if match[v] != -1) // 2
 
 
-def exact_matching(G) -> float:
-    """Matching ratio |M| / n."""
-    return matching_size(G.n, G.neighbor_lists()) / G.n
-
-
 # ---------------------------------------------------------------------------
 # Maximum-weight independent set, per-component dispatch.
 # ---------------------------------------------------------------------------
@@ -401,33 +396,6 @@ def _branch_mwis(verts: list[int], adj, w) -> list[int]:
     return [verts[i] for i in range(k) if best_set >> i & 1]
 
 
-def exhaustive_mwis(verts: list[int], adj, w) -> list[int]:
-    """Reference enumerator over all subsets, for cross-checking (<= 16)."""
-    k = len(verts)
-    if k > 16:
-        raise TooLarge("exhaustive enumeration limited to 16 vertices")
-    pos = {v: i for i, v in enumerate(verts)}
-    masks = [0] * k
-    for v in verts:
-        for u in adj[v]:
-            masks[pos[v]] |= 1 << pos[u]
-    best_val, best_mask = -1.0, 0
-    for mask in range(1 << k):
-        ok = True
-        val = 0.0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if masks[i] & mask:
-                ok = False
-                break
-            val += w[verts[i]]
-            m &= m - 1
-        if ok and val > best_val:
-            best_val, best_mask = val, mask
-    return [verts[i] for i in range(k) if best_mask >> i & 1]
-
-
 def component_mwis(verts: list[int], adj, w) -> list[int]:
     """Exact solver for one connected component."""
     k = len(verts)
@@ -462,11 +430,6 @@ def exact_weighted_mis(G) -> tuple[frozenset, float]:
     if not is_independent(G, chosen_set):
         raise AssertionError("solver produced a dependent set")
     return chosen_set, float(sum(w[v] for v in chosen_set))
-
-
-def independent_set_weight(G, S) -> float:
-    probs = G.probabilities
-    return float(sum(probs[v] for v in S))
 
 
 def is_independent(G, S) -> bool:

@@ -30,9 +30,18 @@ from rnlab.balls import (
     _label_bytes,
     _ranks,
     _relabel,
+    unrooted_key,
 )
-from rnlab.graphs import RATIO_SLACK, BudgetExceeded, adjacency, components
+from rnlab.graphs import (
+    RATIO_SLACK,
+    BudgetExceeded,
+    TooLarge,
+    adjacency,
+    bfs,
+    components,
+)
 from rnlab.partitions import SEED_TRIES, PartitionCertificate, PartitionInfeasible
+from rnlab.solvers import matching_size
 from rnlab.statistics import BallStatistics, _sweep
 
 LN2 = math.log(2.0)
@@ -258,6 +267,81 @@ def petersen_edges():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return outer + spokes + inner
+
+
+def same_graph(a, b) -> bool:
+    """Equal vertex count, bounds, edges in CSR order and log-weights."""
+    return (
+        a.n == b.n
+        and a.d == b.d
+        and a.K == b.K
+        and np.array_equal(a.edge_array(), b.edge_array())
+        and np.array_equal(a.log_weights, b.log_weights)
+    )
+
+
+def path_key(k: int) -> str:
+    """The hex unrooted key of the path on k vertices."""
+    return unrooted_key(k, [(i, i + 1) for i in range(k - 1)]).hex()
+
+
+def gen_layered_weights(G, root: int, mode: str, beta: float = 0.0):
+    """G with weights replaced by a function of BFS distance from the root.
+
+    Modes: "exp_beta" gives a layer-k vertex weight exp(-beta*k);
+    "inverse_sphere" gives weight 1/|S_k| where S_k is the k-th BFS sphere,
+    so every sphere carries equal mass.  The ratio bound is recomputed as
+    the minimal valid one.  Raises GraphError when some vertex is
+    unreachable from the root.
+    """
+    order, depths, _ = bfs(G.neighbors, root)
+    if len(order) < G.n:
+        raise GraphError("layered weights need every vertex reachable from the root")
+    dist = np.empty(G.n, dtype=np.int64)
+    dist[order] = depths
+    if mode == "exp_beta":
+        lw = (-beta * dist).astype(np.float64)
+    elif mode == "inverse_sphere":
+        sizes = np.bincount(dist)
+        lw = -np.log(sizes[dist].astype(np.float64))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    edges = G.edge_array()
+    max_diff = float(np.abs(lw[edges[:, 0]] - lw[edges[:, 1]]).max(initial=0.0))
+    return build_graph(edges, lw, d=G.d, K=max(math.exp(max_diff), 1.0))
+
+
+def exact_matching(G) -> float:
+    """Matching ratio |M| / n of a maximum matching."""
+    return matching_size(G.n, G.neighbor_lists()) / G.n
+
+
+def exhaustive_mwis(verts: list[int], adj, w) -> list[int]:
+    """Maximum-weight independent set by enumerating every subset (<= 16
+    vertices); ties go to the first subset in mask order."""
+    k = len(verts)
+    if k > 16:
+        raise TooLarge("exhaustive enumeration limited to 16 vertices")
+    pos = {v: i for i, v in enumerate(verts)}
+    masks = [0] * k
+    for v in verts:
+        for u in adj[v]:
+            masks[pos[v]] |= 1 << pos[u]
+    best_val, best_mask = -1.0, 0
+    for mask in range(1 << k):
+        ok = True
+        val = 0.0
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            if masks[i] & mask:
+                ok = False
+                break
+            val += w[verts[i]]
+            m &= m - 1
+        if ok and val > best_val:
+            best_val, best_mask = val, mask
+    return [verts[i] for i in range(k) if best_mask >> i & 1]
 
 
 def scalar_build_graph(edge_list, log_weights, d, K):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ball_from_parts, balls_isomorphic, permuted_ball
+from helpers import ball_from_parts, balls_isomorphic, path_key, permuted_ball
 from rnlab import (
     CanonicalBallKey,
     FixedPointLabel,
@@ -31,7 +31,6 @@ from rnlab import (
     gen_random_regular,
     gen_theta_graph,
     observe,
-    path_key,
     truncate_label,
 )
 from rnlab import balls

@@ -685,6 +685,15 @@ class TestErrorBoundary:
             "message": f"{files['profile']} is not a graph file: it needs n, d, K, edges, log_weights",
         }
 
+    def test_bool_vertex_id(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 2, "d": 1, "K": 1, "edges": [[0, true]], "log_weights": [0, 0]}')
+        argv = ["sample", "--graph", str(path), "--queries", "5"]
+        assert json_error(capsys, argv, tmp_path / "s.jsonl") == {
+            "error": "GraphError",
+            "message": "edges must be pairs of int64 vertex ids, got [0, True] at edge 0",
+        }
+
     def test_error_of_a_command_without_a_handler(self, files, tmp_path, capsys):
         argv = ["test", "--graph", files["graph"], "--observable", "--property", "k_colorable",
                 "--colors", "3", "--epsilon", "0.3"]
@@ -871,6 +880,17 @@ class TestModuleEntryPoint:
         proc = self._run("--help")
         assert proc.returncode == 0, proc.stderr
         assert "sample" in proc.stdout
+
+    def test_closed_stdout_exits_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(rnlab.__file__).parents[1]))
+        # the reader is gone before the command writes its 0.7 MB graph
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rnlab", "gen", "--family", "path", "--param", "n=50000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
 
     def test_exit_code_passes_through(self, graph_file):
         proc = self._run("test", "--graph", graph_file(gen_cycle(6)),

@@ -5,6 +5,7 @@ import pytest
 
 from rnlab import (
     GeneratorSpec,
+    GraphError,
     InvalidSize,
     LayeredBinaryTree,
     WeightedGraph,
@@ -17,17 +18,14 @@ from rnlab import (
     gen_cycle,
     gen_disjoint_triangles,
     gen_grid,
-    gen_layered_weights,
-    gen_lcf,
     gen_orbit_tree,
     gen_path,
     gen_perturbed_union,
     gen_random_regular,
     gen_theta_graph,
-    perturbed_union_parts,
     ratio,
 )
-from rnlab.graphs import Disconnected
+from helpers import gen_layered_weights, same_graph
 
 LN2 = math.log(2.0)
 
@@ -127,24 +125,17 @@ class TestSimplefamilies:
         assert degs[-1] == 3 and degs[-2] == 3
         assert sum(1 for d in degs if d == 3) == 2
 
-    def test_lcf_heawood(self):
-        G = gen_lcf(14, [5, -5], 7)
-        assert all(G.degree(v) == 3 for v in range(14))
-        from rnlab.oracles import girth
-
-        assert girth(G) == 6
-
 
 class TestRandomRegular:
     def test_reproducible(self):
         a = gen_random_regular(20, 3, seed=5)
         b = gen_random_regular(20, 3, seed=5)
-        assert a.structurally_equal(b)
+        assert same_graph(a, b)
 
     def test_different_seed_differs(self):
         a = gen_random_regular(20, 3, seed=5)
         b = gen_random_regular(20, 3, seed=6)
-        assert not a.structurally_equal(b)
+        assert not same_graph(a, b)
 
     def test_degrees(self):
         G = gen_random_regular(16, 3, seed=1)
@@ -163,7 +154,7 @@ class TestPerturbedUnion:
     def test_structure(self):
         G = gen_perturbed_union(4, seed=3)
         assert G.n == 16 + 4
-        path_part, dense_part = perturbed_union_parts(4)
+        path_part = range(16)
         cross = [
             (u, v)
             for u, v in G.edge_list()
@@ -174,14 +165,14 @@ class TestPerturbedUnion:
     def test_uniform_mass(self):
         n = 10
         G = gen_perturbed_union(n, profile="uniform", seed=0)
-        _, dense = perturbed_union_parts(n)
+        dense = range(n * n, n * n + n)
         mass = float(sum(G.p(v) for v in dense))
         assert math.isclose(mass, n / (n * n + n))
 
     def test_adversarial_half_mass(self):
         n = 10
         G = gen_perturbed_union(n, profile="adversarial", seed=0)
-        _, dense = perturbed_union_parts(n)
+        dense = range(n * n, n * n + n)
         assert math.isclose(sum(G.p(v) for v in dense), 0.5, abs_tol=1e-12)
         assert G.K == float(n)
 
@@ -207,7 +198,7 @@ class TestLayeredWeights:
         base = gen_binary_tree(6, 0.0)
         relayered = gen_layered_weights(base, 0, "exp_beta", beta=LN2)
         direct = gen_binary_tree(6, LN2)
-        assert relayered.structurally_equal(direct)
+        assert same_graph(relayered, direct)
         assert np.allclose(relayered.log_weights, direct.log_weights)
         assert math.isclose(relayered.K, direct.K)
 
@@ -220,7 +211,7 @@ class TestLayeredWeights:
 
     def test_disconnected_rejected(self):
         G = gen_disjoint_triangles(2, d=3)
-        with pytest.raises(Disconnected):
+        with pytest.raises(GraphError, match="reachable"):
             gen_layered_weights(G, 0, "inverse_sphere")
 
 
@@ -233,7 +224,7 @@ class TestGeneratorSpec:
     def test_build_random_regular_spec_seed(self):
         spec = GeneratorSpec(family="random_regular", params={"n": 14, "d": 3}, seed=9)
         a, b = build_from_spec(spec), build_from_spec(spec)
-        assert a.structurally_equal(b)
+        assert same_graph(a, b)
 
     def test_unknown_family(self):
         with pytest.raises(Exception):
@@ -255,4 +246,4 @@ class TestGeneratorSpec:
             G = build_from_spec(spec)
             # rebuilding through the validator must accept generator output
             H = build_graph(G.edge_list(), list(G.log_weights), d=G.d, K=G.K)
-            assert H.structurally_equal(G)
+            assert same_graph(H, G)

@@ -7,7 +7,10 @@ No linter is installed, so these tests are the check:
   ``isinstance`` against a graph class: both classes answer one protocol;
 - every parameter of a private (``_``-prefixed) module-level function or
   method is read somewhere in its body;
-- a private method is called only from the module that defines it.
+- a private method is called only from the module that defines it;
+- every public name is used by the system: by the package, a demo, the
+  benchmark or the acceptance tests, or is listed in ``ALLOWED`` with the
+  reason it stays public.
 """
 import ast
 import pathlib
@@ -20,6 +23,19 @@ KEPT = {
     # and time its calls
     ("testers.py", "canonicalize"),
     ("statistics.py", "canonicalize"),
+}
+
+# Public names that nothing in the package, the demos, the benchmark or the
+# acceptance tests uses, each with the reason it stays public.
+ALLOWED = {
+    "edit_distance_uniform": "the paper's edit distance between graphs on n vertices",
+    "weighted_edit_distance": "the paper's edit distance under the vertex measure",
+    "is_member": "membership in a property, the zero of its distances",
+    "run_local_rule": "runs one of the paper's randomized local algorithms",
+    "table_rule": "a local algorithm given by its table over decorated balls",
+    "rank_rule": "the local algorithm that keeps the root when it beats every neighbour",
+    "truncation_stability": "truncated labels; the only caller of statistics.extract_ball, "
+    "which bench/layertrace.py wraps",
 }
 
 
@@ -176,3 +192,78 @@ def test_private_method_check_catches_foreign_calls(tmp_path):
         "    def _grow(self):\n        return self._grow()\n"
     )
     assert _foreign_private_calls([caller, owner]) == ["caller.py:2 _fill"]
+
+
+def _public_names(src: pathlib.Path) -> set[str]:
+    """The names ``__init__.py`` imports and every public module-level
+    function or class of the package."""
+    names = set()
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                names.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                names.add(node.name)
+    return names
+
+
+def _used_names(paths: list[pathlib.Path]) -> set[str]:
+    """Every name and attribute the files read, leaving out what a
+    module-level def or class says about its own name."""
+    used = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            found = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            found |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                found.discard(top.name)
+            used |= found
+    return used
+
+
+def _surface_breaches(src: pathlib.Path, root: pathlib.Path, allowed: dict) -> list[str]:
+    """Public names of the package at src that no caller under root uses
+    and that allowed does not list, and allowed entries that a caller uses
+    or that name nothing public.  The callers are the package's own modules
+    other than ``__init__.py``, demos/, bench/ and tests/test_acceptance.py."""
+    callers = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    callers += [*(root / "demos").rglob("*.py"), *(root / "bench").rglob("*.py")]
+    callers.append(root / "tests" / "test_acceptance.py")
+    public, used = _public_names(src), _used_names(callers)
+    return sorted(
+        [f"unused {name}" for name in public - used - allowed.keys()]
+        + [f"stale {name}" for name in allowed.keys() - (public - used)]
+    )
+
+
+def test_every_public_name_is_used():
+    src = pathlib.Path(rnlab.__file__).parent
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert _surface_breaches(src, root, ALLOWED) == []
+
+
+def test_surface_check_catches_unused_and_stale(tmp_path):
+    src = tmp_path / "src" / "pkg"
+    for folder in (src, tmp_path / "demos", tmp_path / "bench" / "tests", tmp_path / "tests"):
+        folder.mkdir(parents=True)
+    (src / "__init__.py").write_text(
+        "from .core import solve, helper, Oracle\nfrom .core import exported_only\n"
+    )
+    (src / "core.py").write_text(
+        "def solve(x):\n    return helper(x)\n"
+        "def helper(x):\n    return x\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
+        "def _private():\n    pass\n"
+        "class Oracle:\n    def rule(self):\n        return Oracle()\n"
+        "def kept():\n    pass\n"
+    )
+    (tmp_path / "demos" / "demo.py").write_text("import pkg\npkg.solve(1)\n")
+    (tmp_path / "bench" / "tests" / "test_b.py").write_text("from pkg import kept\nkept()\n")
+    (tmp_path / "tests" / "test_acceptance.py").write_text("def test():\n    pass\n")
+    allowed = {"kept": "a caller uses it", "gone": "names nothing", "recursive": "its reason"}
+    assert _surface_breaches(src, tmp_path, allowed) == [
+        "stale gone",
+        "stale kept",
+        "unused Oracle",
+        "unused exported_only",
+    ]

@@ -13,7 +13,6 @@ from rnlab import (
     canonicalize_decorated,
     draw_vertex_bits,
     estimate_matching,
-    exact_matching,
     exact_stats,
     exact_weighted_mis,
     extract_ball_with_map,
@@ -36,6 +35,7 @@ from helpers import (
     GIRTH8_CUBIC_EDGES,
     GIRTH8_CUBIC_N,
     count_neighbor_lists,
+    exact_matching,
     random_bounded_graph,
     reference_vertex_bits,
 )

@@ -21,7 +21,6 @@ from rnlab import (
     induced_cycle_lengths,
     observe,
     odd_girth,
-    path_key,
     truncate_label,
     uniform_query,
 )
@@ -30,6 +29,7 @@ from rnlab import balls, graphs
 from helpers import (
     GIRTH8_CUBIC_EDGES,
     GIRTH8_CUBIC_N,
+    path_key,
     random_bounded_graph,
     random_tree,
     reference_alias_tables,

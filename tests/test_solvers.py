@@ -9,13 +9,11 @@ from rnlab import (
     TooLarge,
     adjacency,
     build_graph,
-    exact_matching,
     exact_weighted_mis,
     gen_cycle,
     gen_disjoint_triangles,
     gen_grid,
     gen_path,
-    independent_set_weight,
     is_independent,
     two_coloring,
 )
@@ -25,13 +23,14 @@ from rnlab.solvers import (
     _cycle_mwis,
     _forest_mwis,
     component_mwis,
-    exhaustive_mwis,
     matching_size,
     maximum_matching,
 )
 from helpers import (
     GIRTH8_CUBIC_EDGES,
     GIRTH8_CUBIC_N,
+    exact_matching,
+    exhaustive_mwis,
     petersen_edges,
     random_bounded_graph,
     reference_bipartite_mwis,
@@ -546,9 +545,6 @@ def _comp_list(G):
 
 
 class TestHelpers:
-    def test_independent_set_weight(self, weighted_p3):
-        assert independent_set_weight(weighted_p3, {0, 2}) == pytest.approx(0.8)
-
     def test_is_independent(self, c6_uniform):
         assert is_independent(c6_uniform, {0, 2, 4})
         assert not is_independent(c6_uniform, {0, 1})
