@@ -28,17 +28,6 @@ class FixedPointLabel(NamedTuple):
     scaled_value: int
     scale_digits: int
 
-    @property
-    def value(self) -> float:
-        return self.scaled_value / (10 ** self.scale_digits)
-
-    def as_text(self) -> str:
-        s = 10 ** self.scale_digits
-        whole, frac = divmod(self.scaled_value, s)
-        if self.scale_digits == 0:
-            return str(whole)
-        return f"{whole}.{frac:0{self.scale_digits}d}"
-
 
 def truncate_label(value: float, t: int) -> FixedPointLabel:
     """Floor a nonnegative ratio to t decimal digits."""

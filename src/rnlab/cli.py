@@ -4,9 +4,10 @@ Subcommands: gen, sample, stats, distance, partition, estimate, test,
 observe, scenario.  Those that draw randomness (all but distance, partition
 and observe) take --seed and are reproducible bit for bit.  Exit codes: 0
 done; 1 a GraphError, which ``main`` reports as ``{"error": <class name>,
-"message": ...}`` on stdout or in the --out file; 2 a usage error, reported
-on stderr; 3 a REJECT from ``rnlab test``; 141 stdout closed by its reader
-(as in ``rnlab test ... | head``), with nothing on stderr.
+"message": ...}`` on stdout or in the --out file; 2 a usage error, or an
+--out or --csv path that cannot be written, reported on stderr; 3 a REJECT
+from ``rnlab test``; 141 stdout closed by its reader (as in
+``rnlab test ... | head``), with nothing on stderr.
 """
 from __future__ import annotations
 
@@ -371,6 +372,10 @@ def main(argv=None) -> int:
         # interpreter's last flush nothing to fail on, so no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as e:
+        # input files are opened by readers that raise GraphError, so this
+        # is an output path that cannot be written
+        parser.error(f"cannot write {e.filename}: {e.strerror}")
     return code
 
 

@@ -56,14 +56,6 @@ class PropertySpec:
             raise ValueError("need at least one color")
         return PropertySpec(id="k_colorable", colors=k)
 
-    @property
-    def description(self) -> str:
-        if self.id == "h_free":
-            return f"graphs with no subgraph copy of a fixed {self.forbidden[0]}-vertex graph"
-        if self.id == "k_colorable":
-            return f"{self.colors}-colorable graphs"
-        return {"forest": "acyclic graphs", "bipartite": "odd-cycle-free graphs"}[self.id]
-
 
 def _cycle_edges(n: int, edges) -> list:
     """Kruskal pass over edges in the given order: the edges that close a

@@ -160,21 +160,21 @@ def algebraic_connectivity(G: WeightedGraph) -> float:
     return float(eigs[1])
 
 
-def gen_random_regular(
-    n: int,
-    d: int,
-    seed: int,
-    gap_threshold: float = 0.1,
-    max_tries: int = 300,
-) -> WeightedGraph:
+# gen_random_regular draws at most REGULAR_TRIES pairings, and keeps the first
+# whose Laplacian spectral gap exceeds SPECTRAL_GAP
+SPECTRAL_GAP = 0.1
+REGULAR_TRIES = 300
+
+
+def gen_random_regular(n: int, d: int, seed: int) -> WeightedGraph:
     """Random d-regular graph via the pairing model, resampled until simple
-    and until the Laplacian spectral gap exceeds gap_threshold."""
+    and until the Laplacian spectral gap exceeds SPECTRAL_GAP."""
     if n * d % 2 != 0:
         raise InvalidSize(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
         raise InvalidSize(f"regular degree {d} needs more than {n} vertices")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(REGULAR_TRIES):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
@@ -195,11 +195,11 @@ def gen_random_regular(
         G = build_graph(sorted(edge_set), [0.0] * n, d=d, K=1.0)
         if len(components(G)) > 1:
             continue
-        if algebraic_connectivity(G) > gap_threshold:
+        if algebraic_connectivity(G) > SPECTRAL_GAP:
             return G
     raise GraphError(
-        f"no {d}-regular graph on {n} vertices with spectral gap > {gap_threshold} "
-        f"found in {max_tries} tries"
+        f"no {d}-regular graph on {n} vertices with spectral gap > {SPECTRAL_GAP} "
+        f"found in {REGULAR_TRIES} tries"
     )
 
 
@@ -241,29 +241,38 @@ class GeneratorSpec:
 
 
 def build_from_spec(spec: GeneratorSpec):
+    """The graph the spec asks for.  Raises GraphError for an unknown family
+    or a parameter that is missing or cannot be read as its type."""
     p = dict(spec.params)
     fam = spec.family
-    if fam == "binary_tree":
-        return gen_binary_tree(int(p["depth"]), float(p.get("beta", LN2)),
-                               representation=p.get("representation", "auto"))
-    if fam == "orbit_tree":
-        return gen_orbit_tree(int(p["depth"]))
-    if fam == "path":
-        return gen_path(int(p["n"]), d=int(p.get("d", 2)))
-    if fam == "cycle":
-        return gen_cycle(int(p["n"]), d=int(p.get("d", 2)))
-    if fam == "grid":
-        return gen_grid(int(p["rows"]), int(p["cols"]))
-    if fam == "random_regular":
-        if spec.seed is None:
-            raise ValueError("random_regular requires a seed")
-        return gen_random_regular(int(p["n"]), int(p.get("d", 3)), seed=spec.seed)
-    if fam == "perturbed_union":
-        return gen_perturbed_union(int(p["n"]), profile=p.get("profile", "uniform"),
-                                   seed=spec.seed or 0)
-    if fam == "disjoint_triangles":
-        return gen_disjoint_triangles(int(p["k"]), d=int(p.get("d", 2)))
-    if fam == "theta":
-        arms = p.get("arms", [2, 3, 4])
-        return gen_theta_graph(tuple(int(a) for a in arms))
-    raise ValueError(f"unknown generator family {fam!r}")
+    try:
+        if fam == "binary_tree":
+            return gen_binary_tree(int(p["depth"]), float(p.get("beta", LN2)),
+                                   representation=p.get("representation", "auto"))
+        if fam == "orbit_tree":
+            return gen_orbit_tree(int(p["depth"]))
+        if fam == "path":
+            return gen_path(int(p["n"]), d=int(p.get("d", 2)))
+        if fam == "cycle":
+            return gen_cycle(int(p["n"]), d=int(p.get("d", 2)))
+        if fam == "grid":
+            return gen_grid(int(p["rows"]), int(p["cols"]))
+        if fam == "random_regular":
+            if spec.seed is None:
+                raise ValueError("random_regular requires a seed")
+            return gen_random_regular(int(p["n"]), int(p.get("d", 3)), seed=spec.seed)
+        if fam == "perturbed_union":
+            return gen_perturbed_union(int(p["n"]), profile=p.get("profile", "uniform"),
+                                       seed=spec.seed or 0)
+        if fam == "disjoint_triangles":
+            return gen_disjoint_triangles(int(p["k"]), d=int(p.get("d", 2)))
+        if fam == "theta":
+            arms = p.get("arms", [2, 3, 4])
+            return gen_theta_graph(tuple(int(a) for a in arms))
+    except GraphError:
+        raise
+    except KeyError as e:
+        raise GraphError(f"family {fam!r} needs parameter {e.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise GraphError(f"bad parameter for family {fam!r}: {e}") from None
+    raise GraphError(f"unknown generator family {fam!r}")

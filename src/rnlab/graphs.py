@@ -10,14 +10,15 @@ closed form.
 
 Both graph classes, the explicit :class:`WeightedGraph` and the implicit
 :class:`LayeredBinaryTree`, answer one query protocol: ``n``, ``d``, ``K``,
-``neighbors(v)``, ``degree(v)``, ``adjacent(x, y)``, ``log_weight(v)``,
+``neighbors(v)``, ``neighbor_lists()``, ``adjacent(x, y)``, ``log_weight(v)``,
 ``p(v)``, ``probabilities``, the orbit queries (``orbit_reps``,
 ``orbit_ids``, ``orbit_count``), ``roots_from_words`` and ``materialize()``.
 ``neighbors(v)`` returns a fresh list of Python ints: ascending on explicit
 graphs, parent first (then the children) on the tree.  ``neighbor_lists()``
-returns a fresh list, built on every call and never kept on the graph, whose
-entry v equals ``neighbors(v)``, in the same order; graph-wide scans read it
-instead of asking for each vertex's neighbors one call at a time.
+returns a list whose entry v equals ``neighbors(v)``, in the same order.  It
+is built once per graph and kept on it, like the alias table, so every call
+returns the same lists and no caller may mutate them; whole-graph scans read
+it instead of asking for each vertex's neighbors one call at a time.
 """
 from __future__ import annotations
 
@@ -175,18 +176,21 @@ class _GraphProtocol:
 
     Subclasses provide ``neighbors(v)``, a fresh list of Python ints (no
     numpy scalars), and the rest of the queries in the module docstring.
-    ``adjacent`` and ``neighbor_lists`` are defined here from ``neighbors``;
-    ``neighbor_lists()`` is a fresh list per call whose entry v equals
-    ``neighbors(v)``, in the same order.  ``derived`` keeps
-    structures derived from the immutable graph (its alias table, its ball
-    indexes), built on first use and stored on the graph so they die with
-    it.
+    ``adjacent`` and ``neighbor_lists`` are defined here from ``neighbors``.
+    ``derived`` keeps structures derived from the immutable graph (its
+    neighbor lists, its alias table, its ball indexes), built on first use
+    and stored on the graph so they die with it.
     """
 
     def adjacent(self, x: int, y: int) -> bool:
         return y in self.neighbors(x)
 
     def neighbor_lists(self) -> list[list[int]]:
+        """Entry v equals neighbors(v), in the same order.  Built once per
+        graph and shared by every caller, so callers must not mutate it."""
+        return self.derived("neighbor_lists", self._list_neighbors)
+
+    def _list_neighbors(self) -> list[list[int]]:
         return [self.neighbors(v) for v in range(self.n)]
 
     def derived(self, key, build):
@@ -244,14 +248,11 @@ class WeightedGraph(_GraphProtocol):
         """Neighbors of v in ascending order, as a fresh list."""
         return self._indices[self._indptr[v] : self._indptr[v + 1]].tolist()
 
-    def neighbor_lists(self) -> list[list[int]]:
+    def _list_neighbors(self) -> list[list[int]]:
         """neighbors(v) for every v, sliced from one conversion of the CSR."""
         flat = self._indices.tolist()
         bounds = self._indptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
 
     def log_weight(self, v: int) -> float:
         return float(self.log_weights[v])
@@ -503,14 +504,13 @@ def cycle_ratio_product(G, cycle) -> float:
     return math.exp(walk_log_ratio(G, cycle, closed=True))
 
 
-def components(G, removed=(), *, adj=None) -> list[list[int]]:
+def components(G, removed=()) -> list[list[int]]:
     """Connected components of G after deleting the removed vertices.
 
     Components come in order of their smallest vertex, each listing its
-    vertices in the order a stack scan visits them.  Only ``G.n`` and
-    ``G.neighbor_lists()`` are used, so both graph classes are served; a
-    caller that already holds those lists passes them as ``adj``.  A removed
-    id outside ``range(G.n)`` raises ``GraphError``.
+    vertices in the order a stack scan visits them.  Only ``G.n`` and the
+    graph's one ``G.neighbor_lists()`` are used, so both graph classes are
+    served.  A removed id outside ``range(G.n)`` raises ``GraphError``.
     """
     n = G.n
     seen = [False] * n
@@ -518,8 +518,7 @@ def components(G, removed=(), *, adj=None) -> list[list[int]]:
         if not 0 <= v < n:
             raise GraphError(f"removed vertex {v} is not in the graph (n={n})")
         seen[v] = True
-    if adj is None:
-        adj = G.neighbor_lists()
+    adj = G.neighbor_lists()
     comps = []
     for s in range(n):
         if seen[s]:
@@ -655,9 +654,6 @@ class LayeredBinaryTree(_GraphProtocol):
             out.extend((2 * v + 1, 2 * v + 2))
         return out
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def log_weight(self, v: int) -> float:
         return -self.beta * self.layer(v)
 
@@ -686,7 +682,9 @@ class LayeredBinaryTree(_GraphProtocol):
         """Per-vertex distribution, for trees small enough to materialize."""
         if self.depth > 22:
             raise TooLarge(f"refusing to list 2^{self.depth} - 1 vertex masses")
-        return np.array([self.p(v) for v in range(self.n)])
+        ks = range(self.depth)
+        per_layer = [math.exp(-self.beta * k - self.log_z) for k in ks]
+        return np.repeat(per_layer, [1 << k for k in ks])
 
     def roots_from_words(self, w0: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Roots drawn by the vertex distribution: a layer from the alias
@@ -745,13 +743,23 @@ def save_graph(G: WeightedGraph, path) -> None:
         fh.write(graph_to_json(G))
 
 
+def open_input(path):
+    """The file at path, opened to read text.  Raises GraphError when it
+    cannot be opened: a missing file, a directory, no permission."""
+    try:
+        return open(path)
+    except OSError as e:
+        raise GraphError(f"cannot read {path}: {e.strerror}") from None
+
+
 def load_graph(path) -> WeightedGraph:
     """Read a graph file as save_graph writes it.  Raises GraphError for a
-    file of any other kind: text that is not JSON, JSON that is not an
-    object with n, d, K, edges and log_weights, or one whose fields have
-    the wrong types (see graph_from_json_dict)."""
+    path that cannot be opened, or a file of any other kind: text that is
+    not JSON, JSON that is not an object with n, d, K, edges and
+    log_weights, or one whose fields have the wrong types (see
+    graph_from_json_dict)."""
     fields = ("n", "d", "K", "edges", "log_weights")
-    with open(path) as fh:
+    with open_input(path) as fh:
         try:
             obj = json.load(fh)
         except ValueError as e:  # not JSON, or not text

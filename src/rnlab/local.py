@@ -96,35 +96,27 @@ def _escalating_targets(n: int, epsilon: float) -> list[int]:
 
 
 def _solve_components(G, epsilon: float, solve) -> list:
-    """solve(component, removed, adj) for each component of G left by a
-    partition at epsilon/2, in component order, where adj is the one
-    ``G.neighbor_lists()`` of the call.
+    """solve(component, removed) for each component of G left by a
+    partition at epsilon/2, in component order.
 
     Component bounds escalate along _escalating_targets; a bound is dropped
     when no partition exists there (PartitionInfeasible) or when solve gives
     out on one of its components (TooLarge).  Raises PartitionInfeasible
     when every bound is dropped.  A TooLarge from the partition itself, such
-    as a graph too large to list its masses, propagates at once: the
-    neighbor lists are built only after the first partition has returned or
-    raised PartitionInfeasible, and every later partition, component scan
-    and solve reads them.  Raises ValueError unless 0 < epsilon < 1, before
-    any bound is tried.
+    as a graph too large to list its masses, propagates at once.  Raises
+    ValueError unless 0 < epsilon < 1, before any bound is tried.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    adj = None
     last_error = None
     for K_target in _escalating_targets(G.n, epsilon):
         try:
-            cert = find_weighted_partition(G, epsilon / 2.0, K_target, adj)
+            cert = find_weighted_partition(G, epsilon / 2.0, K_target)
         except PartitionInfeasible as e:
-            cert, last_error = None, e
-        if adj is None:
-            adj = G.neighbor_lists()
-        if cert is None:
+            last_error = e
             continue
         try:
-            return [solve(comp, cert.removed, adj) for comp in components(G, cert.removed, adj=adj)]
+            return [solve(comp, cert.removed) for comp in components(G, cert.removed)]
         except TooLarge as e:
             last_error = e
     raise PartitionInfeasible(
@@ -158,7 +150,8 @@ def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozense
     probs = G.probabilities
     w = probs.tolist()
 
-    def solve(comp, removed, adj):
+    def solve(comp, removed):
+        adj = G.neighbor_lists()
         # a component's vertices keep exactly their neighbors inside it
         inside = {v: [u for u in adj[v] if u not in removed] for v in comp}
         return component_mwis(sorted(comp), inside, w)
@@ -201,7 +194,8 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
     if max(lw) - min(lw) > UNIFORM_TOLERANCE:
         raise GraphError("matching estimation expects uniform weights")
 
-    def solve(comp, removed, adj):
+    def solve(comp, removed):
+        adj = G.neighbor_lists()
         pos = {v: i for i, v in enumerate(comp)}
         return matching_size(len(comp), [[pos[u] for u in adj[v] if u in pos] for v in comp])
 

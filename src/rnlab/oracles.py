@@ -92,14 +92,15 @@ class BallIndex:
 
     def types(self, roots) -> np.ndarray:
         """Type id of the ball at each root.  When the roots are every vertex
-        (an exact sweep), misses read neighbors from one
-        ``G.neighbor_lists()``; otherwise from ``G.neighbors``."""
+        (an exact sweep), misses read neighbors from the graph's
+        ``G.neighbor_lists()``; otherwise from ``G.neighbors``, so sampled
+        lookups never build those lists."""
         G = self._graph_or_raise()
         orbits = G.orbit_ids(roots)
         types = self._type_of_orbit[orbits]
         missing = types < 0
         if missing.any():
-            # one conversion of the CSR pays off only when every vertex is a root
+            # listing every vertex's neighbors pays off only when every vertex is a root
             adj = G.neighbor_lists() if len(roots) == G.n else None
             with self._lock:
                 fill = self._type_of_orbit
@@ -224,12 +225,6 @@ class ObservationTable:
     degree_bound: int
     entries: dict[str, bool]
 
-    def query(self, key_hex: str) -> bool:
-        return self.entries[key_hex]
-
-    def positives(self) -> set[str]:
-        return {k for k, v in self.entries.items() if v}
-
 
 def cycle_key(k: int) -> str:
     return unrooted_key(k, [(i, (i + 1) % k) for i in range(k)]).hex()
@@ -280,7 +275,11 @@ def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes
     return seen
 
 
-def _connected_induced_keys(G, s: int, subset_cap: int = 500_000) -> set[bytes]:
+# induced subsets observe may visit
+SUBSET_CAP = 500_000
+
+
+def _connected_induced_keys(G, s: int) -> set[bytes]:
     found: set[bytes] = set()
     # subsets of the same shape share their key: one key per shape, per call
     shape_keys: dict[tuple, bytes] = {}
@@ -309,7 +308,7 @@ def _connected_induced_keys(G, s: int, subset_cap: int = 500_000) -> set[bytes]:
                     if w not in S:
                         S2 = S | {w}
                         if S2 not in visited:
-                            if len(visited) >= subset_cap:
+                            if len(visited) >= SUBSET_CAP:
                                 raise BudgetExceeded(
                                     "induced subgraph enumeration exceeded its cap"
                                 )
@@ -318,11 +317,11 @@ def _connected_induced_keys(G, s: int, subset_cap: int = 500_000) -> set[bytes]:
     return found
 
 
-def observe(G, s: int, class_cap: int = 20_000) -> ObservationTable:
+def observe(G, s: int) -> ObservationTable:
     """Exact observing oracle: for every connected class H with <= s vertices
     and max degree <= d, report whether H occurs in G as an induced subgraph."""
     d_eff = min(G.d, s - 1) if s > 1 else 0
-    classes = enumerate_connected_classes(s, d_eff, cap=class_cap)
+    classes = enumerate_connected_classes(s, d_eff)
     present = _connected_induced_keys(G, s)
     entries = {key.hex(): key in present for key in classes}
     return ObservationTable(depth=s, degree_bound=G.d, entries=entries)

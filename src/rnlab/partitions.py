@@ -44,10 +44,6 @@ class UniformCoverCertificate:
     epsilon: float
     component_bound: int
 
-    @property
-    def length(self) -> int:
-        return len(self.covers)
-
     def to_json_dict(self) -> dict:
         return {
             "covers": [sorted(c) for c in self.covers],
@@ -83,13 +79,12 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
     if L == 0:
         return False
     frequency = [0] * n
-    adj = G.neighbor_lists()
     for cover in cert.covers:
         if len(cover) >= cert.epsilon * n and len(cover) > 0:
             return False
         if not all(0 <= v < n for v in cover):
             return False
-        if any(len(c) > cert.component_bound for c in components(G, cover, adj=adj)):
+        if any(len(c) > cert.component_bound for c in components(G, cover)):
             return False
         for v in cover:
             frequency[v] += 1
@@ -99,9 +94,7 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
 SEED_TRIES = 4
 
 
-def find_weighted_partition(
-    G, epsilon: float, K_target: int = None, adj=None
-) -> PartitionCertificate:
+def find_weighted_partition(G, epsilon: float, K_target: int = None) -> PartitionCertificate:
     """Sphere-cutting heuristic.
 
     Grow a BFS region from a seed inside an oversized component; among layer
@@ -117,11 +110,11 @@ def find_weighted_partition(
     8/epsilon^2, so pass a larger hint there; expanders fail at every hint
     small enough to be meaningful, which is the point.
 
-    Every scan reads one list of the masses and one ``G.neighbor_lists()``,
-    or the caller's ``adj`` when it already holds those lists, as
-    ``components`` does.  Both are read after ``G.probabilities``, so a graph
-    too large to list its masses raises ``TooLarge`` before anything of size
-    n is allocated.  Layer masses are summed once each, left to right.
+    Every scan reads one list of the masses and the graph's one
+    ``G.neighbor_lists()``, as ``components`` does.  The lists are read after
+    ``G.probabilities``, so a graph too large to list its masses raises
+    ``TooLarge`` before anything of size n is allocated.  Layer masses are
+    summed once each, left to right.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -131,15 +124,14 @@ def find_weighted_partition(
         raise ValueError("component bound must be positive")
     n = G.n
     p = G.probabilities.tolist()
-    if adj is None:
-        adj = G.neighbor_lists()
+    adj = G.neighbor_lists()
     removed: set[int] = set()
     assigned = [False] * n
     component_sizes: list[int] = []
 
     # initial entries: the heaviest vertex of each component, the first in
     # visit order on ties
-    entries = [max(comp, key=p.__getitem__) for comp in components(G, adj=adj)]
+    entries = [max(comp, key=p.__getitem__) for comp in components(G)]
 
     def explore(seed: int):
         """BFS layers from seed until the prefix exceeds K_target or the
@@ -223,11 +215,11 @@ def find_weighted_partition(
     )
 
 
-def _detect_family(G, adj) -> str:
-    degs = [len(nbrs) for nbrs in adj]
+def _detect_family(G) -> str:
+    degs = [len(nbrs) for nbrs in G.neighbor_lists()]
     if G.n == 1:
         return "single"
-    if len(components(G, adj=adj)) != 1:
+    if len(components(G)) != 1:
         raise UnsupportedFamily("cover construction needs a connected graph")
     if all(d <= 2 for d in degs):
         if degs.count(1) == 2:
@@ -264,21 +256,22 @@ def build_uniform_cover(G, epsilon: float, grid_dims: tuple = None) -> UniformCo
             covers=tuple(covers), epsilon=epsilon, component_bound=bound
         )
     else:
-        adj = G.neighbor_lists()
-        family = _detect_family(G, adj)
+        family = _detect_family(G)
         if family == "single":
             return UniformCoverCertificate(
                 covers=(frozenset(),), epsilon=epsilon, component_bound=1
             )
         # a path walks from its smaller end, a cycle from vertex 0
-        start = min(v for v in range(G.n) if len(adj[v]) == 1) if family == "path" else 0
-        order = walk_order(adj.__getitem__, start, G.n)
+        start = 0
+        if family == "path":
+            start = min(v for v, nbrs in enumerate(G.neighbor_lists()) if len(nbrs) == 1)
+        order = walk_order(G.neighbor_lists().__getitem__, start, G.n)
         covers = tuple(
             frozenset(order[pos] for pos in range(G.n) if pos % m == j)
             for j in range(m)
         )
         bound = max(
-            (len(c) for cov in covers for c in components(G, cov, adj=adj)), default=0
+            (len(c) for cov in covers for c in components(G, cov)), default=0
         )
         cert = UniformCoverCertificate(
             covers=covers, epsilon=epsilon, component_bound=bound

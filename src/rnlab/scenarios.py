@@ -23,7 +23,7 @@ import numpy as np
 from . import generators as gen
 from .balls import canonicalize, extract_ball
 from .distances import PropertySpec
-from .graphs import SEED_LIMIT, GraphError, build_graph
+from .graphs import SEED_LIMIT, GraphError, build_graph, open_input
 from .local import local_independent_set
 from .oracles import RadonNikodymOracle
 from .partitions import PartitionInfeasible, find_weighted_partition
@@ -57,10 +57,10 @@ def load_config(
 ) -> ExperimentConfig:
     """Read a scenario config: a JSON object with a ``scenario`` name and
     optional ``params``, ``seed``, ``output_path`` and ``threads``; missing
-    fields take the keyword values.  Raises GraphError for a file of any
-    other kind or a field it gives with the wrong type (a bool is not an
-    int)."""
-    with open(path) as fh:
+    fields take the keyword values.  Raises GraphError for a path that
+    cannot be opened, a file of any other kind or a field it gives with the
+    wrong type (a bool is not an int)."""
+    with open_input(path) as fh:
         try:
             raw = json.load(fh)
         except ValueError as e:  # not JSON, or not text
@@ -85,13 +85,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def interior_ball_mass(depth: int, radius: int, t: int = 2) -> float:
+# label digits of the balls interior_ball_mass compares
+INTERIOR_DIGITS = 2
+
+
+def interior_ball_mass(depth: int, radius: int) -> float:
     """Mass of vertices of the critical layered tree whose ball matches the
     interior ball of the limiting orbit tree."""
     star = gen.gen_orbit_tree(radius + 1)
-    target = canonicalize(extract_ball(star, 0, radius, t))
+    target = canonicalize(extract_ball(star, 0, radius, INTERIOR_DIGITS))
     tree = gen.gen_binary_tree(depth, LN2, representation="implicit")
-    stats = exact_stats(tree, radius, t)
+    stats = exact_stats(tree, radius, INTERIOR_DIGITS)
     return stats.mass(target)
 
 
@@ -287,7 +291,10 @@ def scenario_report_lines(cfg: ExperimentConfig) -> list[str]:
     serialized rows."""
     if cfg.scenario not in SCENARIOS:
         raise GraphError(f"unknown scenario {cfg.scenario!r}")
-    tasks = SCENARIOS[cfg.scenario](cfg.params, cfg.seed)
+    try:
+        tasks = SCENARIOS[cfg.scenario](cfg.params, cfg.seed)
+    except (TypeError, ValueError, OverflowError) as e:  # a param of the wrong type
+        raise GraphError(f"bad params for scenario {cfg.scenario!r}: {e}") from None
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             rows = list(pool.map(lambda task: task(), tasks))

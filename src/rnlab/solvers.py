@@ -421,11 +421,10 @@ def exact_weighted_mis(G) -> tuple[frozenset, float]:
     """
     n = G.n
     probs = G.probabilities
-    adj = G.neighbor_lists()
     w = {v: float(probs[v]) for v in range(n)}
     chosen: list[int] = []
-    for comp in components(G, adj=adj):
-        chosen.extend(component_mwis(sorted(comp), adj, w))
+    for comp in components(G):
+        chosen.extend(component_mwis(sorted(comp), G.neighbor_lists(), w))
     chosen_set = frozenset(chosen)
     if not is_independent(G, chosen_set):
         raise AssertionError("solver produced a dependent set")

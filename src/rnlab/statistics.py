@@ -7,8 +7,8 @@ oracle queries.  Both read ball types from the graph's
 :class:`~rnlab.oracles.BallIndex` through ``BallIndex.types``, the one place
 that maps a root to its ball type: a root (or orbit) typed before on the same
 graph at the same (r, t) is not extracted again, and a raw ball seen before
-is not canonicalized again; a full sweep's misses read one
-``G.neighbor_lists()`` per radius.  Masses are summed per type id with
+is not canonicalized again; a full sweep's misses read the graph's one
+``G.neighbor_lists()``.  Masses are summed per type id with
 ``bincount``, in sweep order or sorted-root order, and keys appear in the
 order their types are first met there.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 # canonicalize is not called here; bench/layertrace.py wraps this name
 from .balls import CanonicalBallKey, canonicalize, extract_ball
-from .graphs import GraphError
+from .graphs import GraphError, open_input
 from .oracles import BallIndex, OracleConfig, RadonNikodymOracle, ball_index
 
 
@@ -241,9 +241,9 @@ def profile_to_json(profile: dict[int, BallStatistics], mode: str) -> str:
 
 def load_profile(path) -> dict[int, BallStatistics]:
     """Read a profile file as profile_to_json writes it.  Raises GraphError
-    for a file of any other kind, or one with a statistic that
-    BallStatistics.from_json_dict cannot read."""
-    with open(path) as fh:
+    for a path that cannot be opened, a file of any other kind, or one with
+    a statistic that BallStatistics.from_json_dict cannot read."""
+    with open_input(path) as fh:
         try:
             per_radius = json.load(fh)["per_radius"]
             return {int(r): BallStatistics.from_json_dict(st) for r, st in per_radius.items()}

@@ -395,18 +395,18 @@ def scalar_build_graph(edge_list, log_weights, d, K):
     return indptr, indices
 
 
-def count_neighbor_lists(G) -> list:
-    """A list that grows by one entry per G.neighbor_lists() call, counted
-    through a wrapper set on the instance."""
-    calls = []
-    real = G.neighbor_lists
+def count_neighbor_list_builds(G) -> list:
+    """A list that grows by one entry each time G builds its neighbor lists,
+    counted through a wrapper set on the instance."""
+    builds = []
+    real = G._list_neighbors
 
     def counted():
-        calls.append(1)
+        builds.append(1)
         return real()
 
-    G.neighbor_lists = counted
-    return calls
+    G._list_neighbors = counted
+    return builds
 
 
 def scalar_find_weighted_partition(G, epsilon, K_target=None):

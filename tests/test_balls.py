@@ -44,7 +44,6 @@ class TestTruncateLabel:
     def test_pi_two_digits(self):
         lab = truncate_label(math.pi, 2)
         assert lab == FixedPointLabel(314, 2)
-        assert lab.as_text() == "3.14"
 
     def test_exact_decimal(self):
         assert truncate_label(2.0, 3) == FixedPointLabel(2000, 3)
@@ -63,16 +62,12 @@ class TestTruncateLabel:
 
     def test_zero_digits(self):
         assert truncate_label(7.9, 0) == FixedPointLabel(7, 0)
-        assert truncate_label(7.9, 0).as_text() == "7"
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             truncate_label(-0.5, 2)
         with pytest.raises(ValueError):
             truncate_label(1.0, -1)
-
-    def test_value_property(self):
-        assert truncate_label(math.pi, 2).value == 3.14
 
 
 class TestExtractBall:

@@ -703,6 +703,75 @@ class TestErrorBoundary:
         }
 
 
+class TestPaths:
+    """An input path that cannot be opened is a JSON error with exit code 1;
+    an --out or --csv path that cannot be written is named on stderr, with
+    exit code 2."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["stats", "--graph", "MISSING"], "MISSING"),
+        (["distance", "--stats-a", "MISSING", "--stats-b", "PROFILE"], "MISSING"),
+        (["distance", "--stats-a", "PROFILE", "--stats-b", "MISSING"], "MISSING"),
+        (["scenario", "--config", "MISSING"], "MISSING"),
+        (["sample", "--graph", "DIR"], "DIR"),
+    ], ids=["stats", "distance-a", "distance-b", "scenario", "sample-directory"])
+    def test_input_that_cannot_be_opened(self, argv, bad, graph_file, tmp_path, capsys):
+        paths = {"MISSING": str(tmp_path / "nowhere" / "x.json"), "DIR": str(tmp_path),
+                 "PROFILE": str(tmp_path / "p.json")}
+        run(capsys, ["stats", "--graph", graph_file(gen_path(4)), "--out", paths["PROFILE"]])
+        reason = {"MISSING": "No such file or directory", "DIR": "Is a directory"}[bad]
+        argv = [paths.get(a, a) for a in argv]
+        assert json_error(capsys, argv, tmp_path / "out.json") == {
+            "error": "GraphError", "message": f"cannot read {paths[bad]}: {reason}",
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--graph", "G", "--queries", "5", "--out", "BAD"],
+        ["gen", "--family", "path", "--param", "n=4", "--out", "BAD"],
+        ["scenario", "--name", "entropy_sweep", "--param", "depths=[5]", "--out", "BAD"],
+        ["scenario", "--name", "entropy_sweep", "--param", "depths=[5]", "--out", "REPORT",
+         "--csv", "BAD"],
+        ["stats", "--graph", "BAD", "--out", "BAD"],
+    ], ids=["sample", "gen", "scenario-report", "scenario-csv", "error-object"])
+    def test_output_that_cannot_be_written(self, argv, graph_file, tmp_path, capsys):
+        bad = str(tmp_path / "nowhere" / "x")
+        paths = {"G": graph_file(gen_path(4)), "BAD": bad, "REPORT": str(tmp_path / "r.jsonl")}
+        with pytest.raises(SystemExit) as e:
+            main([paths.get(a, a) for a in argv])
+        assert e.value.code == 2
+        assert f"rnlab: error: cannot write {bad}: No such file or directory" in capsys.readouterr().err
+
+
+class TestBadParams:
+    """A --param that names no family, or that is missing or of the wrong
+    type, is a JSON error with exit code 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "nope"], "unknown generator family 'nope'"),
+        (["--family", "path"], "family 'path' needs parameter 'n'"),
+        (["--family", "path", "--param", "n=abc"],
+         "bad parameter for family 'path': invalid literal for int() with base 10: 'abc'"),
+        (["--family", "binary_tree", "--param", "depth=3", "--param", "representation=bogus"],
+         "bad parameter for family 'binary_tree': unknown representation 'bogus'"),
+        (["--family", "theta", "--param", "arms=5"],
+         "bad parameter for family 'theta': 'int' object is not iterable"),
+    ], ids=["family", "missing", "not-an-int", "representation", "arms"])
+    def test_gen(self, argv, message, tmp_path, capsys):
+        obj = json_error(capsys, ["gen", *argv], tmp_path / "g.json")
+        assert obj == {"error": "GraphError", "message": message}
+
+    @pytest.mark.parametrize("param, message", [
+        ("depth=abc", "invalid literal for int() with base 10: 'abc'"),
+        ("betas=5", "'int' object is not iterable"),
+    ], ids=["depth", "betas"])
+    def test_scenario(self, param, message, tmp_path, capsys):
+        argv = ["scenario", "--name", "phase_transition", "--param", param]
+        obj = json_error(capsys, argv, tmp_path / "r.jsonl")
+        assert obj == {
+            "error": "GraphError", "message": f"bad params for scenario 'phase_transition': {message}",
+        }
+
+
 NO_DISTRIBUTION = {"error": "GraphError", "message": "the graph has no vertices, so no vertex distribution"}
 
 

@@ -65,10 +65,6 @@ class TestMembership:
         assert not is_member(k4, PropertySpec.k_colorable(3))
         assert is_member(k4, PropertySpec.k_colorable(4))
 
-    def test_descriptions(self):
-        for P in (FOREST, BIPARTITE, TRIANGLE_FREE, PropertySpec.k_colorable(3)):
-            assert P.description
-
     def test_unknown_property(self):
         with pytest.raises(UnsupportedProperty):
             holds_on(PropertySpec(id="planar"), 3, [])

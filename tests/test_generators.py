@@ -81,9 +81,9 @@ class TestOrbitTree:
 
     def test_three_regular_inside(self):
         G = gen_orbit_tree(3)
-        interior = [v for v in range(G.n) if G.degree(v) == 3]
+        interior = [v for v in range(G.n) if len(G.neighbors(v)) == 3]
         assert len(interior) >= 4
-        assert all(G.degree(v) in (1, 3) for v in range(G.n))
+        assert all(len(G.neighbors(v)) in (1, 3) for v in range(G.n))
 
     def test_interior_ball_matches_critical_tree(self):
         orbit = gen_orbit_tree(3)
@@ -102,12 +102,12 @@ class TestSimplefamilies:
     def test_path(self):
         G = gen_path(5)
         assert G.n == 5 and G.edge_count == 4
-        assert G.degree(0) == 1 and G.degree(2) == 2
+        assert len(G.neighbors(0)) == 1 and len(G.neighbors(2)) == 2
 
     def test_cycle(self):
         G = gen_cycle(6)
         assert G.edge_count == 6
-        assert all(G.degree(v) == 2 for v in range(6))
+        assert all(len(G.neighbors(v)) == 2 for v in range(6))
 
     def test_grid(self):
         G = gen_grid(3, 4)
@@ -121,7 +121,7 @@ class TestSimplefamilies:
 
     def test_theta_graph(self):
         G = gen_theta_graph((2, 3, 4))
-        degs = sorted(G.degree(v) for v in range(G.n))
+        degs = sorted(len(G.neighbors(v)) for v in range(G.n))
         assert degs[-1] == 3 and degs[-2] == 3
         assert sum(1 for d in degs if d == 3) == 2
 
@@ -139,7 +139,7 @@ class TestRandomRegular:
 
     def test_degrees(self):
         G = gen_random_regular(16, 3, seed=1)
-        assert all(G.degree(v) == 3 for v in range(16))
+        assert all(len(G.neighbors(v)) == 3 for v in range(16))
 
     def test_spectral_gap_enforced(self):
         G = gen_random_regular(24, 3, seed=2)

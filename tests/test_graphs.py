@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 import rnlab
-from helpers import gen_layered_weights, random_bounded_graph, same_graph, scalar_build_graph
+from helpers import (
+    count_neighbor_list_builds,
+    gen_layered_weights,
+    random_bounded_graph,
+    same_graph,
+    scalar_build_graph,
+)
 from rnlab import (
     DegreeExceeded,
     DuplicateEdge,
@@ -354,7 +360,7 @@ class TestLayeredBinaryTree:
         T = LayeredBinaryTree(4, 0.0)
         assert sorted(T.neighbors(0)) == [1, 2]
         assert sorted(T.neighbors(1)) == [0, 3, 4]
-        assert T.degree(7) == 1
+        assert T.neighbors(7) == [3]
 
     def test_layer_masses_closed_form(self):
         for depth in (3, 10, 25):
@@ -393,6 +399,13 @@ class TestLayeredBinaryTree:
             assert G.orbit_ids(range(T.n)).tolist() == layers
             assert G.orbit_reps() == expected.orbit_reps()
 
+    @pytest.mark.parametrize("depth", [1, 5, 12])
+    def test_probabilities_match_per_vertex_masses(self, depth):
+        for beta in (0.0, 0.4, LN2, -0.3, 2.5):
+            T = LayeredBinaryTree(depth, beta)
+            # the same float bits as one p(v) per vertex
+            assert T.probabilities.tobytes() == np.array([T.p(v) for v in range(T.n)]).tobytes()
+
     def test_orbit_reps_cover_layers(self):
         T = LayeredBinaryTree(9, LN2)
         reps = T.orbit_reps()
@@ -410,7 +423,8 @@ class TestLayeredBinaryTree:
 
 class TestGraphProtocol:
     """Both graph classes answer neighbor queries with fresh lists of Python
-    ints, and adjacent, degree and materialize agree with them."""
+    ints within the degree bound, and adjacent and materialize agree with
+    them."""
 
     @staticmethod
     def _sample_vertices(G):
@@ -437,7 +451,7 @@ class TestGraphProtocol:
             assert type(nbrs) is list
             assert all(type(u) is int for u in nbrs)
             assert G.neighbors(v) is not nbrs  # fresh: callers may keep or mutate it
-            assert G.degree(v) == len(nbrs)
+            assert len(nbrs) <= G.d
             for u in nbrs:
                 assert 0 <= u < G.n
                 assert G.adjacent(v, u) and G.adjacent(u, v)
@@ -477,9 +491,25 @@ class TestGraphProtocol:
             assert type(lists[v]) is list
             assert all(type(u) is int for u in lists[v])
             assert lists[v] == G.neighbors(v)
-        # fresh on every call: a caller may mutate what it got
-        for row in lists:
-            row.append(-1)
+        # built once and kept on the graph
+        assert G.neighbor_lists() is lists
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_cycle(60), lambda: gen_path(50)], ids=["cycle", "path"]
+    )
+    def test_one_list_build_serves_every_scan(self, make):
+        """Estimators, covers, partitions, solvers and exact sweeps all read
+        the graph's one set of neighbor lists, and none of them mutates it."""
+        G = make()
+        builds = count_neighbor_list_builds(G)
+        rnlab.local_independent_set(G, 0.2)
+        rnlab.estimate_matching(G, 0.2)
+        assert rnlab.verify_uniform_cover(G, rnlab.build_uniform_cover(G, 0.2))
+        assert rnlab.verify_weighted_partition(G, rnlab.find_weighted_partition(G, 0.2, 20))
+        rnlab.exact_weighted_mis(G)
+        for r in (1, 2, 3):
+            rnlab.exact_stats(G, r, 2)
+        assert len(builds) == 1
         assert G.neighbor_lists() == [G.neighbors(v) for v in range(G.n)]
 
     def test_adjacency_lists(self):

@@ -8,9 +8,10 @@ No linter is installed, so these tests are the check:
 - every parameter of a private (``_``-prefixed) module-level function or
   method is read somewhere in its body;
 - a private method is called only from the module that defines it;
-- every public name is used by the system: by the package, a demo, the
-  benchmark or the acceptance tests, or is listed in ``ALLOWED`` with the
-  reason it stays public.
+- every public name, and every public method and property of a class, is
+  used by the system: by the package, a demo, the benchmark or the
+  acceptance tests, or is listed in ``ALLOWED`` with the reason it stays
+  public.
 """
 import ast
 import pathlib
@@ -25,9 +26,11 @@ KEPT = {
     ("statistics.py", "canonicalize"),
 }
 
-# Public names that nothing in the package, the demos, the benchmark or the
-# acceptance tests uses, each with the reason it stays public.
+# Public names, and methods as ``Class.method``, that nothing in the package,
+# the demos, the benchmark or the acceptance tests uses, each with the reason
+# it stays public.
 ALLOWED = {
+    "RadonNikodymOracle.query": "the paper's relative-weight oracle: query i returns a labeled ball",
     "edit_distance_uniform": "the paper's edit distance between graphs on n vertices",
     "weighted_edit_distance": "the paper's edit distance under the vertex measure",
     "is_member": "membership in a property, the zero of its distances",
@@ -194,45 +197,57 @@ def test_private_method_check_catches_foreign_calls(tmp_path):
     assert _foreign_private_calls([caller, owner]) == ["caller.py:2 _fill"]
 
 
-def _public_names(src: pathlib.Path) -> set[str]:
+def _public_names(src: pathlib.Path) -> tuple[set[str], set[str]]:
     """The names ``__init__.py`` imports and every public module-level
-    function or class of the package."""
-    names = set()
+    function or class of the package; and ``Class.method`` for every public
+    method and property of its module-level classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names, methods = set(), set()
     for path in src.glob("*.py"):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
                 names.update(a.asname or a.name for a in node.names)
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 names.add(node.name)
-    return names
+            if isinstance(node, ast.ClassDef):
+                methods.update(
+                    f"{node.name}.{fn.name}"
+                    for fn in node.body
+                    if isinstance(fn, functions) and not fn.name.startswith("_")
+                )
+    return names, methods
 
 
-def _used_names(paths: list[pathlib.Path]) -> set[str]:
+def _used_names(paths: list[pathlib.Path]) -> tuple[set[str], set[str]]:
     """Every name and attribute the files read, leaving out what a
-    module-level def or class says about its own name."""
-    used = set()
+    module-level def or class says about its own name; and the attributes
+    alone, since a method or property is read only as one."""
+    used, attributes = set(), set()
     for path in paths:
         for top in ast.parse(path.read_text(), filename=str(path)).body:
-            found = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-            found |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            found = {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            attributes |= found
+            found |= {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 found.discard(top.name)
             used |= found
-    return used
+    return used, attributes
 
 
 def _surface_breaches(src: pathlib.Path, root: pathlib.Path, allowed: dict) -> list[str]:
-    """Public names of the package at src that no caller under root uses
-    and that allowed does not list, and allowed entries that a caller uses
-    or that name nothing public.  The callers are the package's own modules
-    other than ``__init__.py``, demos/, bench/ and tests/test_acceptance.py."""
+    """Public names, methods and properties of the package at src that no
+    caller under root uses and that allowed does not list, and allowed
+    entries that a caller uses or that name nothing public.  The callers
+    are the package's own modules other than ``__init__.py``, demos/,
+    bench/ and tests/test_acceptance.py."""
     callers = [p for p in src.glob("*.py") if p.name != "__init__.py"]
     callers += [*(root / "demos").rglob("*.py"), *(root / "bench").rglob("*.py")]
     callers.append(root / "tests" / "test_acceptance.py")
-    public, used = _public_names(src), _used_names(callers)
+    (public, methods), (used, attributes) = _public_names(src), _used_names(callers)
+    unused = (public - used) | {m for m in methods if m.partition(".")[2] not in attributes}
     return sorted(
-        [f"unused {name}" for name in public - used - allowed.keys()]
-        + [f"stale {name}" for name in allowed.keys() - (public - used)]
+        [f"unused {name}" for name in unused - allowed.keys()]
+        + [f"stale {name}" for name in allowed.keys() - unused]
     )
 
 
@@ -255,15 +270,27 @@ def test_surface_check_catches_unused_and_stale(tmp_path):
         "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
         "def _private():\n    pass\n"
         "class Oracle:\n    def rule(self):\n        return Oracle()\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def query(self):\n        return self.size\n"
+        "    def _hidden(self):\n        pass\n"
         "def kept():\n    pass\n"
     )
-    (tmp_path / "demos" / "demo.py").write_text("import pkg\npkg.solve(1)\n")
+    # a name that is not read as an attribute does not use a method
+    (tmp_path / "demos" / "demo.py").write_text("import pkg\npkg.solve(1)\nrule = 1\n")
     (tmp_path / "bench" / "tests" / "test_b.py").write_text("from pkg import kept\nkept()\n")
     (tmp_path / "tests" / "test_acceptance.py").write_text("def test():\n    pass\n")
-    allowed = {"kept": "a caller uses it", "gone": "names nothing", "recursive": "its reason"}
+    allowed = {
+        "kept": "a caller uses it",
+        "gone": "names nothing",
+        "recursive": "its reason",
+        "Oracle.query": "its reason",
+        "Oracle.size": "a caller reads it",
+    }
     assert _surface_breaches(src, tmp_path, allowed) == [
+        "stale Oracle.size",
         "stale gone",
         "stale kept",
         "unused Oracle",
+        "unused Oracle.rule",
         "unused exported_only",
     ]

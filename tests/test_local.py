@@ -34,7 +34,7 @@ from rnlab import local
 from helpers import (
     GIRTH8_CUBIC_EDGES,
     GIRTH8_CUBIC_N,
-    count_neighbor_lists,
+    count_neighbor_list_builds,
     exact_matching,
     random_bounded_graph,
     reference_vertex_bits,
@@ -181,34 +181,24 @@ class TestLocalIndependentSet:
 
 
 class TestOneAdjacencyPerEstimate:
-    """The first partition lists the neighbors for itself; every later
-    partition, component scan and solve reads the one list built after it."""
+    """Every partition, component scan and solve of an estimate, and of the
+    estimates after it, reads the graph's one set of neighbor lists."""
 
     def test_independent_set_on_a_grid(self):
         G = gen_grid(12, 12)
         expected = local_independent_set(gen_grid(12, 12), 0.05)
-        calls = count_neighbor_lists(G)
+        builds = count_neighbor_list_builds(G)
         assert local_independent_set(G, 0.05) == expected
-        assert len(calls) <= 2
+        assert local_independent_set(G, 0.05) == expected
+        assert len(builds) == 1
 
     def test_matching_on_a_cycle(self):
         G = gen_cycle(121)
         expected = estimate_matching(gen_cycle(121), 0.1)
-        calls = count_neighbor_lists(G)
+        builds = count_neighbor_list_builds(G)
         assert estimate_matching(G, 0.1) == expected
-        assert len(calls) <= 2
-
-    def test_partitions_receive_the_list_positionally(self, monkeypatch):
-        seen = []
-
-        def spy(*args):
-            seen.append(args[3] is not None)
-            return find_weighted_partition(*args)
-
-        monkeypatch.setattr(local, "find_weighted_partition", spy)
-        independent_set_estimate(gen_grid(12, 12), 0.1)
-        # only the first rung builds its own lists
-        assert seen[0] is False and all(seen[1:]) and len(seen) > 1
+        assert estimate_matching(G, 0.1) == expected
+        assert len(builds) == 1
 
 
 class TestEstimateMatching:

@@ -300,22 +300,22 @@ class TestObserve:
     def test_c5_shows_paths_only(self):
         table = observe(gen_cycle(5), 4)
         for k in range(1, 5):
-            assert table.query(path_key(k))
-        assert not table.query(cycle_key(3))
-        assert not table.query(cycle_key(4))
+            assert table.entries[path_key(k)]
+        assert not table.entries[cycle_key(3)]
+        assert not table.entries[cycle_key(4)]
 
     def test_c4_shows_itself_but_no_p4(self):
         table = observe(gen_cycle(4), 4)
-        assert table.query(cycle_key(4))
-        assert not table.query(cycle_key(3))
-        assert table.query(path_key(3))
-        assert not table.query(path_key(4))
+        assert table.entries[cycle_key(4)]
+        assert not table.entries[cycle_key(3)]
+        assert table.entries[path_key(3)]
+        assert not table.entries[path_key(4)]
 
     def test_triangles_hide_p3(self):
         table = observe(gen_disjoint_triangles(3), 3)
-        assert table.query(cycle_key(3))
-        assert table.query(path_key(2))
-        assert not table.query(path_key(3))
+        assert table.entries[cycle_key(3)]
+        assert table.entries[path_key(2)]
+        assert not table.entries[path_key(3)]
 
     def test_deeper_tables_extend_shallower_ones(self):
         G = gen_theta_graph((2, 3, 4))
@@ -326,7 +326,8 @@ class TestObserve:
 
     def test_positives(self):
         table = observe(gen_path(6), 3)
-        assert table.positives() == {path_key(1), path_key(2), path_key(3)}
+        positives = {key for key, seen in table.entries.items() if seen}
+        assert positives == {path_key(1), path_key(2), path_key(3)}
 
     def test_class_enumeration_counts(self):
         # connected graphs on <= 4 vertices: 1 + 1 + 2 + 6

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    count_neighbor_lists,
+    count_neighbor_list_builds,
     random_bounded_graph,
     reweighted,
     scalar_find_weighted_partition,
@@ -250,60 +250,41 @@ class TestAgainstScalarReference:
             _agreed_outcome(G, 0.1, None)
 
 
-class TestCallersAdjacency:
-    def test_same_certificate_without_listing_again(self):
-        rng = np.random.default_rng(11)
-        for G in (gen_grid(12, 12), reweighted(gen_cycle(121), rng, 4.0), gen_binary_tree(7, LN2)):
-            adj = G.neighbor_lists()
-            for epsilon, K_target in ((0.1, None), (0.05, G.n), (0.3, 20)):
-                try:
-                    expected = find_weighted_partition(G, epsilon, K_target).to_json_dict()
-                except PartitionInfeasible as e:
-                    expected = str(e)
-                G.neighbor_lists = None  # any listing would fail
-                try:
-                    got = find_weighted_partition(G, epsilon, K_target, adj).to_json_dict()
-                except PartitionInfeasible as e:
-                    got = str(e)
-                del G.neighbor_lists
-                assert got == expected
-
-
 class TestUniformCover:
     def test_one_adjacency_per_call(self):
         for G in (gen_cycle(200), gen_path(150)):
-            calls = count_neighbor_lists(G)
+            builds = count_neighbor_list_builds(G)
             cert = build_uniform_cover(G, 0.05)
-            # the construction's scans, then the verifier's
-            assert len(calls) == 2
+            # the construction's scans and its verifier's share one build
+            assert len(builds) == 1
             assert verify_uniform_cover(G, cert)
-            assert len(calls) == 3
+            assert len(builds) == 1
 
     def test_path_shifts(self):
         G = gen_path(40)
         cert = build_uniform_cover(G, 0.5)
-        assert cert.length == 4
+        assert len(cert.covers) == 4
         assert verify_uniform_cover(G, cert)
-        assert len(set(cert.covers)) == cert.length
+        assert len(set(cert.covers)) == len(cert.covers)
 
     def test_cycle_shifts(self):
         G = gen_cycle(30)
         cert = build_uniform_cover(G, 0.4)
-        assert cert.length == 5
+        assert len(cert.covers) == 5
         assert verify_uniform_cover(G, cert)
         assert cert.component_bound <= 4
 
     def test_grid_two_axis_shifts(self):
         G = gen_grid(20, 20)
         cert = build_uniform_cover(G, 0.3, grid_dims=(20, 20))
-        assert cert.length == 49
+        assert len(cert.covers) == 49
         assert verify_uniform_cover(G, cert)
         assert cert.component_bound <= 36
 
     def test_single_vertex(self):
         G = build_graph([], [0.0], d=2, K=1.0)
         cert = build_uniform_cover(G, 0.3)
-        assert cert.length == 1
+        assert len(cert.covers) == 1
         assert verify_uniform_cover(G, cert)
 
     def test_unsupported_families(self):
@@ -338,4 +319,4 @@ class TestUniformCover:
         G = gen_cycle(12)
         cert = build_uniform_cover(G, 0.5)
         obj = cert.to_json_dict()
-        assert len(obj["covers"]) == cert.length
+        assert len(obj["covers"]) == len(cert.covers)

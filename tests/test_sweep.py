@@ -1,6 +1,6 @@
 """Exact sweeps and sampled lookups type their roots through one path,
-BallIndex.types, which reads one G.neighbor_lists() when its roots are every
-vertex and calls G.neighbors otherwise.  These tests hold the balls read
+BallIndex.types, which reads the graph's G.neighbor_lists() when its roots
+are every vertex and calls G.neighbors otherwise.  These tests hold the balls read
 from neighbor lists to those read through G.neighbors, and the statistics
 and ball indexes of exact sweeps to a reference that extracts and
 canonicalizes every sweep root's ball afresh, with no index."""
@@ -239,22 +239,22 @@ def test_orbit_sweeps_extract_without_neighbor_lists(monkeypatch):
 
 
 def test_neighbor_lists_read_on_full_sweeps_only(monkeypatch, tmp_path):
-    """rnlab stats reads one G.neighbor_lists() per radius; rnlab sample,
-    whose queries reach only some of the vertices, reads none."""
-    calls = []
-    real = WeightedGraph.neighbor_lists
+    """rnlab stats builds the graph's neighbor lists once for all its radii;
+    rnlab sample, whose queries reach only some of the vertices, builds none."""
+    builds = []
+    real = WeightedGraph._list_neighbors
 
-    def neighbor_lists(G):
-        calls.append(G.n)
+    def list_neighbors(G):
+        builds.append(G.n)
         return real(G)
 
-    monkeypatch.setattr(WeightedGraph, "neighbor_lists", neighbor_lists)
+    monkeypatch.setattr(WeightedGraph, "_list_neighbors", list_neighbors)
     path = str(tmp_path / "g.json")
     save_graph(weighted_grid(), path)
     assert main(["sample", "--graph", path, "--r", "2", "--queries", "12"]) == 0
-    assert calls == []
+    assert builds == []
     assert main(["stats", "--graph", path, "--rmax", "3"]) == 0
-    assert calls == [30] * 3
+    assert builds == [30]
 
 
 def test_concurrent_profiles_and_lookups_agree():
