@@ -163,6 +163,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.mode == "empirical" and args.queries < 1:
+        raise argparse.ArgumentError(None, "--mode empirical needs --queries of at least 1")
     G = load_graph(args.graph)
     if args.mode == "exact":
         profile = stats_profile(G, args.rmax, args.t)

@@ -22,7 +22,9 @@ it instead of asking for each vertex's neighbors one call at a time.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import json
 import math
 import operator
@@ -711,7 +713,23 @@ class LayeredBinaryTree(_GraphProtocol):
         return f"LayeredBinaryTree(depth={self.depth}, beta={self.beta})"
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector; as a decorator, until the function's locals
+    are freed.  Collection is process-global: a pause ending on another thread
+    resumes it early, costing only speed; one that finds it off leaves it off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def graph_to_json(G: WeightedGraph) -> str:
+    """JSON text, keys sorted, made with the collector paused (see load_graph)."""
     return json.dumps(G.to_json_dict(), sort_keys=True)
 
 
@@ -739,6 +757,7 @@ def graph_from_json_dict(obj: dict) -> WeightedGraph:
 
 
 def save_graph(G: WeightedGraph, path) -> None:
+    """Write graph_to_json(G), made with the collector paused, to path."""
     with open(path, "w") as fh:
         fh.write(graph_to_json(G))
 
@@ -752,12 +771,14 @@ def open_input(path):
         raise GraphError(f"cannot read {path}: {e.strerror}") from None
 
 
+@_collector_paused()
 def load_graph(path) -> WeightedGraph:
     """Read a graph file as save_graph writes it.  Raises GraphError for a
     path that cannot be opened, or a file of any other kind: text that is
     not JSON, JSON that is not an object with n, d, K, edges and
     log_weights, or one whose fields have the wrong types (see
-    graph_from_json_dict)."""
+    graph_from_json_dict).  Parsed JSON has a list per edge and no cycles,
+    so the collector is paused until those lists are freed."""
     fields = ("n", "d", "K", "edges", "log_weights")
     with open_input(path) as fh:
         try:

@@ -123,6 +123,8 @@ def _phase_row(depth: int, beta: float, budget: int, seed: int) -> dict:
 def scenario_phase_transition(params: dict, seed: int) -> list[Callable[[], dict]]:
     depth = int(params.get("depth", 16))
     budget = int(params.get("budget", 50_000))
+    if budget < 1:
+        raise GraphError(f"budget must be at least 1, got {budget}")
     betas = params.get("betas", [0.0, 0.3, LN2, 1.0, 2.0])
     return [
         (lambda b=float(b): _phase_row(depth, b, budget, seed)) for b in betas
@@ -147,16 +149,17 @@ def scenario_convergence_to_orbit_tree(params: dict, seed: int) -> list[Callable
     return [(lambda n=int(n): row(n)) for n in depths]
 
 
+_ESTIMATOR_FAMILIES = {
+    "path": gen.gen_path,
+    "cycle": gen.gen_cycle,
+    "grid": lambda size: gen.gen_grid(size, size),
+    "tree": lambda size: gen.gen_binary_tree(size, 0.0, representation="explicit"),
+}
+
+
 def _estimator_row(kind: str, size: int, epsilon: float, seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    if kind == "path":
-        base = gen.gen_path(size)
-    elif kind == "cycle":
-        base = gen.gen_cycle(size)
-    elif kind == "grid":
-        base = gen.gen_grid(size, size)
-    else:
-        base = gen.gen_binary_tree(size, 0.0, representation="explicit")
+    base = _ESTIMATOR_FAMILIES[kind](size)
     lw = rng.uniform(-LN2, LN2, size=base.n)
     G = build_graph(base.edge_array(), lw, d=base.d, K=4.0)
     _, i_app = local_independent_set(G, epsilon, seed=seed)
@@ -178,6 +181,9 @@ def scenario_estimator_error_curve(params: dict, seed: int) -> list[Callable[[],
         "instances", [["path", 120], ["cycle", 121], ["tree", 6], ["grid", 10]]
     )
     epsilons = params.get("epsilons", [0.05, 0.1, 0.2])
+    for kind, _ in instances:
+        if str(kind) not in _ESTIMATOR_FAMILIES:
+            raise GraphError(f"unknown estimator family {kind!r}")
     return [
         (
             lambda kind=str(kind), size=int(size), e=float(e): _estimator_row(

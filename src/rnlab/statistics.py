@@ -141,10 +141,10 @@ def empirical_stats(G, config: OracleConfig) -> BallStatistics:
 
 
 def tv(a: BallStatistics, b: BallStatistics) -> float:
-    """Total variation distance between two ball statistics."""
+    """Total variation distance of two ball statistics; fsum makes it independent of key order."""
     a.check_compatible(b)
     keys = set(a.weights) | set(b.weights)
-    return 0.5 * sum(abs(a.mass(k) - b.mass(k)) for k in keys)
+    return 0.5 * math.fsum(abs(a.mass(k) - b.mass(k)) for k in keys)
 
 
 def statistical_distance(

@@ -243,8 +243,10 @@ class TestStats:
 
     def test_empirical_mode_rejects_zero_queries(self, graph_file, capsys):
         g = graph_file(gen_path(15))
-        with pytest.raises(ValueError, match="budget must be at least 1"):
+        with pytest.raises(SystemExit) as e:
             main(["stats", "--graph", g, "--mode", "empirical", "--queries", "0"])
+        assert e.value.code == 2
+        assert "--mode empirical needs --queries of at least 1" in capsys.readouterr().err
 
 
 class TestNegativeCounts:
@@ -771,6 +773,16 @@ class TestBadParams:
             "error": "GraphError", "message": f"bad params for scenario 'phase_transition': {message}",
         }
 
+    @pytest.mark.parametrize("name, param, message", [
+        ("phase_transition", "budget=-1", "budget must be at least 1, got -1"),
+        ("phase_transition", "budget=0", "budget must be at least 1, got 0"),
+        ("estimator_error_curve", 'instances=[["zzz", 3]]', "unknown estimator family 'zzz'"),
+    ], ids=["negative-budget", "zero-budget", "family"])
+    def test_scenario_values_out_of_range(self, name, param, message, tmp_path, capsys):
+        argv = ["scenario", "--name", name, "--param", param, "--param", "epsilons=[0.3]"]
+        obj = json_error(capsys, argv, tmp_path / "r.jsonl")
+        assert obj == {"error": "GraphError", "message": f"bad params for scenario '{name}': {message}"}
+
 
 NO_DISTRIBUTION = {"error": "GraphError", "message": "the graph has no vertices, so no vertex distribution"}
 
@@ -938,10 +950,12 @@ class TestOptions:
 class TestModuleEntryPoint:
     """``python -m rnlab`` from a source checkout, with only src/ on the path."""
 
-    def _run(self, *argv):
+    def _run(self, *argv, hashseed=None, flags=()):
         env = dict(os.environ, PYTHONPATH=str(Path(rnlab.__file__).parents[1]))
+        if hashseed is not None:
+            env["PYTHONHASHSEED"] = hashseed
         return subprocess.run(
-            [sys.executable, "-m", "rnlab", *argv],
+            [sys.executable, *flags, "-m", "rnlab", *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
 
@@ -960,6 +974,29 @@ class TestModuleEntryPoint:
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+    def test_dev_mode_gen_and_sample_are_quiet(self, tmp_path):
+        # -X dev -W error turns an unclosed file or any other warning into output
+        graph, counts = tmp_path / "path.json", tmp_path / "counts.jsonl"
+        for argv in (["gen", "--family", "path", "--param", "n=20000", "--out", str(graph)],
+                     ["sample", "--graph", str(graph), "--queries", "50", "--out", str(counts)]):
+            proc = self._run(*argv, flags=("-X", "dev", "-W", "error"))
+            assert (proc.returncode, proc.stderr) == (0, "")
+        assert load_graph(graph).n == 20000 and counts.read_text()
+
+    def test_distance_same_under_any_hash_seed(self, tmp_path):
+        # ball keys are bytes, whose hash order differs from process to process
+        files = []
+        for family, params in (("binary_tree", ["depth=6", "beta=0.3"]),
+                               ("random_regular", ["n=40", "d=3"])):
+            graph, stats = str(tmp_path / f"{family}.json"), str(tmp_path / f"{family}.stats")
+            params = [arg for p in params for arg in ("--param", p)]
+            assert main(["gen", "--family", family, *params, "--seed", "3", "--out", graph]) == 0
+            assert main(["stats", "--graph", graph, "--rmax", "2", "--out", stats]) == 0
+            files.append(stats)
+        argv = ["distance", "--stats-a", files[0], "--stats-b", files[1], "--rmax", "2"]
+        outputs = {self._run(*argv, hashseed=seed).stdout for seed in ("0", "2")}
+        assert len(outputs) == 1 and json.loads(outputs.pop())["statistical_distance"] > 0.7
 
     def test_exit_code_passes_through(self, graph_file):
         proc = self._run("test", "--graph", graph_file(gen_cycle(6)),

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -831,6 +832,61 @@ class TestJsonRoundTrip:
         critical_tree.edge_list()
         critical_tree.orbit_reps()
         assert np.array_equal(critical_tree.probabilities, before)
+
+
+class TestCollectorPause:
+    """load_graph and graph_to_json run with the cyclic collector paused:
+    their JSON holds no cycles, yet has a list per edge."""
+
+    GRAPH_FILES = {
+        "graph": {"n": 3, "d": 2, "K": 1.0, "edges": [[0, 1], [1, 2]], "log_weights": [0.0] * 3},
+        "not JSON": "{",
+        "missing field": {"n": 3, "d": 2, "K": 1.0, "edges": []},
+        "mistyped field": {"n": "3", "d": 2, "K": 1.0, "edges": [], "log_weights": [0.0] * 3},
+        "duplicate edge": {"n": 3, "d": 2, "K": 1.0, "edges": [[0, 1], [1, 0]],
+                           "log_weights": [0.0] * 3},
+    }
+
+    def test_no_collection_inside_load_or_dump(self, tmp_path):
+        G = gen_path(30_001)
+        path = tmp_path / "path.json"
+        save_graph(G, path)
+        started, where = [], None
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append((where, info["generation"]))
+
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            where = "load_graph"
+            H = load_graph(path)
+            where = "graph_to_json"
+            text = graph_to_json(H)
+        finally:
+            gc.callbacks.remove(hook)
+        assert started == []
+        assert same_graph(H, G)
+        assert text == path.read_text()
+
+    @pytest.mark.parametrize("name", list(GRAPH_FILES))
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "caller-paused"])
+    def test_collector_state_restored(self, tmp_path, name, enabled):
+        content = self.GRAPH_FILES[name]
+        path = tmp_path / "g.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        if not enabled:
+            gc.disable()
+        try:
+            if name == "graph":
+                graph_to_json(load_graph(path))
+            else:
+                with pytest.raises(DuplicateEdge if name == "duplicate edge" else GraphError):
+                    load_graph(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestKeyedStream:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from rnlab import (
     BallStatistics,
+    CanonicalBallKey,
     OracleConfig,
     ParamMismatch,
     build_graph,
@@ -123,6 +125,22 @@ class TestEmpiricalStats:
 
 
 class TestStatisticalDistance:
+    def test_tv_independent_of_key_order(self):
+        # masses of many magnitudes: a float sum in another order changes bits
+        rng = np.random.default_rng(4)
+        keys = [CanonicalBallKey(rng.bytes(12)) for _ in range(2000)]
+        masses = rng.random(len(keys)) * 10.0 ** rng.integers(-12, 0, len(keys))
+
+        def stats(order, scale):
+            return BallStatistics(1, 2, 3, 2.0, {keys[i]: masses[i] * scale for i in order})
+
+        forward, backward = range(len(keys)), range(len(keys) - 1, -1, -1)
+        d = tv(stats(forward, 1.0), stats(forward, 0.5))
+        assert tv(stats(backward, 1.0), stats(backward, 0.5)) == d
+        assert tv(stats(backward, 0.5), stats(forward, 1.0)) == d
+        exact = sum(Fraction(abs(m - m * 0.5)) for m in masses) / 2
+        assert d == float(exact)
+
     def test_identity(self, critical_tree):
         prof = stats_profile(critical_tree, 3, 2)
         assert statistical_distance(prof, prof, 3) == 0.0
