@@ -12,6 +12,7 @@ from ``rnlab test``; 141 stdout closed by its reader (as in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,8 +77,17 @@ def _seed(text: str) -> int:
 
 def _positive(text: str) -> int:
     """An argparse type: an integer of at least 1, so a statistical distance
-    over no radius or an observation depth below 1 is a usage error."""
+    over no radius, an observation depth, a component bound or a color
+    count below 1 is a usage error."""
     return _count(text, least=1)
+
+
+def _grid_dims(text: str) -> tuple[int, int]:
+    """An argparse type: ``ROWS,COLS``, two integers of at least 1."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected ROWS,COLS, got {text!r}")
+    return _positive(parts[0]), _positive(parts[1])
 
 
 def _epsilon(text: str) -> float:
@@ -121,7 +131,7 @@ def _property_from_name(name: str, forbidden: str | None, colors: int | None) ->
                 edges.append((int(a), int(b)))
         return PropertySpec.h_free(int(head), edges)
     if name == "k_colorable":
-        if not colors:
+        if colors is None:
             raise argparse.ArgumentError(None, "k_colorable needs --colors")
         return PropertySpec.k_colorable(colors)
     raise argparse.ArgumentError(None, f"unknown property {name!r}")
@@ -198,11 +208,7 @@ def cmd_distance(args) -> int:
 def cmd_partition(args) -> int:
     G = load_graph(args.graph)
     if args.cover:
-        dims = None
-        if args.grid_dims:
-            a, _, b = args.grid_dims.partition(",")
-            dims = (int(a), int(b))
-        cert = build_uniform_cover(G, args.epsilon, grid_dims=dims)
+        cert = build_uniform_cover(G, args.epsilon, grid_dims=args.grid_dims)
     else:
         cert = find_weighted_partition(G, args.epsilon, K_target=args.k_target)
     _emit(cert.to_json_dict(), args.out)
@@ -269,7 +275,9 @@ def cmd_scenario(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="rnlab",
         description="Sampling, statistics, and testing on weighted bounded-degree graphs",
@@ -311,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph")
     p.add_argument("--property")
     p.add_argument("--forbidden")
-    p.add_argument("--colors", type=int)
+    p.add_argument("--colors", type=_positive)
     p.add_argument("--absolute", action="store_true")
     p.add_argument("--K", type=float, default=2.0)
     common(p, cmd_distance, seed=False)
@@ -319,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="hyperfinite removal certificates")
     p.add_argument("--graph", required=True)
     p.add_argument("--epsilon", type=_epsilon, required=True)
-    p.add_argument("--k-target", dest="k_target", type=int, default=None)
+    p.add_argument("--k-target", dest="k_target", type=_positive, default=None)
     p.add_argument("--cover", action="store_true")
-    p.add_argument("--grid-dims", dest="grid_dims")
+    p.add_argument("--grid-dims", dest="grid_dims", type=_grid_dims, metavar="ROWS,COLS")
     common(p, cmd_partition, seed=False)
 
     p = sub.add_parser("estimate", help="independence or matching estimators")
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--forbidden")
-    p.add_argument("--colors", type=int)
+    p.add_argument("--colors", type=_positive)
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--observable", action="store_true")
     common(p, cmd_test)

@@ -7,7 +7,6 @@ outputs.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -15,14 +14,9 @@ from typing import Callable
 import numpy as np
 
 from .balls import CanonicalDecoratedBall, canonicalize_decorated, extract_ball_with_map
-from .graphs import GraphError, components, philox
-from .partitions import PartitionInfeasible, find_weighted_partition
-from .solvers import (
-    TooLarge,
-    component_mwis,
-    is_independent,
-    matching_size,
-)
+from .graphs import GraphError, philox
+from .partitions import PartitionInfeasible, find_weighted_partition, solve_pieces
+from .solvers import component_mwis, matching_size
 
 
 class RuleIncomplete(GraphError):
@@ -85,43 +79,20 @@ def run_local_rule(G, rule: LocalRule, t: int, seed: int, bits=None) -> frozense
     return frozenset(members)
 
 
-def _escalating_targets(n: int, epsilon: float) -> list[int]:
-    targets = []
-    k = math.ceil(2.0 / epsilon)
-    while k < n:
-        targets.append(k)
-        k *= 2
-    targets.append(n)
-    return targets
-
-
 def _solve_components(G, epsilon: float, solve) -> list:
     """solve(component, removed) for each component of G left by a
     partition at epsilon/2, in component order.
 
-    Component bounds escalate along _escalating_targets; a bound is dropped
-    when no partition exists there (PartitionInfeasible) or when solve gives
-    out on one of its components (TooLarge).  Raises PartitionInfeasible
-    when every bound is dropped.  A TooLarge from the partition itself, such
-    as a graph too large to list its masses, propagates at once.  Raises
-    ValueError unless 0 < epsilon < 1, before any bound is tried.
+    One partition plan serves every component bound of the estimate, from
+    ceil(2/epsilon) up to G.n (``partitions.solve_pieces``).  Raises
+    PartitionInfeasible when no bound gives a partition whose components
+    solve can finish, and ValueError unless 0 < epsilon < 1, before any
+    bound is tried.  A TooLarge from reading the masses, as on a graph too
+    large to list them, propagates before any bound is tried.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    last_error = None
-    for K_target in _escalating_targets(G.n, epsilon):
-        try:
-            cert = find_weighted_partition(G, epsilon / 2.0, K_target)
-        except PartitionInfeasible as e:
-            last_error = e
-            continue
-        try:
-            return [solve(comp, cert.removed) for comp in components(G, cert.removed)]
-        except TooLarge as e:
-            last_error = e
-    raise PartitionInfeasible(
-        f"no usable partition at any component bound: {last_error}"
-    )
+    return solve_pieces(G, epsilon / 2.0, solve)
 
 
 def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, float]:
@@ -147,11 +118,13 @@ def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, 
 def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozenset, float, bool]:
     """local_independent_set without the warning, plus whether the result
     carries the accuracy guarantee: False exactly when the greedy pass ran."""
-    probs = G.probabilities
-    w = probs.tolist()
+    w = G.probabilities.tolist()
+    adj = G.neighbor_lists()
 
     def solve(comp, removed):
-        adj = G.neighbor_lists()
+        if not removed:
+            # a component of G keeps all its neighbors
+            return component_mwis(sorted(comp), adj, w)
         # a component's vertices keep exactly their neighbors inside it
         inside = {v: [u for u in adj[v] if u not in removed] for v in comp}
         return component_mwis(sorted(comp), inside, w)
@@ -166,13 +139,13 @@ def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozense
                 continue
             taken.add(v)
             blocked.add(v)
-            blocked.update(G.neighbors(v))
+            blocked.update(adj[v])
         J = frozenset(taken)
-        return J, float(sum(probs[v] for v in J)), False
+        return J, float(sum(w[v] for v in J)), False
     J = frozenset(v for part in parts for v in part)
-    if not is_independent(G, J):
+    if any(u in J for v in J for u in adj[v]):
         raise AssertionError("component union is not independent")
-    return J, float(sum(probs[v] for v in J)), True
+    return J, float(sum(w[v] for v in J)), True
 
 
 UNIFORM_TOLERANCE = 1e-9

@@ -3,13 +3,23 @@
 Constructors are heuristic (sphere cutting) and verifiers are exact and
 independent, so a certificate is trusted only after re-checking the mass and
 component bounds from scratch.
+
+Weighted partitions come from a plan made once per graph and epsilon.  The
+plan reads the masses, the neighbor lists and the components once, picks
+one entry vertex per component, and then cuts a partition for each
+component bound asked for.  ``find_weighted_partition`` asks it for one
+bound; ``solve_pieces`` climbs the estimators' ladder of bounds on one plan,
+so every rung shares the component scan, the BFS layers its first cut
+searches, and one mark list.  Every rung's certificate or failure text is
+the one a partition made from scratch at that bound gives.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .graphs import GraphError, components, walk_order
+from .graphs import GraphError, TooLarge, components, walk_order
 
 MASS_SLACK = 1e-9
 
@@ -94,8 +104,162 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
 SEED_TRIES = 4
 
 
+class _Plan:
+    """Sphere-cutting partitions of one graph at one epsilon, one for each
+    component bound asked for.
+
+    The masses, the neighbor lists, the components and their entry vertices
+    are read once, when the plan is made, and every partition reuses them.
+    Until a partition assigns its first vertex, each search it makes starts
+    in the same empty graph as every other partition's, so those searches
+    are cut from one set of BFS layers per seed, grown on demand and kept
+    for the next bound.  Later searches share one mark list: ``mark[w] <
+    stamp`` means w is neither reached by the current search nor assigned.
+    """
+
+    def __init__(self, G, epsilon: float):
+        self.epsilon = epsilon
+        # the masses are read first, so a graph too large to list them
+        # raises TooLarge before anything of size n is allocated
+        self.p = G.probabilities.tolist()
+        self.adj = G.neighbor_lists()
+        self.components = components(G)
+        # initial entries: the heaviest vertex of each component, the first
+        # in visit order on ties
+        self.entries = [max(comp, key=self.p.__getitem__) for comp in self.components]
+        self.mark = [0] * G.n
+        self.stamp = 0
+        # seed -> (layers, their masses, running vertex counts, vertices
+        # seen) of its BFS with nothing assigned; an empty last layer means
+        # the component is exhausted
+        self.first_layers: dict[int, tuple] = {}
+
+    def _first_explore(self, seed: int, K_target: int):
+        """explore(seed) while nothing is assigned: the seed's BFS layers up
+        to the first prefix of more than K_target vertices."""
+        cached = self.first_layers.get(seed)
+        if cached is None:
+            cached = self.first_layers[seed] = ([[seed]], [self.p[seed]], [1], {seed})
+        layers, masses, totals, seen = cached
+        p, adj = self.p, self.adj
+        while totals[-1] <= K_target and layers[-1]:
+            frontier = []
+            mass = 0.0
+            for v in layers[-1]:
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+                        mass += p[w]
+            layers.append(frontier)
+            masses.append(mass)
+            totals.append(totals[-1] + len(frontier))
+        if totals[-1] <= K_target:
+            return layers[:-1], masses[:-1], True
+        cut = bisect_right(totals, K_target) + 1
+        return layers[:cut], masses[:cut], False
+
+    def certificate(self, K_target: int) -> PartitionCertificate:
+        """The partition whose regions grow to at most K_target vertices,
+        or PartitionInfeasible naming the entry where no cut was found."""
+        epsilon, p, adj, mark = self.epsilon, self.p, self.adj, self.mark
+        stamp = self.stamp
+        # a search of this partition assigns a vertex or ends it, so its
+        # stamps stay below done, which marks the assigned vertices; the
+        # next partition's stamps start above it
+        done = self.stamp = stamp + (SEED_TRIES + 1) * len(mark) + 1
+        removed: set[int] = set()
+        component_sizes: list[int] = []
+        entries = self.entries.copy()
+        fresh = True  # nothing is assigned yet
+
+        def explore(seed: int):
+            """BFS layers from seed until the prefix exceeds K_target or the
+            component is exhausted.  Returns (layers, their masses,
+            exhausted); every proper prefix of the layers holds at most
+            K_target vertices."""
+            nonlocal stamp
+            if fresh:
+                return self._first_explore(seed, K_target)
+            stamp += 1
+            mark[seed] = stamp
+            layers = [[seed]]
+            masses = [p[seed]]
+            total = 1
+            while True:
+                frontier = []
+                mass = 0.0
+                for v in layers[-1]:
+                    for w in adj[v]:
+                        if mark[w] < stamp:
+                            mark[w] = stamp
+                            frontier.append(w)
+                            mass += p[w]
+                if not frontier:
+                    return layers, masses, True
+                layers.append(frontier)
+                masses.append(mass)
+                total += len(frontier)
+                if total > K_target:
+                    return layers, masses, False
+
+        def carve(layers, masses, exhausted: bool) -> bool:
+            """Seal off the best layer prefix of an explored ball.  A failing
+            carve changes nothing, so its layers can seed the retries."""
+            nonlocal fresh
+            if exhausted:
+                region, sphere = [v for layer in layers for v in layer], []
+            else:
+                best_ratio, best_rho = None, None
+                region_mass = 0.0
+                for rho in range(len(layers) - 1):
+                    region_mass += masses[rho]
+                    ratio = masses[rho + 1] / region_mass if region_mass > 0 else math.inf
+                    if best_ratio is None or ratio < best_ratio:
+                        best_ratio, best_rho = ratio, rho
+                if best_ratio > epsilon:
+                    return False
+                region = [v for lay in layers[: best_rho + 1] for v in lay]
+                sphere = layers[best_rho + 1]
+            for v in region:
+                mark[v] = done
+            for v in sphere:
+                removed.add(v)
+                mark[v] = done
+            component_sizes.append(len(region))
+            for v in sphere:
+                for w in adj[v]:
+                    if mark[w] < done:
+                        entries.append(w)
+            fresh = False
+            return True
+
+        while entries:
+            e = entries.pop()
+            if mark[e] == done:
+                continue
+            layers, masses, exhausted = explore(e)
+            if carve(layers, masses, exhausted):
+                continue
+            # retry from the heaviest vertices of the sampled ball
+            pool = sorted(
+                (v for lay in layers for v in lay), key=lambda v: -p[v]
+            )[:SEED_TRIES]
+            if not any(v != e and carve(*explore(v)) for v in pool):
+                raise PartitionInfeasible(
+                    f"no sphere of relative mass <= {epsilon} around vertex {e} "
+                    f"with regions of <= {K_target} vertices"
+                )
+        return PartitionCertificate(
+            removed=frozenset(removed),
+            epsilon=epsilon,
+            component_bound=max(component_sizes, default=0),
+            component_sizes=tuple(sorted(component_sizes)),
+        )
+
+
 def find_weighted_partition(G, epsilon: float, K_target: int = None) -> PartitionCertificate:
-    """Sphere-cutting heuristic.
+    """Sphere-cutting heuristic at one component bound.
 
     Grow a BFS region from a seed inside an oversized component; among layer
     prefixes of at most K_target vertices, cut the bounding sphere with the
@@ -110,11 +274,9 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     8/epsilon^2, so pass a larger hint there; expanders fail at every hint
     small enough to be meaningful, which is the point.
 
-    Every scan reads one list of the masses and the graph's one
-    ``G.neighbor_lists()``, as ``components`` does.  The lists are read after
-    ``G.probabilities``, so a graph too large to list its masses raises
-    ``TooLarge`` before anything of size n is allocated.  Layer masses are
-    summed once each, left to right.
+    This is the one-bound case of the plan ``solve_pieces`` climbs: the
+    same searches and cuts, with one bound asked for.  A graph too large to
+    list its masses raises ``TooLarge``.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -122,96 +284,47 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
         K_target = math.ceil(1.0 / epsilon)
     if K_target < 1:
         raise ValueError("component bound must be positive")
-    n = G.n
-    p = G.probabilities.tolist()
-    adj = G.neighbor_lists()
-    removed: set[int] = set()
-    assigned = [False] * n
-    component_sizes: list[int] = []
+    return _Plan(G, epsilon).certificate(K_target)
 
-    # initial entries: the heaviest vertex of each component, the first in
-    # visit order on ties
-    entries = [max(comp, key=p.__getitem__) for comp in components(G)]
 
-    def explore(seed: int):
-        """BFS layers from seed until the prefix exceeds K_target or the
-        component is exhausted.  Returns (layers, their masses, exhausted);
-        every proper prefix of the layers holds at most K_target vertices."""
-        layers = [[seed]]
-        masses = [p[seed]]
-        visited = {seed}
-        total = 1
-        while True:
-            frontier = []
-            mass = 0.0
-            for v in layers[-1]:
-                for w in adj[v]:
-                    # removed vertices are assigned too
-                    if w not in visited and not assigned[w]:
-                        visited.add(w)
-                        frontier.append(w)
-                        mass += p[w]
-            if not frontier:
-                return layers, masses, True
-            layers.append(frontier)
-            masses.append(mass)
-            total += len(frontier)
-            if total > K_target:
-                return layers, masses, False
+def solve_pieces(G, epsilon: float, solve) -> list:
+    """solve(piece, removed) for each component left by the first usable
+    partition at epsilon, in component order.
 
-    def carve(layers, masses, exhausted: bool) -> bool:
-        """Seal off the best layer prefix of an explored ball.  A failing
-        carve changes nothing, so its layers can seed the retries."""
-        if exhausted:
-            comp = [v for layer in layers for v in layer]
-            for v in comp:
-                assigned[v] = True
-            component_sizes.append(len(comp))
-            return True
-        best_ratio, best_rho = None, None
-        region_mass = 0.0
-        for rho in range(len(layers) - 1):
-            region_mass += masses[rho]
-            ratio = masses[rho + 1] / region_mass if region_mass > 0 else math.inf
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio, best_rho = ratio, rho
-        if best_ratio > epsilon:
-            return False
-        region = [v for lay in layers[: best_rho + 1] for v in lay]
-        sphere = layers[best_rho + 1]
-        for v in region:
-            assigned[v] = True
-        for v in sphere:
-            removed.add(v)
-            assigned[v] = True
-        component_sizes.append(len(region))
-        for v in sphere:
-            for w in adj[v]:
-                if not assigned[w]:
-                    entries.append(w)
-        return True
-
-    while entries:
-        e = entries.pop()
-        if assigned[e]:
+    The component bounds climb from ceil(1/epsilon), doubling while below
+    G.n, and end at G.n.  A bound is dropped when no partition is found
+    there (PartitionInfeasible) or when solve gives out on one of its
+    pieces (TooLarge); PartitionInfeasible naming the last failure is raised
+    when every bound is dropped.  All bounds share one plan, made before
+    any bound is tried, so a TooLarge from reading the masses propagates at
+    once.  When a partition removes nothing, its pieces are the plan's own
+    components.
+    """
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    plan = _Plan(G, epsilon)
+    bounds = []
+    k = math.ceil(1.0 / epsilon)
+    while k < G.n:
+        bounds.append(k)
+        k *= 2
+    bounds.append(G.n)
+    # the last failure's text; the exception itself would hold the plan
+    # through its traceback
+    last_error = None
+    for K_target in bounds:
+        try:
+            cert = plan.certificate(K_target)
+        except PartitionInfeasible as e:
+            last_error = str(e)
             continue
-        layers, masses, exhausted = explore(e)
-        if carve(layers, masses, exhausted):
-            continue
-        # retry from the heaviest vertices of the sampled ball
-        pool = sorted(
-            (v for lay in layers for v in lay), key=lambda v: -p[v]
-        )[:SEED_TRIES]
-        if not any(v != e and carve(*explore(v)) for v in pool):
-            raise PartitionInfeasible(
-                f"no sphere of relative mass <= {epsilon} around vertex {e} "
-                f"with regions of <= {K_target} vertices"
-            )
-    return PartitionCertificate(
-        removed=frozenset(removed),
-        epsilon=epsilon,
-        component_bound=max(component_sizes, default=0),
-        component_sizes=tuple(sorted(component_sizes)),
+        pieces = components(G, cert.removed) if cert.removed else plan.components
+        try:
+            return [solve(piece, cert.removed) for piece in pieces]
+        except TooLarge as e:
+            last_error = str(e)
+    raise PartitionInfeasible(
+        f"no usable partition at any component bound: {last_error}"
     )
 
 

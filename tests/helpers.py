@@ -41,7 +41,7 @@ from rnlab.graphs import (
     components,
 )
 from rnlab.partitions import SEED_TRIES, PartitionCertificate, PartitionInfeasible
-from rnlab.solvers import matching_size
+from rnlab.solvers import component_mwis, is_independent, matching_size
 from rnlab.statistics import BallStatistics, _sweep
 
 LN2 = math.log(2.0)
@@ -499,6 +499,72 @@ def scalar_find_weighted_partition(G, epsilon, K_target=None):
         component_bound=max(component_sizes, default=0),
         component_sizes=tuple(sorted(component_sizes)),
     )
+
+
+def reference_bound_ladder(n: int, epsilon: float) -> list[int]:
+    """The component bounds an estimate at epsilon tries, in order: ceil(2/epsilon),
+    doubling while below n, then n."""
+    bounds = []
+    k = math.ceil(2.0 / epsilon)
+    while k < n:
+        bounds.append(k)
+        k *= 2
+    bounds.append(n)
+    return bounds
+
+
+def reference_solve_components(G, epsilon, solve) -> list:
+    """The estimators' bound ladder as a loop of separate partitions: one
+    scalar_find_weighted_partition at epsilon/2 per bound, each from scratch.
+    The reference for solve_pieces."""
+    last_error = None
+    for K_target in reference_bound_ladder(G.n, epsilon):
+        try:
+            cert = scalar_find_weighted_partition(G, epsilon / 2.0, K_target)
+        except PartitionInfeasible as e:
+            last_error = e
+            continue
+        try:
+            return [solve(comp, cert.removed) for comp in components(G, cert.removed)]
+        except TooLarge as e:
+            last_error = e
+    raise PartitionInfeasible(f"no usable partition at any component bound: {last_error}")
+
+
+def reference_independent_set_estimate(G, epsilon, seed=0) -> tuple[frozenset, float, bool]:
+    """independent_set_estimate over the reference ladder: each component's
+    neighbors copied out of G.neighbors, and the value summed from numpy
+    masses."""
+    probs = G.probabilities
+    w = probs.tolist()
+
+    def solve(comp, removed):
+        inside = {v: [u for u in G.neighbors(v) if u not in removed] for v in comp}
+        return component_mwis(sorted(comp), inside, w)
+
+    try:
+        parts = reference_solve_components(G, epsilon, solve)
+    except PartitionInfeasible:
+        taken, blocked = set(), set()
+        for v in np.random.default_rng(seed).permutation(G.n).tolist():
+            if v not in blocked:
+                taken.add(v)
+                blocked.add(v)
+                blocked.update(G.neighbors(v))
+        J = frozenset(taken)
+        return J, float(sum(probs[v] for v in J)), False
+    J = frozenset(v for part in parts for v in part)
+    assert is_independent(G, J)
+    return J, float(sum(probs[v] for v in J)), True
+
+
+def reference_estimate_matching(G, epsilon) -> float:
+    """estimate_matching over the reference ladder, on a uniform graph."""
+    def solve(comp, removed):
+        pos = {v: i for i, v in enumerate(comp)}
+        return matching_size(len(comp), [[pos[u] for u in G.neighbors(v) if u in pos] for v in comp])
+
+    return sum(reference_solve_components(G, epsilon, solve)) / G.n
 
 
 def reference_tree_perm(depths, adj, decorations):

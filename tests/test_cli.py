@@ -486,6 +486,75 @@ class TestEstimate:
         }
 
 
+def _pin_corpus() -> dict:
+    """Small fixed graphs for the pinned outputs: weighted and uniform, with
+    partitions that cut, that fail at some bounds and that fail at all."""
+    grid = gen_grid(10, 10)
+    return {
+        "wpath": build_graph([(v, v + 1) for v in range(79)],
+                             [0.3 * ((7 * v) % 5) for v in range(80)], d=2, K=4.0),
+        "wgrid": build_graph(grid.edge_list(), [0.2 * ((3 * v) % 4) for v in range(100)],
+                             d=4, K=2.0),
+        "path": gen_path(40),
+        "grid": gen_grid(8, 8),
+        "cycle": gen_cycle(60),
+        "long_cycle": gen_cycle(200),
+        "cubic": gen_random_regular(60, 3, seed=1),
+        "big_cubic": gen_random_regular(300, 3, seed=0),
+    }
+
+
+PINNED = [
+    (["partition", "wpath", "--epsilon", "0.2"],
+     "be7fe0b1520ac2d54437f3378bf68d88d0172ea8477bcb8d61e4da7e128d3f0f"),
+    (["partition", "wgrid", "--epsilon", "0.3", "--k-target", "40"],
+     "8137421f4bdbfa428d0af1cbcfc81462a5bd6b67dd74679a7e280a9575231ce8"),
+    (["partition", "wpath", "--epsilon", "0.1", "--k-target", "25"],
+     "4c1e127665a75c3fdf39d93bf9c4f5f4d740661e66fc103c85c9c2d54930a244"),
+    (["partition", "long_cycle", "--epsilon", "0.05"],
+     "ee5b90dabce535501ddcbdaabbd4d7a53cbe82504cd9c5b38aef6f7d1b09706f"),
+    (["partition", "path", "--epsilon", "0.3", "--cover"],
+     "3911255771faab7116c7b9b85f533068409b00d17bc7520be3c9c385ed00aead"),
+    (["partition", "grid", "--epsilon", "0.5", "--cover", "--grid-dims", "8,8"],
+     "ea188cc9027f886ab3746e087d41591b014994ecabb42706fe9f3a4e796dad21"),
+    (["estimate", "wgrid", "--what", "independence", "--epsilon", "0.3", "--seed", "2"],
+     "c81825c19d6ac03c6fa518adf567b6e061839001e09739b0df015ccde2640d90"),
+    (["estimate", "wpath", "--what", "independence", "--epsilon", "0.1"],
+     "b07050204abd7e464f5f44a6140db6e9bcff14c15598980e46f8f808575a0886"),
+    (["estimate", "cubic", "--what", "independence", "--epsilon", "0.2", "--seed", "4"],
+     "c57faf31da79d9a546cb518cb9ff6d4a538b775692ffd46c6fd569cc0e27299e"),
+    (["estimate", "grid", "--what", "matching", "--epsilon", "0.3"],
+     "25cf9c052392e4db2cb47612326a81ad96ae998a40ffcc36041950ddc8119079"),
+    (["estimate", "cycle", "--what", "matching", "--epsilon", "0.2"],
+     "07b1f33dcf72e02030f67220f373cd19ea1bd7c4bbf824ac31a2ce0c1c82cdfb"),
+    (["estimate", "big_cubic", "--what", "matching", "--epsilon", "0.2"],
+     "ddeafa7cd8976fef5ea738b03257715795cbba1436a91afe791351de470e9823"),
+]
+
+
+class TestPinnedOutputs:
+    """sha256 of partition and estimate output files on a fixed corpus,
+    computed before the estimators' bound ladder shared one partition plan:
+    certificates, estimates, guarantees and failure texts stay byte for
+    byte."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("pins")
+        paths = {}
+        for name, G in _pin_corpus().items():
+            paths[name] = str(d / f"{name}.json")
+            save_graph(G, paths[name])
+        return paths
+
+    @pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a[:2] + a[3:5]) for a, _ in PINNED])
+    def test_output_file(self, argv, digest, files, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        main([argv[0], "--graph", files[argv[1]], *argv[2:], "--out", str(out)])
+        assert capsys.readouterr().out == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestTest:
     def test_member_accepts_exit_0(self, graph_file, capsys):
         g = graph_file(gen_path(30))
@@ -908,6 +977,53 @@ class TestUsageErrors:
         assert f"rnlab: error: {message}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["partition", "--graph", "G", "--epsilon", "0.3", "--k-target", "0"],
+         "argument --k-target: must be at least 1, got 0"),
+        (["partition", "--graph", "G", "--epsilon", "0.3", "--k-target", "-3"],
+         "argument --k-target: must be at least 1, got -3"),
+        (["partition", "--graph", "G", "--epsilon", "0.3", "--cover", "--grid-dims", "3"],
+         "argument --grid-dims: expected ROWS,COLS, got '3'"),
+        (["partition", "--graph", "G", "--epsilon", "0.3", "--cover", "--grid-dims", "x,4"],
+         "argument --grid-dims: invalid int value: 'x'"),
+        (["partition", "--graph", "G", "--epsilon", "0.3", "--cover", "--grid-dims", "3,4,5"],
+         "argument --grid-dims: expected ROWS,COLS, got '3,4,5'"),
+        (["partition", "--graph", "G", "--epsilon", "0.3", "--cover", "--grid-dims", "2,0"],
+         "argument --grid-dims: must be at least 1, got 0"),
+        (["test", "--graph", "G", "--property", "k_colorable", "--epsilon", "0.3",
+          "--colors", "-1"], "argument --colors: must be at least 1, got -1"),
+        (["test", "--graph", "G", "--property", "k_colorable", "--epsilon", "0.3",
+          "--colors", "0"], "argument --colors: must be at least 1, got 0"),
+        (["distance", "--graph", "G", "--property", "k_colorable", "--colors", "0"],
+         "argument --colors: must be at least 1, got 0"),
+    ])
+    def test_counts_below_one(self, argv, message, graph_file, capsys):
+        argv = [graph_file(gen_grid(2, 2)) if a == "G" else a for a in argv]
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rnlab ") and f"rnlab {argv[0]}: error: {message}\n" in err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_start_from_the_defaults(self, graph_file, capsys):
+        # --param appends to a list: a second call must not see the first's
+        run(capsys, ["gen", "--family", "path", "--param", "n=3", "--param", "d=3"])
+        rc, out = run(capsys, ["gen", "--family", "path", "--param", "n=5"])
+        assert rc == 0 and json.loads(out)["n"] == 5 and json.loads(out)["d"] == 2
+        g = graph_file(gen_path(6))
+        rc, out = run(capsys, ["partition", "--graph", g, "--epsilon", "0.5", "--k-target", "3"])
+        assert rc == 0 and json.loads(out)["component_bound"] <= 3
+        rc, out = run(capsys, ["partition", "--graph", g, "--epsilon", "0.5"])
+        assert rc == 0 and json.loads(out)["component_bound"] == 2
+        namespaces = [build_parser().parse_args(["gen", "--family", "path"]) for _ in range(2)]
+        assert namespaces[0] is not namespaces[1] and namespaces[0].param is None
+
+
 def _args_read(fn) -> set[str]:
     """Every name that fn reads as args.<name>."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
@@ -941,7 +1057,8 @@ class TestOptions:
         assert unread_options(build_parser()) == []
 
     def test_check_catches_an_unread_option(self):
-        parser = build_parser()
+        # a parser of its own: the process's one parser must not change
+        parser = build_parser.__wrapped__()
         subcommands(parser)["observe"].add_argument("--seed", type=int, default=0)
         subcommands(parser)["dist"].add_argument("--verbose", action="store_true")
         assert unread_options(parser) == ["distance --verbose", "observe --seed"]

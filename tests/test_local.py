@@ -16,7 +16,6 @@ from rnlab import (
     exact_stats,
     exact_weighted_mis,
     extract_ball_with_map,
-    find_weighted_partition,
     gen_binary_tree,
     gen_cycle,
     gen_grid,
@@ -30,14 +29,18 @@ from rnlab import (
     table_rule,
     tv,
 )
-from rnlab import local
+from rnlab import partitions
 from helpers import (
     GIRTH8_CUBIC_EDGES,
     GIRTH8_CUBIC_N,
     count_neighbor_list_builds,
     exact_matching,
     random_bounded_graph,
+    reference_bound_ladder,
+    reference_estimate_matching,
+    reference_independent_set_estimate,
     reference_vertex_bits,
+    scalar_find_weighted_partition,
 )
 
 LN2 = math.log(2.0)
@@ -242,21 +245,15 @@ class TestEstimateMatching:
 
     def test_deep_implicit_tree_fails_fast(self, monkeypatch):
         # the weight check reads one vertex per layer, not 2^100 - 1 vertices;
-        # the partition then cannot list the masses, and that failure is not
-        # a reason to try the next component bound
-        calls = []
-
-        def counted(*args):
-            calls.append(args[2])
-            return find_weighted_partition(*args)
-
-        monkeypatch.setattr(local, "find_weighted_partition", counted)
+        # the partition plan then cannot list the masses, and that failure
+        # ends the estimate before any component bound is tried
+        bounds = count_partition_bounds(monkeypatch)
         T = gen_binary_tree(100, 0.0, representation="implicit")
         with pytest.raises(TooLarge, match=r"^refusing to list 2\^100 - 1 vertex masses$"):
             estimate_matching(T, 0.3)
-        assert calls == [7]
         with pytest.raises(TooLarge, match=r"^refusing to list 2\^100 - 1 vertex masses$"):
             independent_set_estimate(T, 0.3)
+        assert bounds == []
 
     def test_no_usable_bound_names_the_last_failure(self):
         # the last bound is n = 210: the partition exists there, but its one
@@ -278,12 +275,138 @@ def test_epsilon_outside_the_unit_interval_is_rejected(estimator, epsilon, monke
     """Before any component bound is tried: below 0 or at infinity the
     bound ladder would never end, at 0 it would divide by zero, and at 1 or
     more it would claim a guarantee the partition cannot give."""
-    calls = []
-    monkeypatch.setattr(local, "find_weighted_partition", lambda *a: calls.append(a))
+    bounds = count_partition_bounds(monkeypatch)
     with pytest.raises(ValueError) as e:
         estimator(gen_grid(12, 9), epsilon)
     assert type(e.value) is ValueError and str(e.value) == "epsilon must lie in (0, 1)"
-    assert calls == []
+    assert bounds == []
+
+
+def count_partition_bounds(monkeypatch) -> list:
+    """The component bound of every partition a plan is asked for, in order,
+    recorded through a wrapper on the plan class."""
+    bounds = []
+    certificate = partitions._Plan.certificate
+
+    def counted(plan, K_target):
+        bounds.append(K_target)
+        return certificate(plan, K_target)
+
+    monkeypatch.setattr(partitions._Plan, "certificate", counted)
+    return bounds
+
+
+def test_bound_ladder_tries_each_bound_once_on_one_plan(monkeypatch):
+    # a 20-vertex cycle at epsilon 0.3: bound 7 fails, 14 fails, the whole
+    # graph removes nothing, and one plan serves all three
+    plans = []
+    bounds = count_partition_bounds(monkeypatch)
+    init = partitions._Plan.__init__
+
+    def made(plan, *args):
+        plans.append(plan)
+        init(plan, *args)
+
+    monkeypatch.setattr(partitions._Plan, "__init__", made)
+    assert estimate_matching(gen_cycle(20), 0.3) == 0.5
+    assert bounds == [7, 14, 20] and len(plans) == 1
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the text of the PartitionInfeasible it raises."""
+    try:
+        return fn(*args)
+    except PartitionInfeasible as e:
+        return ("infeasible", str(e))
+
+
+def _joined(G, H):
+    """The disjoint union of G and H, H's vertices numbered after G's."""
+    edges = G.edge_list() + [(u + G.n, v + G.n) for u, v in H.edge_list()]
+    lw = [G.log_weight(v) for v in range(G.n)] + [H.log_weight(v) for v in range(H.n)]
+    return build_graph(edges, lw, d=max(G.d, H.d), K=max(G.K, H.K))
+
+
+def _ladder_corpus(rng):
+    """Weighted paths, cycles, heap trees, grids and cubic graphs with
+    weights within K, some with tied weights, and disjoint unions of them."""
+    def weights(n, K):
+        if rng.integers(2):
+            # up to three weight levels: many vertices tie for heaviest
+            return (rng.integers(0, 3, size=n) * (math.log(K) / 2)).tolist()
+        return rng.uniform(0.0, math.log(K), size=n).tolist()
+
+    def path(n, K):
+        return build_graph([(v, v + 1) for v in range(n - 1)], weights(n, K), d=2, K=K)
+
+    def cycle(n, K):
+        return build_graph([(v, (v + 1) % n) for v in range(n)], weights(n, K), d=2, K=K)
+
+    def tree(n, K):
+        return build_graph([((v - 1) // 2, v) for v in range(1, n)], weights(n, K), d=3, K=K)
+
+    def grid(rows, cols, K):
+        return build_graph(gen_grid(rows, cols).edge_list(), weights(rows * cols, K), d=4, K=K)
+
+    def cubic(n, K):
+        G = gen_random_regular(n, 3, seed=int(rng.integers(1000)))
+        return build_graph(G.edge_list(), weights(n, K), d=3, K=K)
+
+    makers = [
+        lambda K: path(int(rng.integers(1, 150)), K),
+        lambda K: cycle(int(rng.integers(3, 150)), K),
+        lambda K: tree(int(rng.integers(1, 128)), K),
+        lambda K: grid(int(rng.integers(1, 11)), int(rng.integers(2, 13)), K),
+        lambda K: cubic(2 * int(rng.integers(3, 33)), K),
+    ]
+    graphs = []
+    for i in range(60):
+        K = float(rng.choice([1.0, 2.0, 4.0]))
+        G = makers[i % len(makers)](K)
+        if i % 3 == 2:
+            G = _joined(G, makers[int(rng.integers(len(makers)))](K))
+        graphs.append(G)
+    # past the matching solver's 200 vertices: no bound is usable there
+    graphs.append(cubic(210, 2.0))
+    return graphs
+
+
+class TestLadderAgainstPerRungReference:
+    """One partition plan serving every bound of an estimate's ladder against
+    a loop of separate partitions: the same certificate or failure text at
+    every bound, and the same estimates."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _ladder_corpus(np.random.default_rng(20261020))
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2, 0.3])
+    def test_every_bound_on_one_plan(self, corpus, epsilon):
+        infeasible = 0
+        for G in corpus:
+            plan = partitions._Plan(G, epsilon / 2.0)
+            for K_target in reference_bound_ladder(G.n, epsilon):
+                got = _outcome(plan.certificate, K_target)
+                assert got == _outcome(scalar_find_weighted_partition, G, epsilon / 2.0, K_target)
+                infeasible += isinstance(got, tuple)
+        assert infeasible > 0
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2, 0.3])
+    def test_estimates(self, corpus, epsilon, monkeypatch):
+        bounds = count_partition_bounds(monkeypatch)
+        guaranteed = unmatched = 0
+        for seed, G in enumerate(corpus):
+            del bounds[:]
+            got = independent_set_estimate(G, epsilon, seed=seed)
+            assert got == reference_independent_set_estimate(G, epsilon, seed=seed)
+            guaranteed += got[2]
+            ladder = reference_bound_ladder(G.n, epsilon)
+            assert bounds == ladder[: len(bounds)]
+            U = build_graph(G.edge_list(), [0.0] * G.n, d=G.d, K=1.0)
+            ratio = _outcome(estimate_matching, U, epsilon)
+            assert ratio == _outcome(reference_estimate_matching, U, epsilon)
+            unmatched += isinstance(ratio, tuple)
+        assert 0 < guaranteed < len(corpus) and unmatched > 0
 
 
 class TestIndistinguishablePair:

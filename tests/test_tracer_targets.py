@@ -38,7 +38,9 @@ def test_tracer_installs_and_restores_every_binding():
     tracer.install()
     try:
         patched = {(owner.__name__, attr) for owner, attr, _ in tracer._patches}
-        # the partition ladder is traced through local's own binding
+        # local no longer calls find_weighted_partition (its bound ladder
+        # is a partition plan in partitions.py), but the tracer still wraps
+        # local's binding, so local keeps the name
         assert ("rnlab.local", "find_weighted_partition") in patched
         assert ("rnlab.partitions", "verify_weighted_partition") in patched
         # ball indexes, which type the roots of exact sweeps and sampled
