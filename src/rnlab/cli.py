@@ -90,6 +90,24 @@ def _grid_dims(text: str) -> tuple[int, int]:
     return _positive(parts[0]), _positive(parts[1])
 
 
+def _forbidden(text: str) -> PropertySpec:
+    """An argparse type: ``n:u-v,u-v,...``, the h_free property of the
+    graph on vertices 0..n-1 with those edges, each joining two distinct
+    vertices.  A malformed field, an empty edge item, a self-loop or an
+    endpoint outside 0..n-1 is a usage error (exit code 2)."""
+    head, _, rest = text.partition(":")
+    edges = []
+    for item in rest.split(",") if rest else ():
+        u, dash, v = item.partition("-")
+        if not dash:
+            raise argparse.ArgumentTypeError(f"expected an edge u-v, got {item!r}")
+        edges.append((_count(u), _count(v)))
+    try:
+        return PropertySpec.h_free(_count(head), edges)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _epsilon(text: str) -> float:
     """An argparse type: a float strictly between 0 and 1, so an accuracy
     outside (0, 1), nan and inf included, is a usage error (exit code 2)."""
@@ -115,21 +133,16 @@ def _emit(obj, path: str | None) -> None:
     _write(json.dumps(obj, indent=1, sort_keys=True), path)
 
 
-def _property_from_name(name: str, forbidden: str | None, colors: int | None) -> PropertySpec:
+def _property_from_name(name: str, forbidden: PropertySpec | None,
+                        colors: int | None) -> PropertySpec:
     if name == "forest":
         return PropertySpec.forest()
     if name == "bipartite":
         return PropertySpec.bipartite()
     if name == "h_free":
-        if not forbidden:
+        if forbidden is None:
             raise argparse.ArgumentError(None, "h_free needs --forbidden n:u-v,u-v,...")
-        head, _, rest = forbidden.partition(":")
-        edges = []
-        if rest:
-            for part in rest.split(","):
-                a, _, b = part.partition("-")
-                edges.append((int(a), int(b)))
-        return PropertySpec.h_free(int(head), edges)
+        return forbidden
     if name == "k_colorable":
         if colors is None:
             raise argparse.ArgumentError(None, "k_colorable needs --colors")
@@ -318,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=_positive, default=3)
     p.add_argument("--graph")
     p.add_argument("--property")
-    p.add_argument("--forbidden")
+    p.add_argument("--forbidden", type=_forbidden, metavar="N:U-V,...")
     p.add_argument("--colors", type=_positive)
     p.add_argument("--absolute", action="store_true")
     p.add_argument("--K", type=float, default=2.0)
@@ -341,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="property tester (exit 3 on REJECT)")
     p.add_argument("--graph", required=True)
     p.add_argument("--property", required=True)
-    p.add_argument("--forbidden")
+    p.add_argument("--forbidden", type=_forbidden, metavar="N:U-V,...")
     p.add_argument("--colors", type=_positive)
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--observable", action="store_true")

@@ -47,6 +47,16 @@ class PropertySpec:
 
     @staticmethod
     def h_free(n: int, edges) -> "PropertySpec":
+        """Graphs with no copy of H, the graph on vertices 0..n-1 with the
+        given edges.  A self-loop or an endpoint outside 0..n-1 is a
+        ValueError: no search for a copy would check such an edge."""
+        if n < 0:
+            raise ValueError(f"the forbidden graph needs a vertex count of at least 0, got {n}")
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"forbidden edge {u}-{v} is a self-loop")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"forbidden edge {u}-{v} has an endpoint outside 0..{n - 1}")
         canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
         return PropertySpec(id="h_free", forbidden=(n, canon))
 

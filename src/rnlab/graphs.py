@@ -180,8 +180,11 @@ class _GraphProtocol:
     numpy scalars), and the rest of the queries in the module docstring.
     ``adjacent`` and ``neighbor_lists`` are defined here from ``neighbors``.
     ``derived`` keeps structures derived from the immutable graph (its
-    neighbor lists, its alias table, its ball indexes), built on first use
-    and stored on the graph so they die with it.
+    neighbor lists, its alias table, its orbit index, its ball indexes and
+    its partition plan), built on first use and stored on the graph so they
+    die with it.  None holds a strong reference to the graph, so a dropped
+    graph is freed by reference counting, without the cyclic collector.  A
+    build that raises stores nothing.
     """
 
     def adjacent(self, x: int, y: int) -> bool:

@@ -83,7 +83,8 @@ def _solve_components(G, epsilon: float, solve) -> list:
     """solve(component, removed) for each component of G left by a
     partition at epsilon/2, in component order.
 
-    One partition plan serves every component bound of the estimate, from
+    One partition plan, made once per graph and shared by every estimate
+    of it, serves every component bound of the estimate, from
     ceil(2/epsilon) up to G.n (``partitions.solve_pieces``).  Raises
     PartitionInfeasible when no bound gives a partition whose components
     solve can finish, and ValueError unless 0 < epsilon < 1, before any

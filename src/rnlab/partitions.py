@@ -4,18 +4,21 @@ Constructors are heuristic (sphere cutting) and verifiers are exact and
 independent, so a certificate is trusted only after re-checking the mass and
 component bounds from scratch.
 
-Weighted partitions come from a plan made once per graph and epsilon.  The
-plan reads the masses, the neighbor lists and the components once, picks
-one entry vertex per component, and then cuts a partition for each
-component bound asked for.  ``find_weighted_partition`` asks it for one
-bound; ``solve_pieces`` climbs the estimators' ladder of bounds on one plan,
-so every rung shares the component scan, the BFS layers its first cut
-searches, and one mark list.  Every rung's certificate or failure text is
-the one a partition made from scratch at that bound gives.
+Weighted partitions come from a plan made once per graph.  The plan
+reads the masses, the neighbor lists and the components once, picks one
+entry vertex per component, and keeps the BFS layers that the searches of
+an empty graph reach; it lives in the graph's derived-structure dict, so
+every estimate and partition of the graph reuses it.  Over it, a per-epsilon
+``_Plan`` cuts a partition for each component bound asked for with one
+mark list.  ``find_weighted_partition`` asks it for one bound;
+``solve_pieces`` climbs the estimators' ladder of bounds on one ``_Plan``.
+Every certificate or failure text is the one a partition made from
+scratch at that epsilon and bound gives.
 """
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -104,60 +107,85 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
 SEED_TRIES = 4
 
 
-class _Plan:
-    """Sphere-cutting partitions of one graph at one epsilon, one for each
-    component bound asked for.
+class _GraphPlan:
+    """The half of a partition plan that depends on the graph alone: the
+    mass list, the neighbor lists, the components, the entry vertex of each
+    component, and the BFS layers of every search made while nothing is
+    assigned.
 
-    The masses, the neighbor lists, the components and their entry vertices
-    are read once, when the plan is made, and every partition reuses them.
-    Until a partition assigns its first vertex, each search it makes starts
-    in the same empty graph as every other partition's, so those searches
-    are cut from one set of BFS layers per seed, grown on demand and kept
-    for the next bound.  Later searches share one mark list: ``mark[w] <
-    stamp`` means w is neither reached by the current search nor assigned.
+    One is kept in the graph's derived-structure dict, built on first use,
+    so every partition and estimate of the graph shares it and it dies with
+    the graph.  It holds no reference to the graph.  The layers of each seed
+    are grown on demand, under a lock, and never change once grown; callers
+    get prefixes and must not mutate them.
     """
 
-    def __init__(self, G, epsilon: float):
-        self.epsilon = epsilon
+    def __init__(self, G):
         # the masses are read first, so a graph too large to list them
-        # raises TooLarge before anything of size n is allocated
+        # raises TooLarge before anything of size n is allocated or cached
         self.p = G.probabilities.tolist()
         self.adj = G.neighbor_lists()
         self.components = components(G)
         # initial entries: the heaviest vertex of each component, the first
         # in visit order on ties
         self.entries = [max(comp, key=self.p.__getitem__) for comp in self.components]
-        self.mark = [0] * G.n
-        self.stamp = 0
-        # seed -> (layers, their masses, running vertex counts, vertices
-        # seen) of its BFS with nothing assigned; an empty last layer means
-        # the component is exhausted
-        self.first_layers: dict[int, tuple] = {}
+        # seed -> [layers, their masses, running vertex counts, vertices
+        # seen] of its BFS with nothing assigned; the seen set is dropped
+        # once the component is exhausted, and the last layer is then empty
+        self._first: dict[int, list] = {}
+        self._lock = threading.Lock()
 
-    def _first_explore(self, seed: int, K_target: int):
+    def first_explore(self, seed: int, K_target: int):
         """explore(seed) while nothing is assigned: the seed's BFS layers up
         to the first prefix of more than K_target vertices."""
-        cached = self.first_layers.get(seed)
-        if cached is None:
-            cached = self.first_layers[seed] = ([[seed]], [self.p[seed]], [1], {seed})
-        layers, masses, totals, seen = cached
         p, adj = self.p, self.adj
-        while totals[-1] <= K_target and layers[-1]:
-            frontier = []
-            mass = 0.0
-            for v in layers[-1]:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-                        mass += p[w]
-            layers.append(frontier)
-            masses.append(mass)
-            totals.append(totals[-1] + len(frontier))
-        if totals[-1] <= K_target:
-            return layers[:-1], masses[:-1], True
-        cut = bisect_right(totals, K_target) + 1
-        return layers[:cut], masses[:cut], False
+        with self._lock:
+            grown = self._first.get(seed)
+            if grown is None:
+                grown = self._first[seed] = [[[seed]], [p[seed]], [1], {seed}]
+            layers, masses, totals, seen = grown
+            while seen is not None and totals[-1] <= K_target:
+                frontier = []
+                mass = 0.0
+                for v in layers[-1]:
+                    for w in adj[v]:
+                        if w not in seen:
+                            seen.add(w)
+                            frontier.append(w)
+                            mass += p[w]
+                layers.append(frontier)
+                masses.append(mass)
+                totals.append(totals[-1] + len(frontier))
+                if not frontier:
+                    seen = grown[3] = None
+            if totals[-1] <= K_target:
+                return layers[:-1], masses[:-1], True
+            cut = bisect_right(totals, K_target) + 1
+            return layers[:cut], masses[:cut], False
+
+
+class _Plan:
+    """Sphere-cutting partitions of one graph at one epsilon, one for each
+    component bound asked for.
+
+    The masses, the neighbor lists, the components, their entry vertices
+    and the searches made while nothing is assigned come from the graph's
+    one ``_GraphPlan``, made once per graph.  Until a partition assigns its
+    first vertex, each search it makes starts in the same empty graph as
+    every other partition's, at any epsilon, so those searches are cut from
+    the shared layers.  Later searches share this plan's one mark list:
+    ``mark[w] < stamp`` means w is neither reached by the current search
+    nor assigned.
+    """
+
+    def __init__(self, G, epsilon: float):
+        self.epsilon = epsilon
+        shared = G.derived("partition_plan", lambda: _GraphPlan(G))
+        self.p, self.adj = shared.p, shared.adj
+        self.components, self.entries = shared.components, shared.entries
+        self.shared = shared
+        self.mark = [0] * len(self.p)
+        self.stamp = 0
 
     def certificate(self, K_target: int) -> PartitionCertificate:
         """The partition whose regions grow to at most K_target vertices,
@@ -180,7 +208,7 @@ class _Plan:
             K_target vertices."""
             nonlocal stamp
             if fresh:
-                return self._first_explore(seed, K_target)
+                return self.shared.first_explore(seed, K_target)
             stamp += 1
             mark[seed] = stamp
             layers = [[seed]]
@@ -295,10 +323,13 @@ def solve_pieces(G, epsilon: float, solve) -> list:
     G.n, and end at G.n.  A bound is dropped when no partition is found
     there (PartitionInfeasible) or when solve gives out on one of its
     pieces (TooLarge); PartitionInfeasible naming the last failure is raised
-    when every bound is dropped.  All bounds share one plan, made before
-    any bound is tried, so a TooLarge from reading the masses propagates at
-    once.  When a partition removes nothing, its pieces are the plan's own
-    components.
+    when every bound is dropped.  All bounds share one ``_Plan`` over the
+    plan made once per graph, so the component scan, the entry picks and
+    the first-carve layers of earlier estimates are reused.  The plan is
+    reached before any bound is tried, so a TooLarge from reading the
+    masses propagates at once, every time: nothing is cached for it.  The
+    pieces are the plan's own components, shared with every caller, when
+    a partition removes nothing; solve must not mutate them.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")

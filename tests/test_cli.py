@@ -501,7 +501,21 @@ def _pin_corpus() -> dict:
         "long_cycle": gen_cycle(200),
         "cubic": gen_random_regular(60, 3, seed=1),
         "big_cubic": gen_random_regular(300, 3, seed=0),
+        "triangles": gen_disjoint_triangles(3),
     }
+
+
+# graph files that fail to load, each with its own error class
+_BAD_GRAPH_FILES = {
+    "dup_edge": {"n": 3, "d": 2, "K": 1.0, "edges": [[0, 1], [1, 0]], "log_weights": [0.0] * 3},
+    "self_loop": {"n": 3, "d": 2, "K": 1.0, "edges": [[0, 1], [2, 2]], "log_weights": [0.0] * 3},
+    "ratio_violated": {"n": 3, "d": 2, "K": 2.0, "edges": [[0, 1], [1, 2]],
+                       "log_weights": [0.0, 0.0, 1.0]},
+}
+
+# statistics profiles for the distance between two of them: (graph, --rmax, --t)
+_PIN_PROFILES = {"cycle_stats": ("cycle", 2, 2), "path_stats": ("path", 2, 2),
+                 "grid_stats": ("grid", 2, 2), "grid_stats_t1": ("grid", 2, 1)}
 
 
 PINNED = [
@@ -529,14 +543,108 @@ PINNED = [
      "07b1f33dcf72e02030f67220f373cd19ea1bd7c4bbf824ac31a2ce0c1c82cdfb"),
     (["estimate", "big_cubic", "--what", "matching", "--epsilon", "0.2"],
      "ddeafa7cd8976fef5ea738b03257715795cbba1436a91afe791351de470e9823"),
+    # every other subcommand, and one typed error of each
+    (["gen", "--family", "binary_tree", "--param", "depth=5", "--param", "beta=0.4"],
+     "98fcc9e71e6ac19a867e2fd0c5c055245f14481c6281dc7dafc9e0df3de98389"),
+    (["gen", "--family", "orbit_tree", "--param", "depth=4"],
+     "707eddb68369622adcec0217ccbc2906bea058f5ca3259fe332c1f88e0f0ecc3"),
+    (["gen", "--family", "path", "--param", "n=12"],
+     "774385cd128a908739da4cd037892e701b0c53971d4312814294570c0d8a34dc"),
+    (["gen", "--family", "cycle", "--param", "n=12", "--param", "d=3"],
+     "47d5361716a58e061ab5b9b62c27cc388c3c5c0617b5b480d88e5b08f4f49b33"),
+    (["gen", "--family", "grid", "--param", "rows=3", "--param", "cols=4"],
+     "47c854496b04b89058d14972a3ca0f28cbcbbd5e55634e2b2047e6c3d2609e57"),
+    (["gen", "--family", "random_regular", "--param", "n=12", "--seed", "3"],
+     "b8e7f071cd58d16f0ffe94518b38dad4a6348e714de70e351ab2060d2cefed48"),
+    (["gen", "--family", "perturbed_union", "--param", "n=4", "--param", "profile=adversarial",
+      "--seed", "2"],
+     "14bcaea397de06a92cac0162f4de4f7decb3ad90a89d41fdd22336ce5be33392"),
+    (["gen", "--family", "disjoint_triangles", "--param", "k=3"],
+     "aae2c305436631291e773c85cf5a7332e50eab9d40297cd8e1f65fe6f3daa955"),
+    (["gen", "--family", "theta", "--param", "arms=[1,2,3]"],
+     "552d0b8aed42023f5f50f6d163d67a4c94fd87af4ff36a08310e292256927b2b"),
+    (["gen", "--family", "path", "--param", "n=4", "--param", "d=1"],
+     "6e89ef917471c6bf9dcae0c8acd3e69ca988388cdbd9235dfa978ce4c80535a7"),
+    (["sample", "grid", "--oracle", "rn", "--queries", "200", "--seed", "4"],
+     "ff93e61c0867fc49d2b2d5cdd8bb342b3b1b894fc8aa3def7281f1ce4667bd1d"),
+    (["sample", "wpath", "--oracle", "uniform", "--queries", "200", "--seed", "4"],
+     "77bf187f5b0c809790008de0c3fbe47a9dc10bc7b007284112e0320c66dfef9e"),
+    (["sample", "dup_edge", "--queries", "5"],
+     "33f02a265eca49529fa2309d6e610d89866a40388a4eea67a1e51fd62367ab7e"),
+    (["stats", "cycle", "--rmax", "2"],
+     "aeb2e7b99e05e740d494c1d5e23f46fbe847b8a0764e28dedb287442d5901159"),
+    (["stats", "wgrid", "--mode", "empirical", "--rmax", "2", "--queries", "300", "--seed", "6"],
+     "36b88caebe05dbc99f3a4d521a6a4cea3b66a604780436a6a3cbb47c5056bef6"),
+    (["stats", "self_loop"],
+     "431802ec55caab9ab71d9723a1b713ae5b480b11701b322a03b5a178829e79b4"),
+    (["test", "wpath", "--property", "forest", "--epsilon", "0.3", "--seed", "1"],
+     "0ab6bb6cc3f1d6b94a4f69bf28920516c1ad907d19712402b2429b30d079c9e6"),
+    (["test", "cubic", "--property", "bipartite", "--epsilon", "0.3", "--seed", "1"],
+     "7581a03e28b3cef08e103d8634ab68bd3ed2bccc26ba05d239c5e6233df58c99"),
+    (["test", "cycle", "--property", "h_free", "--forbidden", "3:0-1,1-2", "--epsilon", "0.3"],
+     "12a32c393aba127ec2a0be9a9c11b5495da9f2e41c96d16ff502e05ab37d50ad"),
+    (["test", "grid", "--property", "k_colorable", "--colors", "2", "--epsilon", "0.3"],
+     "3ce56fad6faa2c72023cf28d8d5e8ec58ee1957cbec440f16dce2678b006d2d6"),
+    (["test", "cubic", "--property", "bipartite", "--observable", "--epsilon", "0.3"],
+     "1c362cdb23d0a95567b81189adefe74a08db45977f2c9e2b29dca2fb9cd8ca10"),
+    (["test", "grid", "--property", "k_colorable", "--observable", "--colors", "3",
+      "--epsilon", "0.3"],
+     "fad44fe47fc2be3a497931c4229dbaf0d11c2bdfa428c5dc97ccc63083b90c9d"),
+    (["observe", "cubic", "--s", "3"],
+     "9a93a8c023fcaa31dd875f189fe8308465715a0eef2b15d4bbcb84d0e0f53c55"),
+    (["observe", "ratio_violated", "--s", "2"],
+     "9909d630e39730cabab554d8c891dcd02221d90c9cdcfdc9a74c85b184479064"),
+    (["distance", "wpath", "--property", "forest"],
+     "fde679af093aff43d54db1aad5abb14ed08b30b83680b0ac76db9949f8a27253"),
+    (["distance", "triangles", "--property", "h_free", "--forbidden", "3:0-1,1-2,0-2"],
+     "3dbedbbde89e6a48edee400647e2b61541e1b169180059cf421615cf6920f780"),
+    (["distance", "triangles", "--property", "bipartite", "--absolute", "--K", "3"],
+     "2063073a354feef680aa94f654e5ca5674fcb8cbf8c4ad409642b5f819910f95"),
+    (["distance", "--stats-a", "@cycle_stats", "--stats-b", "@path_stats", "--rmax", "2"],
+     "ce84975b1063e86f39d403385f7b4ce62bc1b084409fbfdaad0586644c0598fd"),
+    (["distance", "--stats-a", "@grid_stats", "--stats-b", "@grid_stats_t1", "--rmax", "2"],
+     "bf912db4fc01572abce6bae86de3ded8b0e3cbd8fad7b4398370aa5a0de29213"),
+    (["distance", "grid", "--property", "bipartite", "--absolute"],
+     "63592df8e78d7acad9cd15af853cd1425af2f509f2ec3fd1a0a8b81fafadb185"),
+    (["scenario", "--name", "phase_transition", "--param", "depth=6", "--param", "budget=200",
+      "--param", "betas=[0.0, 0.69]"],
+     "742b721e552250a6efbba7f940ed2ada11937ef361ac19d0e11bc3572b6edd61"),
+    (["scenario", "--name", "convergence_to_orbit_tree", "--param", "depths=[5, 6]",
+      "--param", "radius=2"],
+     "b1d138fa856874e1eecb42f4559f498bdb126e318d0c139f756ca9ee3feb266c"),
+    (["scenario", "--name", "estimator_error_curve",
+      "--param", 'instances=[["path", 20], ["grid", 4]]', "--param", "epsilons=[0.2]"],
+     "a9ef8a5aab852d573b86a5236b38ed969cbfc2b8d9bb7c25ed9dcf259021e31e"),
+    (["scenario", "--name", "perturbation_sensitivity", "--param", "sizes=[4]",
+      "--param", "r_max=2"],
+     "cee5d7faa5930ce366cf1603109db8e537cd6f455fd48b4ca18d2d4f6b714de0"),
+    (["scenario", "--name", "tester_calibration", "--param", "trials=3",
+      "--param", "epsilon=0.3"],
+     "2a453e79126ba25eaf4d831c3a05c53473a0cfa26bb7c0c19a52220ffa23b817"),
+    (["scenario", "--name", "entropy_sweep", "--param", "depths=[5, 10]"],
+     "91982ce98db562706bb3323a763263480b3af750de7614a3cfc4d6c34b69c2ad"),
+    (["scenario", "--name", "phase_transition", "--param", "budget=0"],
+     "c60b47ab869834169fe522b06eec8eea09d483f65b110f04cdffb011b9a03932"),
 ]
 
 
+def _pin_id(argv) -> str:
+    """The command, the graph and two more words when the second word names
+    a graph of the corpus; the whole command line otherwise."""
+    if argv[1].startswith("-"):
+        return " ".join(argv)
+    return " ".join(argv[:2] + argv[3:5])
+
+
 class TestPinnedOutputs:
-    """sha256 of partition and estimate output files on a fixed corpus,
-    computed before the estimators' bound ladder shared one partition plan:
-    certificates, estimates, guarantees and failure texts stay byte for
-    byte."""
+    """sha256 of the --out file of every subcommand on a fixed corpus, and of
+    the JSON error object of one typed error of each.  The partition and
+    estimate digests were computed before the estimators' bound ladder
+    shared one partition plan, the rest before the plan was shared by every
+    estimate of a graph: outputs stay byte for byte.
+
+    A second word that names a graph of the corpus is passed as --graph; a
+    word "@name" is the path of the statistics profile of that name."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -545,13 +653,24 @@ class TestPinnedOutputs:
         for name, G in _pin_corpus().items():
             paths[name] = str(d / f"{name}.json")
             save_graph(G, paths[name])
+        for name, obj in _BAD_GRAPH_FILES.items():
+            paths[name] = str(d / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(obj))
+        for name, (graph, rmax, t) in _PIN_PROFILES.items():
+            paths["@" + name] = str(d / f"{name}.json")
+            main(["stats", "--graph", paths[graph], "--rmax", str(rmax), "--t", str(t),
+                  "--out", paths["@" + name]])
         return paths
 
-    @pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a[:2] + a[3:5]) for a, _ in PINNED])
+    @pytest.mark.parametrize("argv, digest", PINNED, ids=[_pin_id(a) for a, _ in PINNED])
     def test_output_file(self, argv, digest, files, tmp_path, capsys):
         out = tmp_path / "out.json"
-        main([argv[0], "--graph", files[argv[1]], *argv[2:], "--out", str(out)])
-        assert capsys.readouterr().out == ""
+        if argv[1] in files:
+            argv = [argv[0], "--graph", files[argv[1]], *argv[2:]]
+        argv = [files.get(a, a) if a.startswith("@") else a for a in argv]
+        code = main([*argv, "--out", str(out)])
+        # a scenario prints the path of its report
+        assert capsys.readouterr().out == (f"{out}\n" if argv[0] == "scenario" and code == 0 else "")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -1004,6 +1123,29 @@ class TestUsageErrors:
         assert e.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: rnlab ") and f"rnlab {argv[0]}: error: {message}\n" in err
+
+
+    @pytest.mark.parametrize("command", [
+        ["test", "--epsilon", "0.3"], ["distance"],
+    ])
+    @pytest.mark.parametrize("forbidden, message", [
+        ("x:0-1", "invalid int value: 'x'"),
+        ("3:0-x", "invalid int value: 'x'"),
+        ("3:0-1,", "expected an edge u-v, got ''"),
+        ("3:0-5", "forbidden edge 0-5 has an endpoint outside 0..2"),
+        ("3:0-0", "forbidden edge 0-0 is a self-loop"),
+    ])
+    def test_bad_forbidden_graph(self, command, forbidden, message, graph_file, capsys):
+        # a self-loop was never checked by the copy search, so a path, which
+        # has no loop, was rejected as if it held a copy
+        argv = [command[0], "--graph", graph_file(gen_path(5)), "--property", "h_free",
+                f"--forbidden={forbidden}", *command[1:]]
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rnlab ")
+        assert f"rnlab {argv[0]}: error: argument --forbidden: {message}\n" in err
 
 
 class TestParser:

@@ -56,6 +56,17 @@ class TestMembership:
         star = build_graph([(0, 1), (0, 2), (0, 3)], [0.0] * 4, d=3, K=1.0)
         assert not is_member(star, p3_free)
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1), (2, 2)], "forbidden edge 2-2 is a self-loop"),
+        (3, [(0, 5)], "forbidden edge 0-5 has an endpoint outside 0..2"),
+        (3, [(-1, 2)], "forbidden edge -1-2 has an endpoint outside 0..2"),
+        (-1, [], "the forbidden graph needs a vertex count of at least 0, got -1"),
+    ])
+    def test_h_free_rejects_edges_outside_a_simple_graph(self, n, edges, message):
+        with pytest.raises(ValueError) as e:
+            PropertySpec.h_free(n, edges)
+        assert str(e.value) == message
+
     def test_k_colorable(self):
         assert is_member(gen_cycle(5), PropertySpec.k_colorable(3))
         assert not is_member(gen_cycle(5), PropertySpec.k_colorable(2))

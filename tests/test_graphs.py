@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -517,6 +518,45 @@ class TestGraphProtocol:
         assert adjacency(4, [(2, 0), (1, 2), (0, 1)]) == [[1, 2], [0, 2], [0, 1], []]
         G = gen_grid(3, 3)
         assert adjacency(G.n, G.edge_list()) == [G.neighbors(v) for v in range(G.n)]
+
+
+def _derive_everything(G) -> set:
+    """Build every structure a graph keeps of itself: its neighbor lists,
+    alias table, orbit index, a ball index with predicate flags, and its
+    partition plan.  Returns the keys of what it keeps."""
+    G.neighbor_lists()
+    roots = rnlab.RadonNikodymOracle(G, 2, 2, seed=1).sample_roots(50)
+    G.orbit_ids(roots)
+    rnlab.ball_index(G, 1, 2).types(range(G.n))
+    rnlab.test_property(G, rnlab.PropertySpec.forest(), 0.3, seed=1)
+    rnlab.independent_set_estimate(G, 0.2)
+    rnlab.find_weighted_partition(G, 0.2, G.n)
+    return set(G._derived)
+
+
+@pytest.mark.parametrize("make, orbits", [
+    (lambda: gen_binary_tree(6, 0.5, representation="explicit"), True),
+    (lambda: build_graph(gen_grid(6, 7).edge_list(), [0.1 * (v % 7) for v in range(42)],
+                         d=4, K=2.0), False),
+    (lambda: LayeredBinaryTree(6, 0.5), False),
+], ids=["explicit-tree-with-orbits", "weighted-grid", "implicit-tree"])
+def test_graph_and_derived_structures_freed_without_the_collector(make, orbits):
+    """No derived structure refers back to its graph, so a dropped graph is
+    freed by reference counting alone, everything it keeps with it."""
+    def build_and_drop():
+        G = make()
+        return weakref.ref(G), _derive_everything(G)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref, kept = build_and_drop()
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert {"neighbor_lists", "alias", ("balls", 1, 2), ("balls", 2, 2), "partition_plan"} <= kept
+    assert ("orbits" in kept) is orbits
 
 
 class TestComponents:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -407,6 +409,130 @@ class TestLadderAgainstPerRungReference:
             assert ratio == _outcome(reference_estimate_matching, U, epsilon)
             unmatched += isinstance(ratio, tuple)
         assert 0 < guaranteed < len(corpus) and unmatched > 0
+
+
+def _fresh(G):
+    """A new graph object equal to G, with none of G's derived structures."""
+    lw = [G.log_weight(v) for v in range(G.n)]
+    return build_graph(G.edge_list(), lw, d=G.d, K=G.K)
+
+
+def _uniform(G):
+    return build_graph(G.edge_list(), [0.0] * G.n, d=G.d, K=1.0)
+
+
+SWEEP = [0.05, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 0.05]
+
+
+def _sweep_outcomes(G, U, epsilon, seed):
+    """Every certificate or failure text of the estimate's ladder, the
+    independent set estimate and the matching estimate or its failure."""
+    plan = partitions._Plan(G, epsilon / 2.0)
+    ladder = [_outcome(plan.certificate, K) for K in reference_bound_ladder(G.n, epsilon)]
+    return (ladder, independent_set_estimate(G, epsilon, seed=seed),
+            _outcome(estimate_matching, U, epsilon))
+
+
+def _plan_builds(monkeypatch) -> list:
+    """The graph of every attempt to build a graph's shared partition plan,
+    recorded through a wrapper on the plan's graph half."""
+    graphs = []
+    init = partitions._GraphPlan.__init__
+
+    def counted(shared, G):
+        graphs.append(G)
+        init(shared, G)
+
+    monkeypatch.setattr(partitions._GraphPlan, "__init__", counted)
+    return graphs
+
+
+class TestPlanSharedAcrossEstimates:
+    """The graph's one partition plan serves every estimate and partition of
+    it, at any epsilon and bound and in any order, with the outputs of a
+    fresh graph object."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # the graphs of TestLadderAgainstPerRungReference, as new objects
+        return _ladder_corpus(np.random.default_rng(20261020))
+
+    def test_epsilon_sweep_on_one_graph(self, corpus):
+        for seed, G in enumerate(corpus):
+            U = _uniform(G)
+            fresh = {eps: _sweep_outcomes(_fresh(G), _uniform(G), eps, seed) for eps in set(SWEEP)}
+            for epsilon in SWEEP:
+                assert _sweep_outcomes(G, U, epsilon, seed) == fresh[epsilon]
+
+    def test_bounds_down_then_up_on_one_graph(self, corpus):
+        for G in corpus[::2]:
+            bounds = [None, G.n, 64, 16, 4, 1, 4, 16, 64, G.n, None]
+            for epsilon in (0.1, 0.3):
+                for K in bounds:
+                    got = _outcome(partitions.find_weighted_partition, G, epsilon, K)
+                    fresh = _outcome(partitions.find_weighted_partition, _fresh(G), epsilon, K)
+                    assert got == fresh
+
+    def test_built_once_per_graph(self, monkeypatch):
+        builds = _plan_builds(monkeypatch)
+        G = gen_grid(12, 12)
+        for epsilon in SWEEP:
+            independent_set_estimate(G, epsilon)
+            estimate_matching(G, epsilon)
+            _outcome(partitions.find_weighted_partition, G, epsilon / 2.0, 30)
+        assert builds == [G]
+        H = gen_cycle(40)
+        estimate_matching(H, 0.2)
+        assert builds == [G, H]
+
+    def test_threads_on_one_graph(self, corpus):
+        # more threads than cores, switching often: each grows and reads the
+        # shared first-carve layers while the others do
+        graphs = corpus[:6]
+        serial = [_sweep_outcomes(_fresh(G), _uniform(G), eps, 1)
+                  for G in graphs for eps in SWEEP]
+        shared = [(G, _uniform(G)) for G in map(_fresh, graphs)]
+        workers = 4
+        start = threading.Barrier(workers, timeout=60)
+        results = {}
+        errors = []
+
+        def work(k):
+            try:
+                start.wait()
+                results[k] = [_sweep_outcomes(G, U, eps, 1) for G, U in shared for eps in SWEEP]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert all(results[k] == serial for k in range(workers))
+
+    def test_deep_implicit_tree_raises_every_time(self, monkeypatch):
+        # nothing is kept from a build that raises, so each call tries again
+        builds = _plan_builds(monkeypatch)
+        T = gen_binary_tree(100, 0.0, representation="implicit")
+        calls = [
+            lambda: estimate_matching(T, 0.3),
+            lambda: independent_set_estimate(T, 0.3),
+            lambda: partitions.find_weighted_partition(T, 0.3),
+        ]
+        for call in calls * 2:
+            with pytest.raises(TooLarge, match=r"^refusing to list 2\^100 - 1 vertex masses$"):
+                call()
+        # independent_set_estimate reads the masses itself before it asks
+        # for the plan; the other two try to build it on every call
+        assert builds == [T] * 4
 
 
 class TestIndistinguishablePair:
