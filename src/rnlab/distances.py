@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import GraphError, TooLarge, WeightedGraph, adjacency, two_coloring
+from .graphs import BudgetExceeded, GraphError, TooLarge, WeightedGraph, adjacency, two_coloring
 from .simplex import solve_lp
 
 
@@ -88,8 +88,14 @@ def _cycle_edges(n: int, edges) -> list:
     return rejected
 
 
+# search nodes the backtracking predicates may visit before they give up
+# with BudgetExceeded
+SEARCH_NODE_CAP = 2_000_000
+
+
 def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
-    """Backtracking search for a (not necessarily induced) copy of H."""
+    """Backtracking search for a (not necessarily induced) copy of H;
+    BudgetExceeded past SEARCH_NODE_CAP search nodes."""
     if hn > n:
         return False
     adj = adjacency(n, edges)
@@ -98,8 +104,13 @@ def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
     order = sorted(range(hn), key=lambda v: -len(hadj[v]))
     assign = [-1] * hn
     used = [False] * n
+    nodes = 0
 
     def place(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_CAP:
+            raise BudgetExceeded(f"subgraph search exceeded its node cap of {SEARCH_NODE_CAP}")
         if i == hn:
             return True
         hv = order[i]
@@ -124,11 +135,18 @@ def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
 
 
 def _is_k_colorable(n: int, edges, k: int) -> bool:
+    """Backtracking k-coloring; BudgetExceeded past SEARCH_NODE_CAP search
+    nodes."""
     adj = adjacency(n, edges)
     order = sorted(range(n), key=lambda v: -len(adj[v]))
     colors = [-1] * n
+    nodes = 0
 
     def go(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_CAP:
+            raise BudgetExceeded(f"coloring search exceeded its node cap of {SEARCH_NODE_CAP}")
         if i == n:
             return True
         v = order[i]

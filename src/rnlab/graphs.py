@@ -237,8 +237,6 @@ class WeightedGraph(_GraphProtocol):
         self._orbit_labels = orbit_labels
         for arr in (self._indptr, self._indices, self.log_weights):
             arr.setflags(write=False)
-        self._log_z: Optional[float] = None
-        self._probs: Optional[np.ndarray] = None
         self._derived: dict = {}
 
     @property
@@ -266,20 +264,23 @@ class WeightedGraph(_GraphProtocol):
     def log_z(self) -> float:
         """Log of the total weight; an empty graph has none, and no vertex
         distribution."""
-        if self._log_z is None:
-            if self.n == 0:
-                raise GraphError("the graph has no vertices, so no vertex distribution")
-            self._log_z = _log_sum_exp(self.log_weights)
-        return self._log_z
+        return self.derived("log_z", self._total_log_weight)
+
+    def _total_log_weight(self) -> float:
+        if self.n == 0:
+            raise GraphError("the graph has no vertices, so no vertex distribution")
+        return _log_sum_exp(self.log_weights)
 
     @property
     def probabilities(self) -> np.ndarray:
-        """Vertex distribution as a dense array summing to 1 up to float error."""
-        if self._probs is None:
-            p = np.exp(self.log_weights - self.log_z)
-            p.setflags(write=False)
-            self._probs = p
-        return self._probs
+        """Vertex distribution as a dense, read-only array summing to 1 up
+        to float error."""
+        return self.derived("probabilities", self._distribution)
+
+    def _distribution(self) -> np.ndarray:
+        p = np.exp(self.log_weights - self.log_z)
+        p.setflags(write=False)
+        return p
 
     def p(self, v: int) -> float:
         return float(self.probabilities[v])

@@ -79,23 +79,6 @@ def run_local_rule(G, rule: LocalRule, t: int, seed: int, bits=None) -> frozense
     return frozenset(members)
 
 
-def _solve_components(G, epsilon: float, solve) -> list:
-    """solve(component, removed) for each component of G left by a
-    partition at epsilon/2, in component order.
-
-    One partition plan, made once per graph and shared by every estimate
-    of it, serves every component bound of the estimate, from
-    ceil(2/epsilon) up to G.n (``partitions.solve_pieces``).  Raises
-    PartitionInfeasible when no bound gives a partition whose components
-    solve can finish, and ValueError unless 0 < epsilon < 1, before any
-    bound is tried.  A TooLarge from reading the masses, as on a graph too
-    large to list them, propagates before any bound is tried.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return solve_pieces(G, epsilon / 2.0, solve)
-
-
 def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, float]:
     """Independent set whose mass approximates the weighted independence
     number within epsilon whenever a partition certificate exists.
@@ -118,7 +101,8 @@ def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, 
 
 def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozenset, float, bool]:
     """local_independent_set without the warning, plus whether the result
-    carries the accuracy guarantee: False exactly when the greedy pass ran."""
+    carries the accuracy guarantee: False exactly when the greedy pass ran.
+    Raises ValueError unless 0 < epsilon < 1, before any bound is tried."""
     w = G.probabilities.tolist()
     adj = G.neighbor_lists()
 
@@ -130,8 +114,10 @@ def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozense
         inside = {v: [u for u in adj[v] if u not in removed] for v in comp}
         return component_mwis(sorted(comp), inside, w)
 
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     try:
-        parts = _solve_components(G, epsilon, solve)
+        parts = solve_pieces(G, epsilon / 2.0, solve)
     except PartitionInfeasible:
         taken: set[int] = set()
         blocked: set[int] = set()
@@ -157,7 +143,8 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
     epsilon/2, match each component exactly, add up.
 
     The estimate is deterministic; seed is accepted for the signature shared
-    with independent_set_estimate, and callers pass it.
+    with independent_set_estimate, and callers pass it.  Raises ValueError
+    unless 0 < epsilon < 1, before any bound is tried.
     """
     if G.n == 0:
         raise GraphError("the graph has no vertices, so no matching ratio")
@@ -173,4 +160,6 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
         pos = {v: i for i, v in enumerate(comp)}
         return matching_size(len(comp), [[pos[u] for u in adj[v] if u in pos] for v in comp])
 
-    return sum(_solve_components(G, epsilon, solve)) / G.n
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    return sum(solve_pieces(G, epsilon / 2.0, solve)) / G.n

@@ -4,22 +4,17 @@ Constructors are heuristic (sphere cutting) and verifiers are exact and
 independent, so a certificate is trusted only after re-checking the mass and
 component bounds from scratch.
 
-Weighted partitions come from a plan made once per graph.  The plan
-reads the masses, the neighbor lists and the components once, picks one
-entry vertex per component, and keeps the BFS layers that the searches of
-an empty graph reach; it lives in the graph's derived-structure dict, so
-every estimate and partition of the graph reuses it.  Over it, a per-epsilon
-``_Plan`` cuts a partition for each component bound asked for with one
-mark list.  ``find_weighted_partition`` asks it for one bound;
-``solve_pieces`` climbs the estimators' ladder of bounds on one ``_Plan``.
-Every certificate or failure text is the one a partition made from
-scratch at that epsilon and bound gives.
+Weighted partitions are cut by the graph's one ``_Plan``:
+``find_weighted_partition`` asks it for one component bound, and
+``solve_pieces`` for each bound of the estimators' ladder, solving the
+regions of the first usable one.  Every certificate or failure text is the
+one a partition made from scratch at that epsilon and bound gives.
 """
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 
 from .graphs import GraphError, TooLarge, components, walk_order
@@ -107,17 +102,18 @@ def verify_uniform_cover(G, cert: UniformCoverCertificate) -> bool:
 SEED_TRIES = 4
 
 
-class _GraphPlan:
-    """The half of a partition plan that depends on the graph alone: the
-    mass list, the neighbor lists, the components, the entry vertex of each
-    component, and the BFS layers of every search made while nothing is
-    assigned.
+class _Plan:
+    """Sphere-cutting partitions of one graph at any epsilon and component
+    bound, from its mass list, its neighbor lists, the entry vertex of each
+    component and the searches made while nothing is assigned.
 
-    One is kept in the graph's derived-structure dict, built on first use,
-    so every partition and estimate of the graph shares it and it dies with
-    the graph.  It holds no reference to the graph.  The layers of each seed
-    are grown on demand, under a lock, and never change once grown; callers
-    get prefixes and must not mutate them.
+    One is kept in the graph's derived-structure dict (``_plan``), so every
+    partition and estimate of the graph shares it; it holds no reference to
+    the graph.  Until a partition assigns a vertex, its searches start in
+    the same empty graph as every other partition's, so a stored search
+    serves every bound it reaches past.  A stored search is replaced, never
+    changed, so threads need no lock: two that store a seed's search at
+    once store equal ones.  Callers must not mutate its layers.
     """
 
     def __init__(self, G):
@@ -125,81 +121,28 @@ class _GraphPlan:
         # raises TooLarge before anything of size n is allocated or cached
         self.p = G.probabilities.tolist()
         self.adj = G.neighbor_lists()
-        self.components = components(G)
         # initial entries: the heaviest vertex of each component, the first
         # in visit order on ties
-        self.entries = [max(comp, key=self.p.__getitem__) for comp in self.components]
-        # seed -> [layers, their masses, running vertex counts, vertices
-        # seen] of its BFS with nothing assigned; the seen set is dropped
-        # once the component is exhausted, and the last layer is then empty
-        self._first: dict[int, list] = {}
-        self._lock = threading.Lock()
+        self.entries = [max(comp, key=self.p.__getitem__) for comp in components(G)]
+        # seed -> (layers, their masses, running vertex counts, exhausted)
+        # of its search with nothing assigned
+        self.first: dict[int, tuple] = {}
 
-    def first_explore(self, seed: int, K_target: int):
-        """explore(seed) while nothing is assigned: the seed's BFS layers up
-        to the first prefix of more than K_target vertices."""
-        p, adj = self.p, self.adj
-        with self._lock:
-            grown = self._first.get(seed)
-            if grown is None:
-                grown = self._first[seed] = [[[seed]], [p[seed]], [1], {seed}]
-            layers, masses, totals, seen = grown
-            while seen is not None and totals[-1] <= K_target:
-                frontier = []
-                mass = 0.0
-                for v in layers[-1]:
-                    for w in adj[v]:
-                        if w not in seen:
-                            seen.add(w)
-                            frontier.append(w)
-                            mass += p[w]
-                layers.append(frontier)
-                masses.append(mass)
-                totals.append(totals[-1] + len(frontier))
-                if not frontier:
-                    seen = grown[3] = None
-            if totals[-1] <= K_target:
-                return layers[:-1], masses[:-1], True
-            cut = bisect_right(totals, K_target) + 1
-            return layers[:cut], masses[:cut], False
-
-
-class _Plan:
-    """Sphere-cutting partitions of one graph at one epsilon, one for each
-    component bound asked for.
-
-    The masses, the neighbor lists, the components, their entry vertices
-    and the searches made while nothing is assigned come from the graph's
-    one ``_GraphPlan``, made once per graph.  Until a partition assigns its
-    first vertex, each search it makes starts in the same empty graph as
-    every other partition's, at any epsilon, so those searches are cut from
-    the shared layers.  Later searches share this plan's one mark list:
-    ``mark[w] < stamp`` means w is neither reached by the current search
-    nor assigned.
-    """
-
-    def __init__(self, G, epsilon: float):
-        self.epsilon = epsilon
-        shared = G.derived("partition_plan", lambda: _GraphPlan(G))
-        self.p, self.adj = shared.p, shared.adj
-        self.components, self.entries = shared.components, shared.entries
-        self.shared = shared
-        self.mark = [0] * len(self.p)
-        self.stamp = 0
-
-    def certificate(self, K_target: int) -> PartitionCertificate:
-        """The partition whose regions grow to at most K_target vertices,
-        or PartitionInfeasible naming the entry where no cut was found."""
-        epsilon, p, adj, mark = self.epsilon, self.p, self.adj, self.mark
-        stamp = self.stamp
-        # a search of this partition assigns a vertex or ends it, so its
-        # stamps stay below done, which marks the assigned vertices; the
-        # next partition's stamps start above it
-        done = self.stamp = stamp + (SEED_TRIES + 1) * len(mark) + 1
+    def certificate(self, epsilon: float, K_target: int) -> tuple[PartitionCertificate, list]:
+        """The partition whose regions grow to at most K_target vertices and
+        its sealed regions, which are the components left by its removed
+        set; or PartitionInfeasible naming the entry where no cut was found."""
+        p, adj, first = self.p, self.adj, self.first
+        # mark[w] < stamp: w is neither reached by the current search nor
+        # assigned.  An entry costs at most SEED_TRIES + 1 searches and
+        # assigns a vertex or ends the partition, so the stamps stay below
+        # done, which marks the assigned vertices.
+        mark = [0] * len(p)
+        stamp = 0
+        done = (SEED_TRIES + 1) * len(mark) + 1
         removed: set[int] = set()
-        component_sizes: list[int] = []
+        regions: list[list[int]] = []
         entries = self.entries.copy()
-        fresh = True  # nothing is assigned yet
 
         def explore(seed: int):
             """BFS layers from seed until the prefix exceeds K_target or the
@@ -207,13 +150,18 @@ class _Plan:
             exhausted); every proper prefix of the layers holds at most
             K_target vertices."""
             nonlocal stamp
-            if fresh:
-                return self.shared.first_explore(seed, K_target)
+            # while nothing is assigned, a stored search that is exhausted
+            # or reaches past K_target holds the answer as a prefix
+            search = None if regions else first.get(seed)
+            if search is not None and (search[3] or search[2][-1] > K_target):
+                layers, masses, totals, _ = search
+                if totals[-1] <= K_target:
+                    return layers, masses, True
+                cut = bisect_right(totals, K_target) + 1
+                return layers[:cut], masses[:cut], False
             stamp += 1
             mark[seed] = stamp
-            layers = [[seed]]
-            masses = [p[seed]]
-            total = 1
+            layers, masses, total = [[seed]], [p[seed]], 1
             while True:
                 frontier = []
                 mass = 0.0
@@ -223,18 +171,19 @@ class _Plan:
                             mark[w] = stamp
                             frontier.append(w)
                             mass += p[w]
-                if not frontier:
-                    return layers, masses, True
-                layers.append(frontier)
-                masses.append(mass)
-                total += len(frontier)
-                if total > K_target:
-                    return layers, masses, False
+                if frontier:
+                    layers.append(frontier)
+                    masses.append(mass)
+                    total += len(frontier)
+                if not frontier or total > K_target:
+                    break
+            if not regions:
+                first[seed] = (layers, masses, list(accumulate(map(len, layers))), not frontier)
+            return layers, masses, not frontier
 
         def carve(layers, masses, exhausted: bool) -> bool:
             """Seal off the best layer prefix of an explored ball.  A failing
             carve changes nothing, so its layers can seed the retries."""
-            nonlocal fresh
             if exhausted:
                 region, sphere = [v for layer in layers for v in layer], []
             else:
@@ -254,12 +203,11 @@ class _Plan:
             for v in sphere:
                 removed.add(v)
                 mark[v] = done
-            component_sizes.append(len(region))
+            regions.append(region)
             for v in sphere:
                 for w in adj[v]:
                     if mark[w] < done:
                         entries.append(w)
-            fresh = False
             return True
 
         while entries:
@@ -278,12 +226,18 @@ class _Plan:
                     f"no sphere of relative mass <= {epsilon} around vertex {e} "
                     f"with regions of <= {K_target} vertices"
                 )
+        sizes = [len(region) for region in regions]
         return PartitionCertificate(
             removed=frozenset(removed),
             epsilon=epsilon,
-            component_bound=max(component_sizes, default=0),
-            component_sizes=tuple(sorted(component_sizes)),
-        )
+            component_bound=max(sizes, default=0),
+            component_sizes=tuple(sorted(sizes)),
+        ), regions
+
+
+def _plan(G) -> _Plan:
+    """The graph's partition plan, built on first use."""
+    return G.derived("partition_plan", lambda: _Plan(G))
 
 
 def find_weighted_partition(G, epsilon: float, K_target: int = None) -> PartitionCertificate:
@@ -312,7 +266,7 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
         K_target = math.ceil(1.0 / epsilon)
     if K_target < 1:
         raise ValueError("component bound must be positive")
-    return _Plan(G, epsilon).certificate(K_target)
+    return _plan(G).certificate(epsilon, K_target)[0]
 
 
 def solve_pieces(G, epsilon: float, solve) -> list:
@@ -323,17 +277,17 @@ def solve_pieces(G, epsilon: float, solve) -> list:
     G.n, and end at G.n.  A bound is dropped when no partition is found
     there (PartitionInfeasible) or when solve gives out on one of its
     pieces (TooLarge); PartitionInfeasible naming the last failure is raised
-    when every bound is dropped.  All bounds share one ``_Plan`` over the
-    plan made once per graph, so the component scan, the entry picks and
-    the first-carve layers of earlier estimates are reused.  The plan is
-    reached before any bound is tried, so a TooLarge from reading the
-    masses propagates at once, every time: nothing is cached for it.  The
-    pieces are the plan's own components, shared with every caller, when
-    a partition removes nothing; solve must not mutate them.
+    when every bound is dropped.  Every bound is cut on the graph's one
+    plan, so the component scan, the entry picks and the first-carve layers
+    of earlier estimates are reused.  The plan is reached before any bound
+    is tried, so a TooLarge from reading the masses propagates at once,
+    every time: nothing is cached for it.  The pieces are the partition's
+    sealed regions, ordered by their smallest vertex as ``components``
+    orders them.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    plan = _Plan(G, epsilon)
+    plan = _plan(G)
     bounds = []
     k = math.ceil(1.0 / epsilon)
     while k < G.n:
@@ -345,13 +299,12 @@ def solve_pieces(G, epsilon: float, solve) -> list:
     last_error = None
     for K_target in bounds:
         try:
-            cert = plan.certificate(K_target)
+            cert, regions = plan.certificate(epsilon, K_target)
         except PartitionInfeasible as e:
             last_error = str(e)
             continue
-        pieces = components(G, cert.removed) if cert.removed else plan.components
         try:
-            return [solve(piece, cert.removed) for piece in pieces]
+            return [solve(piece, cert.removed) for piece in sorted(regions, key=min)]
         except TooLarge as e:
             last_error = str(e)
     raise PartitionInfeasible(

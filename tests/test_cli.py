@@ -714,6 +714,22 @@ class TestTest:
         )
         assert rc == 3
 
+    def test_search_past_its_node_cap_is_a_json_error(self, graph_file, capsys, monkeypatch):
+        # every ball of K4 is K4, and its 3-coloring search takes 4 nodes
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        g = graph_file(build_graph(k4, [0.0] * 4, d=3, K=1.0))
+        monkeypatch.setattr(rnlab.distances, "SEARCH_NODE_CAP", 3)
+        rc, out = run(
+            capsys,
+            ["test", "--graph", g, "--property", "k_colorable", "--colors", "3",
+             "--epsilon", "0.5"],
+        )
+        assert rc == 1
+        assert json.loads(out) == {
+            "error": "BudgetExceeded",
+            "message": "coloring search exceeded its node cap of 3",
+        }
+
 
 class TestObserve:
     def test_matches_library_table(self, graph_file, capsys):

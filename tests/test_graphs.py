@@ -218,10 +218,19 @@ class TestVectorizedBuilder:
         assert build_graph([], [], d=1, K=1.0).n == 0
 
     def test_empty_graph_has_no_distribution(self):
+        # nothing is kept from a failed read, so every read raises
         G = build_graph([], [], d=1, K=1.0)
-        for query in ("log_z", "probabilities"):
+        for query in ("log_z", "probabilities") * 2:
             with pytest.raises(GraphError, match="^the graph has no vertices, so no vertex distribution$"):
                 getattr(G, query)
+
+    def test_distribution_kept_read_only(self):
+        G = build_graph([(0, 1), (1, 2)], [0.0, 1.0, 0.5], d=2, K=3.0)
+        p = G.probabilities
+        assert G.probabilities is p and not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 0.5
+        assert G.log_z == pytest.approx(math.log(1.0 + math.e + math.exp(0.5)), rel=1e-15)
 
     @pytest.mark.parametrize(
         "edges",

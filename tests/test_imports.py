@@ -8,13 +8,18 @@ No linter is installed, so these tests are the check:
 - every parameter of a private (``_``-prefixed) module-level function or
   method is read somewhere in its body;
 - a private method is called only from the module that defines it;
+- every double-backticked private name in a docstring or comment names
+  something the package defines, so no mention outlives its code;
 - every public name, and every public method and property of a class, is
   used by the system: by the package, a demo, the benchmark or the
   acceptance tests, or is listed in ``ALLOWED`` with the reason it stays
   public.
 """
 import ast
+import io
 import pathlib
+import re
+import tokenize
 
 import rnlab
 
@@ -198,6 +203,86 @@ def test_private_method_check_catches_foreign_calls(tmp_path):
         "    def _grow(self):\n        return self._grow()\n"
     )
     assert _foreign_private_calls([caller, owner]) == ["caller.py:2 _fill"]
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Every name the module binds: functions, classes, parameters,
+    assigned names and assigned attributes, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def _prose(path: pathlib.Path, tree: ast.Module) -> list[tuple[int, str]]:
+    """(first line, text) of every string statement, docstrings included,
+    and of every comment."""
+    found = [
+        (node.lineno, node.value.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    ]
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    found += [(tok.start[0], tok.string) for tok in tokens if tok.type == tokenize.COMMENT]
+    return found
+
+
+PRIVATE_MENTION = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def _stale_private_mentions(paths: list[pathlib.Path]) -> list[str]:
+    """Private names inside ``double backticks`` in the docstrings and
+    comments of the given modules that none of them defines."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    defined = set().union(*map(_defined_names, trees.values()))
+    found = []
+    for p, tree in trees.items():
+        for line, text in _prose(p, tree):
+            for span in re.finditer(r"``(.+?)``", text, re.DOTALL):
+                at = line + text.count("\n", 0, span.start())
+                found += [
+                    f"{p.name}:{at} {name}"
+                    for name in PRIVATE_MENTION.findall(span.group(1))
+                    if name not in defined
+                ]
+    return sorted(found)
+
+
+def test_private_mentions_name_defined_things():
+    src = pathlib.Path(rnlab.__file__).parent
+    assert _stale_private_mentions(sorted(src.glob("*.py"))) == []
+
+
+def test_private_mention_check_catches_stale_names(tmp_path):
+    owner = tmp_path / "owner.py"
+    owner.write_text(
+        '''"""Plans live in ``_Plan``; ``_GraphPlan`` is gone."""\n'''
+        "class _Plan:\n"
+        "    def __init__(self, size):\n        self._cache = size\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "def run(plan):\n"
+        '''    """Reads ``plan._cache`` and ``owner._Plan(size)``, and\n'''
+        '''    ``__len__``, and _Stale outside backticks; but not\n'''
+        '''    ``x._lock``."""\n'''
+        "    # ``first_explore`` and ``plan._first``: gone\n"
+        "    return plan\n"
+    )
+    assert _stale_private_mentions([caller, owner]) == [
+        "caller.py:4 _lock",
+        "caller.py:5 _first",
+        "owner.py:1 _GraphPlan",
+    ]
 
 
 def _public_names(src: pathlib.Path) -> tuple[set[str], set[str]]:

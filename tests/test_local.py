@@ -13,6 +13,7 @@ from rnlab import (
     TooLarge,
     build_graph,
     canonicalize_decorated,
+    components,
     draw_vertex_bits,
     estimate_matching,
     exact_stats,
@@ -290,9 +291,9 @@ def count_partition_bounds(monkeypatch) -> list:
     bounds = []
     certificate = partitions._Plan.certificate
 
-    def counted(plan, K_target):
+    def counted(plan, epsilon, K_target):
         bounds.append(K_target)
-        return certificate(plan, K_target)
+        return certificate(plan, epsilon, K_target)
 
     monkeypatch.setattr(partitions._Plan, "certificate", counted)
     return bounds
@@ -320,6 +321,11 @@ def _outcome(fn, *args):
         return fn(*args)
     except PartitionInfeasible as e:
         return ("infeasible", str(e))
+
+
+def _certificate(plan, epsilon, K_target):
+    """The certificate a plan cuts at epsilon and K_target, without its regions."""
+    return plan.certificate(epsilon, K_target)[0]
 
 
 def _joined(G, H):
@@ -386,9 +392,9 @@ class TestLadderAgainstPerRungReference:
     def test_every_bound_on_one_plan(self, corpus, epsilon):
         infeasible = 0
         for G in corpus:
-            plan = partitions._Plan(G, epsilon / 2.0)
+            plan = partitions._Plan(G)
             for K_target in reference_bound_ladder(G.n, epsilon):
-                got = _outcome(plan.certificate, K_target)
+                got = _outcome(_certificate, plan, epsilon / 2.0, K_target)
                 assert got == _outcome(scalar_find_weighted_partition, G, epsilon / 2.0, K_target)
                 infeasible += isinstance(got, tuple)
         assert infeasible > 0
@@ -410,6 +416,40 @@ class TestLadderAgainstPerRungReference:
             unmatched += isinstance(ratio, tuple)
         assert 0 < guaranteed < len(corpus) and unmatched > 0
 
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2, 0.3])
+    def test_pieces_are_the_components_left(self, corpus, epsilon, monkeypatch):
+        # solve gives out once it has seen a rung's last piece, so the ladder
+        # hands over the pieces of every rung that finds a partition
+        certs = []
+        certificate = partitions._Plan.certificate
+
+        def recorded(plan, eps, K_target):
+            cert, regions = certificate(plan, eps, K_target)
+            certs.append(cert)
+            return cert, regions
+
+        monkeypatch.setattr(partitions._Plan, "certificate", recorded)
+        rungs = 0
+        for G in corpus:
+            del certs[:]
+            handed = {}
+
+            def solve(piece, removed):
+                assert removed is certs[-1].removed
+                pieces = handed.setdefault(len(certs), [])
+                pieces.append(set(piece))
+                if len(removed) + sum(map(len, pieces)) == G.n:
+                    raise TooLarge("every piece seen")
+                return 0
+
+            with pytest.raises(PartitionInfeasible):
+                partitions.solve_pieces(G, epsilon / 2.0, solve)
+            assert sorted(handed) == list(range(1, len(certs) + 1))
+            for k, cert in enumerate(certs, 1):
+                assert handed[k] == [set(c) for c in components(G, cert.removed)]
+            rungs += len(certs)
+        assert rungs > len(corpus)
+
 
 def _fresh(G):
     """A new graph object equal to G, with none of G's derived structures."""
@@ -427,23 +467,24 @@ SWEEP = [0.05, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 0.05]
 def _sweep_outcomes(G, U, epsilon, seed):
     """Every certificate or failure text of the estimate's ladder, the
     independent set estimate and the matching estimate or its failure."""
-    plan = partitions._Plan(G, epsilon / 2.0)
-    ladder = [_outcome(plan.certificate, K) for K in reference_bound_ladder(G.n, epsilon)]
+    plan = partitions._plan(G)
+    ladder = [_outcome(_certificate, plan, epsilon / 2.0, K)
+              for K in reference_bound_ladder(G.n, epsilon)]
     return (ladder, independent_set_estimate(G, epsilon, seed=seed),
             _outcome(estimate_matching, U, epsilon))
 
 
 def _plan_builds(monkeypatch) -> list:
     """The graph of every attempt to build a graph's shared partition plan,
-    recorded through a wrapper on the plan's graph half."""
+    recorded through a wrapper on the plan class."""
     graphs = []
-    init = partitions._GraphPlan.__init__
+    init = partitions._Plan.__init__
 
-    def counted(shared, G):
+    def counted(plan, G):
         graphs.append(G)
-        init(shared, G)
+        init(plan, G)
 
-    monkeypatch.setattr(partitions._GraphPlan, "__init__", counted)
+    monkeypatch.setattr(partitions._Plan, "__init__", counted)
     return graphs
 
 
@@ -486,8 +527,8 @@ class TestPlanSharedAcrossEstimates:
         assert builds == [G, H]
 
     def test_threads_on_one_graph(self, corpus):
-        # more threads than cores, switching often: each grows and reads the
-        # shared first-carve layers while the others do
+        # more threads than cores, switching often: each stores and reads
+        # the shared first-carve searches while the others do
         graphs = corpus[:6]
         serial = [_sweep_outcomes(_fresh(G), _uniform(G), eps, 1)
                   for G in graphs for eps in SWEEP]

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from rnlab import (
+    BudgetExceeded,
     PropertySpec,
     ball_index,
     UnsupportedProperty,
@@ -19,6 +20,7 @@ from rnlab import (
     observable_test,
     observation_depth,
 )
+from rnlab import distances
 from rnlab.testers import default_budget, default_radius
 from rnlab.testers import test_property as run_tester
 from helpers import petersen_edges, random_tree, reference_test_property
@@ -99,6 +101,52 @@ class TestBallViolates:
     def test_unsupported(self):
         with pytest.raises(UnsupportedProperty):
             ball_violates(PropertySpec(id="planar"), 2, [(0, 1)])
+
+
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+class TestSearchNodeCap:
+    """The backtracking predicates give up with BudgetExceeded past
+    distances.SEARCH_NODE_CAP search nodes instead of running on."""
+
+    def test_coloring_search_gives_up(self, monkeypatch):
+        three = PropertySpec.k_colorable(3)
+        # K4 is not 3-colorable: one node per vertex, and the fourth finds
+        # every color taken
+        assert ball_violates(three, 4, K4)
+        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 3)
+        with pytest.raises(BudgetExceeded, match="^coloring search exceeded its node cap of 3$"):
+            ball_violates(three, 4, K4)
+        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 4)
+        assert ball_violates(three, 4, K4)
+
+    def test_subgraph_search_gives_up(self, monkeypatch):
+        # a 6-cycle holds no triangle: the search maps the first corner to
+        # each vertex and the second to each neighbor, 19 nodes in all
+        hexagon = [(i, (i + 1) % 6) for i in range(6)]
+        assert not ball_violates(TRIANGLE_FREE, 6, hexagon)
+        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 18)
+        with pytest.raises(BudgetExceeded, match="^subgraph search exceeded its node cap of 18$"):
+            ball_violates(TRIANGLE_FREE, 6, hexagon)
+        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 19)
+        assert not ball_violates(TRIANGLE_FREE, 6, hexagon)
+
+    def test_ball_index_keeps_no_failed_flag(self, monkeypatch):
+        three = PropertySpec.k_colorable(3)
+        G = build_graph(K4, [0.0] * 4, d=3, K=1.0)
+        index = ball_index(G, 1, 2)
+        index.types(range(G.n))
+
+        def violates(ball):
+            return ball_violates(three, ball.n, ball.edges)
+
+        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 3)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                index.flags(three, violates)
+        monkeypatch.undo()
+        assert index.flags(three, violates).tolist() == [True]
 
 
 class TestDefaults:
