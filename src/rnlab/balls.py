@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import BudgetExceeded, GraphError, adjacency, bfs
+from .graphs import BudgetExceeded, GraphError, TooLarge, adjacency, bfs
 
 # Relative slack applied before flooring.  Ratios are evaluated through
 # exp() of float log-weight differences, so a ratio that is exactly 2 in
@@ -30,13 +30,17 @@ class FixedPointLabel(NamedTuple):
 
 
 def truncate_label(value: float, t: int) -> FixedPointLabel:
-    """Floor a nonnegative ratio to t decimal digits."""
+    """Floor a nonnegative ratio to t decimal digits.  Raises TooLarge when
+    the scaled ratio overflows a float (10**t alone does past t = 308)."""
     if t < 0:
         raise ValueError(f"digit count must be nonnegative, got {t}")
     if not (value >= 0.0 and math.isfinite(value)):
         raise ValueError(f"ratio must be finite and nonnegative, got {value}")
-    scaled = value * (10 ** t)
-    return FixedPointLabel(math.floor(scaled + scaled * TRUNCATION_GUARD + TRUNCATION_GUARD), t)
+    try:
+        scaled = value * (10 ** t)
+        return FixedPointLabel(math.floor(scaled + scaled * TRUNCATION_GUARD + TRUNCATION_GUARD), t)
+    except OverflowError:
+        raise TooLarge(f"ratio {value} at {t} label digits overflows a float") from None
 
 
 @dataclass(frozen=True)

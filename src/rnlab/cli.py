@@ -166,12 +166,10 @@ def cmd_sample(args) -> int:
     G = load_graph(args.graph)
     if args.oracle == "rn":
         oracle = RadonNikodymOracle(G, args.r, args.t, seed=args.seed)
-        roots = oracle.sample_roots(args.queries)
-        # sorted, the roots fill the index as their sorted distinct values would
-        roots.sort()
-        keys = oracle.index.keys
-        per_type = np.bincount(oracle.index.types(roots), minlength=len(keys))
-        counts = {keys[i].hex(): int(per_type[i]) for i in np.flatnonzero(per_type).tolist()}
+        # the index picks the smallest root of each orbit, so the roots need no sort
+        types = oracle.index.types(oracle.sample_roots(args.queries))
+        hexes = oracle.index.hex_keys()
+        counts = {hexes[i]: c for i, c in enumerate(np.bincount(types).tolist()) if c}
     else:
         from .balls import canonicalize
 

@@ -124,7 +124,15 @@ def philox(key: int, counter: int = 0) -> np.random.Philox:
 
 
 class AliasSampler:
-    """Walker alias table over a finite distribution, fed by raw 64-bit words."""
+    """Walker alias table over a finite distribution, fed by raw 64-bit words.
+
+    ``prob`` and ``alias`` are the table.  ``pick`` reads it scaled to raw
+    words: the step ``n / 2**64`` and the thresholds ``prob * 2**64`` are
+    kept once.  Its picks equal those of ``floor(n * (word / 2**64))``
+    compared as ``coin / 2**64 < prob`` bit for bit: scaling by 2^64 or
+    2^-64 is exact, and each form converts a word to float64 once and rounds
+    ``word * n * 2**-64`` once.
+    """
 
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
@@ -164,12 +172,14 @@ class AliasSampler:
         self.prob = np.array(prob, dtype=np.float64)
         self.alias = np.array(alias, dtype=np.int64)
         self.n = n
+        self._step = n / _TWO64
+        self._prob_words = self.prob * _TWO64
 
     def pick(self, word_index: np.ndarray, word_coin: np.ndarray) -> np.ndarray:
-        u = word_index / _TWO64
-        idx = np.minimum((u * self.n).astype(np.int64), self.n - 1)
-        coin = word_coin / _TWO64
-        return np.where(coin < self.prob[idx], idx, self.alias[idx])
+        idx = (word_index * self._step).astype(np.int64)
+        # a word rounding up to 2^64 lands on n
+        np.minimum(idx, self.n - 1, out=idx)
+        return np.where(word_coin < self._prob_words[idx], idx, self.alias[idx])
 
 
 class _GraphProtocol:

@@ -44,27 +44,34 @@ class BallIndex:
 
     What it caches: a dense type id per queried root, stored per orbit when
     the graph knows its orbits (per vertex otherwise); one canonical key and
-    one representative root per type; a raw-ball -> type memo, so a ball seen
-    before is never canonicalized again; and per-type predicate flags, keyed
-    by the predicate's spec (a frozen ``PropertySpec`` for the tester).
+    one representative root per type (the smallest root, among those of the
+    call that found the type, of its first orbit); a raw-ball -> type memo,
+    so a ball seen before is never canonicalized again; the hex string of
+    each key (:meth:`hex_keys`); and per-type predicate flags, keyed by the
+    predicate's spec (a frozen ``PropertySpec`` for the tester), as one
+    read-only bool array per spec.
 
     Lifetime: one index per (graph, r, t), created by :func:`ball_index` on
     first use and kept in the graph's derived-structure dict, so it lives
-    exactly as long as the graph object.  Nothing is filled eagerly.
+    exactly as long as the graph object.  Nothing is filled eagerly: exact
+    sweeps read neither the hex strings nor the flags, so they pay nothing
+    for them.
 
-    Memory: one int32 per vertex or orbit, one key and one root per type,
-    and one memo entry per distinct raw ball; the memo is dropped once
-    every vertex or orbit has its type.  The
-    representative ball of a type is re-extracted at its root when a
-    predicate first needs it: keeping a ball object per type keeps its label
-    objects alive, which on cold sweeps doubled the garbage collector's runs.
+    Memory: one int32 per vertex or orbit, one key, one root and one hex
+    string per type, one bool per type and spec, and one memo entry per
+    distinct raw ball; the memo is dropped once every vertex or orbit has
+    its type.  The representative ball of a type is re-extracted at its
+    root when a predicate first needs it: keeping a ball object per type
+    keeps its label objects alive, which on cold sweeps doubled the garbage
+    collector's runs.
 
     :meth:`types` is the one fill path, for exact sweeps and sampled
-    lookups alike.  A miss extracts the ball at one root per orbit still
-    without a type and canonicalizes it; an entry is stored only after both
-    succeed, so a lookup that raises (``BudgetExceeded`` from the canonical
-    search, say) raises again next time.  Fills hold the index's lock and
-    are idempotent, so concurrent callers see the same type ids.
+    lookups alike.  A miss extracts the ball at the smallest root of each
+    orbit still without a type and canonicalizes it; an entry is stored
+    only after both succeed, so a lookup that raises (``BudgetExceeded``
+    from the canonical search, say) raises again next time.  Fills hold the
+    index's lock and are idempotent, so concurrent callers see the same
+    type ids.
     """
 
     def __init__(self, G, r: int, t: int):
@@ -81,7 +88,8 @@ class BallIndex:
         self._remaining = G.orbit_count
         self._type_of_raw: dict[tuple, int] = {}
         self._type_of_key: dict[CanonicalBallKey, int] = {}
-        self._flags: dict[object, list[bool]] = {}
+        self._hexes: list[str] = []
+        self._flags: dict[object, np.ndarray] = {}
         self._lock = threading.RLock()
 
     def _graph_or_raise(self):
@@ -104,9 +112,12 @@ class BallIndex:
             adj = G.neighbor_lists() if len(roots) == G.n else None
             with self._lock:
                 fill = self._type_of_orbit
-                # one root per orbit without a type, the first in input order
-                todo, first = np.unique(orbits[missing], return_index=True)
-                reps = np.asarray(roots)[missing][first]
+                # one root per orbit without a type, its smallest: ordered
+                # by root, an orbit's first occurrence is its smallest root
+                todo_roots = np.asarray(roots)[missing]
+                by_root = np.argsort(todo_roots)
+                todo, first = np.unique(orbits[missing][by_root], return_index=True)
+                reps = todo_roots[by_root[first]]
                 for orbit, root in zip(todo.tolist(), reps.tolist()):
                     if fill[orbit] < 0:  # another thread may have typed it
                         # extract_ball is this module's global and canonicalize
@@ -137,15 +148,33 @@ class BallIndex:
             self._type_of_raw[raw] = tid
         return tid
 
+    def hex_keys(self) -> list[str]:
+        """``keys[i].hex()`` for every type known so far, each computed once.
+        The list is the index's own: callers must not mutate it."""
+        hexes = self._hexes
+        if len(hexes) < len(self.keys):
+            with self._lock:
+                hexes.extend(key.hex() for key in self.keys[len(hexes):])
+        return hexes
+
     def flags(self, spec, predicate: Callable[[LabeledBall], bool]) -> np.ndarray:
         """predicate(representative ball) for every type known so far,
-        evaluated once per (spec, type); spec names the predicate."""
+        evaluated once per (spec, type); spec names the predicate.  The
+        array is read-only and rebuilt only when types were added since it
+        was built; a predicate that raises stores nothing."""
+        done = self._flags.get(spec)
+        if done is not None and len(done) == len(self.roots):
+            return done
         G = self._graph_or_raise()
         with self._lock:
-            done = self._flags.setdefault(spec, [])
-            for root in self.roots[len(done):]:
-                done.append(bool(predicate(extract_ball(G, root, self.r, self.t))))
-            return np.array(done, dtype=bool)
+            done = self._flags.get(spec)
+            known = [] if done is None else done.tolist()
+            for root in self.roots[len(known):]:
+                known.append(bool(predicate(extract_ball(G, root, self.r, self.t))))
+            done = np.array(known, dtype=bool)
+            done.setflags(write=False)
+            self._flags[spec] = done
+            return done
 
 
 def ball_index(G, r: int, t: int) -> BallIndex:

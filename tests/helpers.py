@@ -15,6 +15,7 @@ from rnlab import (
     DegreeExceeded,
     DuplicateEdge,
     GraphError,
+    LayeredBinaryTree,
     RatioBoundViolated,
     SelfLoop,
     build_graph,
@@ -733,10 +734,39 @@ def reference_vertex_bits(n: int, k: int, seed: int) -> list[int]:
     ]
 
 
+def reference_pick(prob, alias, word_index, word_coin) -> np.ndarray:
+    """Alias picks as AliasSampler made them before it kept its table scaled
+    to raw words: each word divided by 2^64, the index word times n and
+    floored, the coin word compared against prob."""
+    n = len(prob)
+    u = np.asarray(word_index, dtype=np.uint64) / float(2**64)
+    idx = np.minimum((u * n).astype(np.int64), n - 1)
+    coin = np.asarray(word_coin, dtype=np.uint64) / float(2**64)
+    return np.where(coin < prob[idx], idx, alias[idx])
+
+
+def reference_roots(G, words) -> np.ndarray:
+    """Roots drawn from raw words by reference_alias_tables and
+    reference_pick: a vertex of an explicit graph, or on a layered tree a
+    layer and then an offset within it, in exact Python integers."""
+    from rnlab.oracles import WORDS_PER_QUERY
+
+    w0, w1, w2 = (words[i::WORDS_PER_QUERY] for i in range(3))
+    if isinstance(G, LayeredBinaryTree):
+        layers = reference_pick(*reference_alias_tables(G.layer_masses), w0, w1)
+        return np.array(
+            [(1 << k) - 1 + w % (1 << k) for k, w in zip(layers.tolist(), w2.tolist())],
+            dtype=np.int64,
+        )
+    return reference_pick(*reference_alias_tables(G.probabilities), w0, w1)
+
+
 def reference_test_property(G, P, epsilon, seed=0, budget=None, radius=None, t=2):
     """test_property as it counted per distinct root: numpy's keyed Philox
-    advanced to the first query, np.unique over the roots, float bincount
-    weights and a second np.unique over the type ids."""
+    advanced to the first query, roots from the reference alias tables and
+    picks, np.unique over the roots, float bincount weights, a second
+    np.unique over the type ids, and the predicate evaluated on each type's
+    representative ball."""
     from rnlab.oracles import WORDS_PER_QUERY, ball_index
     from rnlab.testers import TestVerdict, ball_violates, default_budget, default_radius
 
@@ -745,11 +775,11 @@ def reference_test_property(G, P, epsilon, seed=0, budget=None, radius=None, t=2
     tau = epsilon / 4.0
     index = ball_index(G, r, t)
     bg = np.random.Philox(key=seed)
-    words = bg.random_raw(WORDS_PER_QUERY * c)
-    roots = G.roots_from_words(*(words[i::WORDS_PER_QUERY] for i in range(3)))
+    roots = reference_roots(G, bg.random_raw(WORDS_PER_QUERY * c))
     uniq, counts = np.unique(roots, return_counts=True)
     types = index.types(uniq)
-    violating = index.flags(P, lambda ball: ball_violates(P, ball.n, ball.edges))
+    reps = (balls.extract_ball(G, root, r, t) for root in index.roots)
+    violating = np.array([ball_violates(P, ball.n, ball.edges) for ball in reps], dtype=bool)
     per_type = np.bincount(types, weights=counts, minlength=len(violating))
     bad = int(per_type[violating].sum())
     evidence = {

@@ -16,6 +16,7 @@ from rnlab import (
     ball_index,
     build_graph,
     empirical_stats,
+    extract_ball,
     exact_stats,
     gen_binary_tree,
     gen_grid,
@@ -119,6 +120,71 @@ def test_outputs_pinned():
         ("94e4d75aac", (28, True)),
         ("d7e481ab94", (28, True)),
     ]
+
+
+class TestCaches:
+    """The index's hex strings and flag arrays follow the types it holds."""
+
+    @staticmethod
+    def grid_index():
+        G = weighted_grid()
+        return G, ball_index(G, 1, 2)
+
+    def test_hex_keys_follow_new_types(self):
+        G, index = self.grid_index()
+        assert index.hex_keys() == []
+        for roots in ([0, 7], [29], range(G.n)):
+            index.types(np.array(roots))
+            assert index.hex_keys() == [k.hex() for k in index.keys]
+        assert len(index.keys) > 3
+
+    def test_flags_cover_types_added_later(self):
+        G, index = self.grid_index()
+        # two specs on one index: has at least 3 vertices, and has a vertex of degree 4
+        big, hub = ("big", 3), ("hub", 4)
+
+        def has_three(ball):
+            return ball.n >= 3
+
+        def has_hub(ball):
+            return any(sum(v in e for e in ball.edges) >= 4 for v in range(ball.n))
+
+        index.types(np.array([0]))
+        first = index.flags(big, has_three)
+        assert first.tolist() == [has_three(extract_ball(G, 0, 1, 2))]
+        index.types(np.array([0, 6, 7, 8]))
+        assert index.flags(hub, has_hub).tolist() == [
+            has_hub(extract_ball(G, root, 1, 2)) for root in index.roots
+        ]
+        index.types(np.arange(G.n))
+        for spec, predicate in ((big, has_three), (hub, has_hub)):
+            flags = index.flags(spec, predicate)
+            assert flags.tolist() == [predicate(extract_ball(G, root, 1, 2)) for root in index.roots]
+            assert flags.dtype == bool and not flags.flags.writeable
+            # no types were added since: the same array comes back
+            assert index.flags(spec, predicate) is flags
+        # an array handed out earlier is kept as it was
+        assert first.tolist() == [True]
+
+    @pytest.mark.parametrize("representation", ["explicit", "implicit"])
+    def test_unsorted_roots_fill_as_sorted(self, representation):
+        # 5 layers: at radius 2 every layer is an orbit with its own type
+        def make():
+            return gen_binary_tree(5, 0.4, representation=representation)
+
+        roots = np.random.default_rng(4).permutation(31)
+        shuffled, ordered = make(), make()
+        for part in (roots[:12], roots):
+            ball_index(shuffled, 2, 2).types(part)
+            ball_index(ordered, 2, 2).types(np.sort(part))
+        ours, theirs = ball_index(shuffled, 2, 2), ball_index(ordered, 2, 2)
+        assert (ours.keys, ours.roots) == (theirs.keys, theirs.roots)
+        # the input order matters: some orbit's first root is not its smallest
+        first, smallest = {}, {}
+        for orbit, root in zip(shuffled.orbit_ids(roots[:12]).tolist(), roots[:12].tolist()):
+            first.setdefault(orbit, root)
+            smallest[orbit] = min(smallest.get(orbit, root), root)
+        assert first != smallest
 
 
 def test_tester_calibration_identical_across_threads():

@@ -16,6 +16,7 @@ from rnlab import (
     LabeledBall,
     LayeredBinaryTree,
     RadonNikodymOracle,
+    TooLarge,
     build_graph,
     canonicalize,
     canonicalize_decorated,
@@ -68,6 +69,16 @@ class TestTruncateLabel:
             truncate_label(-0.5, 2)
         with pytest.raises(ValueError):
             truncate_label(1.0, -1)
+
+    def test_overflow_is_a_typed_error(self):
+        # 10**308 fits a float and 5 * 10**308 does not; 10**309 never does.
+        # A label that fits keeps its bits: 10**308, slack included, floored
+        assert truncate_label(1.0, 308) == FixedPointLabel(int(1e308 + 1e308 * 1e-12), 308)
+        with pytest.raises(TooLarge, match=r"^ratio 5\.0 at 308 label digits overflows a float$"):
+            truncate_label(5.0, 308)
+        for value in (0.0, 1.0):
+            with pytest.raises(TooLarge, match=rf"^ratio {value} at 309 label digits"):
+                truncate_label(value, 309)
 
 
 class TestExtractBall:

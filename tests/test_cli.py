@@ -900,6 +900,18 @@ class TestErrorBoundary:
             "message": "edges must be pairs of int64 vertex ids, got [0, True] at edge 0",
         }
 
+    def test_label_digits_past_a_float(self, tmp_path, capsys):
+        # 10**309 overflows a float, so no ratio has a label at 309 digits
+        g = tmp_path / "g.json"
+        run(capsys, ["gen", "--family", "grid", "--param", "rows=3", "--param", "cols=3",
+                     "--out", str(g)])
+        argv = ["sample", "--graph", str(g), "--r", "2", "--t", "309", "--queries", "5",
+                "--seed", "1"]
+        assert json_error(capsys, argv, tmp_path / "s.jsonl") == {
+            "error": "TooLarge",
+            "message": "ratio 1.0 at 309 label digits overflows a float",
+        }
+
     def test_error_of_a_command_without_a_handler(self, files, tmp_path, capsys):
         argv = ["test", "--graph", files["graph"], "--observable", "--property", "k_colorable",
                 "--colors", "3", "--epsilon", "0.3"]

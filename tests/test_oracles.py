@@ -33,6 +33,7 @@ from helpers import (
     random_bounded_graph,
     random_tree,
     reference_alias_tables,
+    reference_pick,
 )
 
 LN2 = math.log(2.0)
@@ -124,6 +125,48 @@ class TestAliasTablesMatchReference:
         assert len(cases) == 300 and {len(p) for p in cases} >= {1, 2}
         for probs in cases:
             self.check(probs)
+
+
+# words at the edges of the float conversion: 2^64 - 1 rounds up to 2^64
+EDGE_WORDS = np.array([0, 1, 2, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1],
+                      dtype=np.uint64)
+
+
+def word_pairs(rng, count=20_000):
+    """Random index and coin words, with every pair of edge words among them."""
+    words = rng.integers(0, 2**64, size=(2, count), dtype=np.uint64)
+    grid = np.array(np.meshgrid(EDGE_WORDS, EDGE_WORDS)).reshape(2, -1)
+    words[:, : grid.shape[1]] = grid
+    return words
+
+
+class TestPickMatchesReference:
+    """AliasSampler.pick on its table scaled to raw words picks what the
+    per-word division by 2^64 picked, bit for bit."""
+
+    @staticmethod
+    def check(probs, words):
+        sampler = AliasSampler(probs)
+        expected = reference_pick(sampler.prob, sampler.alias, words[0], words[1])
+        got = sampler.pick(words[0], words[1])
+        assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+
+    def test_benchmark_ladder(self):
+        self.check(ladder_probabilities(), word_pairs(np.random.default_rng(3)))
+
+    def test_random_distributions(self):
+        rng = np.random.default_rng(23)
+        for k, probs in enumerate(random_distributions()):
+            if k % 3 == 0:
+                # zero masses: their slots always take the alias
+                probs = np.where(rng.random(len(probs)) < 0.3, 0.0, probs)
+                probs[0] = max(probs[0], 1.0)
+            self.check(probs, word_pairs(rng))
+
+    def test_strided_words(self):
+        # the oracle hands pick every fourth word of its block
+        words = np.random.default_rng(5).integers(0, 2**64, size=4000, dtype=np.uint64)
+        self.check(np.array([3.0, 1.0, 1.0, 7.0, 0.5, 2.5]), (words[0::4], words[1::4]))
 
 
 class TestRootSampling:

@@ -80,6 +80,18 @@ class TestCountsMatchPerRootReference:
             ), call
 
 
+def test_evidence_holds_python_values():
+    # rnlab test JSON-encodes the evidence, which numpy scalars would not survive
+    for make in DIFFERENTIAL_GRAPHS.values():
+        G = make()
+        for P, eps, seed, radius, t in DIFFERENTIAL_CALLS:
+            v = run_tester(G, P, eps, seed=seed, radius=radius, t=t)
+            assert v.evidence
+            for key, (count, flag) in v.evidence.items():
+                assert (type(key), type(count), type(flag)) == (str, int, bool)
+            assert type(v.violating_fraction) is float
+
+
 class TestBallViolates:
     def test_forest(self):
         assert not ball_violates(FOREST, 4, [(0, 1), (0, 2), (0, 3)])
@@ -147,6 +159,35 @@ class TestSearchNodeCap:
                 index.flags(three, violates)
         monkeypatch.undo()
         assert index.flags(three, violates).tolist() == [True]
+
+    def test_failed_extension_stores_nothing(self, monkeypatch):
+        # radius-1 types in order: an edge, a 3-vertex path, a 3-leaf star;
+        # at a cap of 4 nodes the path's coloring search succeeds and the
+        # star's, which takes 5, gives up
+        three = PropertySpec.k_colorable(3)
+        edges = [(0, 1), (2, 3), (3, 4), (5, 6), (5, 7), (5, 8)]
+        G = build_graph(edges, [0.0] * 9, d=3, K=1.0)
+        index = ball_index(G, 1, 2)
+        checked = []
+
+        def violates(ball):
+            checked.append(ball.n)
+            return ball_violates(three, ball.n, ball.edges)
+
+        index.types([0])
+        first = index.flags(three, violates)
+        assert (first.tolist(), checked) == ([False], [2])
+        index.types(range(G.n))
+        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 4)
+        del checked[:]
+        with pytest.raises(BudgetExceeded):
+            index.flags(three, violates)
+        assert checked == [3, 4]
+        monkeypatch.undo()
+        # the path's flag was not kept: both new types are checked again
+        del checked[:]
+        assert index.flags(three, violates).tolist() == [False, False, False]
+        assert checked == [3, 4] and first.tolist() == [False]
 
 
 class TestDefaults:
