@@ -528,13 +528,14 @@ def components(G, removed=()) -> list[list[int]]:
     graph's one ``G.neighbor_lists()`` are used, so both graph classes are
     served.  A removed id outside ``range(G.n)`` raises ``GraphError``.
     """
+    # read first: a graph too large to list raises here, before n is allocated
+    adj = G.neighbor_lists()
     n = G.n
     seen = [False] * n
     for v in removed:
         if not 0 <= v < n:
             raise GraphError(f"removed vertex {v} is not in the graph (n={n})")
         seen[v] = True
-    adj = G.neighbor_lists()
     comps = []
     for s in range(n):
         if seen[s]:
@@ -633,8 +634,11 @@ class LayeredBinaryTree(_GraphProtocol):
     layer k occupies [2^k - 1, 2^(k+1) - 1).  Weight of a layer-k vertex is
     exp(-beta * k).  Answers the same query protocol as WeightedGraph
     without materializing the vertex set, so depth 100 is fine;
-    ``neighbors(v)`` lists the parent first, then the two children.
+    ``neighbors(v)`` lists the parent first, then the two children.  A
+    list over every vertex raises ``TooLarge`` past ``LISTABLE_DEPTH``.
     """
+
+    LISTABLE_DEPTH = 22
 
     def __init__(self, depth: int, beta: float):
         if depth < 1:
@@ -670,6 +674,11 @@ class LayeredBinaryTree(_GraphProtocol):
             out.extend((2 * v + 1, 2 * v + 2))
         return out
 
+    def _list_neighbors(self) -> list[list[int]]:
+        if self.depth > self.LISTABLE_DEPTH:
+            raise TooLarge(f"refusing to list the neighbors of 2^{self.depth} - 1 vertices")
+        return super()._list_neighbors()
+
     def log_weight(self, v: int) -> float:
         return -self.beta * self.layer(v)
 
@@ -696,7 +705,7 @@ class LayeredBinaryTree(_GraphProtocol):
     @property
     def probabilities(self) -> np.ndarray:
         """Per-vertex distribution, for trees small enough to materialize."""
-        if self.depth > 22:
+        if self.depth > self.LISTABLE_DEPTH:
             raise TooLarge(f"refusing to list 2^{self.depth} - 1 vertex masses")
         ks = range(self.depth)
         per_layer = [math.exp(-self.beta * k - self.log_z) for k in ks]
@@ -715,7 +724,7 @@ class LayeredBinaryTree(_GraphProtocol):
 
     def materialize(self) -> WeightedGraph:
         """Explicit copy for small depths; primarily used to cross-check."""
-        if self.depth > 22:
+        if self.depth > self.LISTABLE_DEPTH:
             raise TooLarge(f"refusing to materialize 2^{self.depth} - 1 vertices")
         children = np.arange(1, self.n)
         edges = np.column_stack(((children - 1) // 2, children))

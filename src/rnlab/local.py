@@ -67,11 +67,13 @@ def draw_vertex_bits(n: int, k: int, seed: int) -> list[int]:
 
 def run_local_rule(G, rule: LocalRule, t: int, seed: int, bits=None) -> frozenset:
     """Simultaneous one-round application of the rule at every vertex."""
+    # read first: a graph too large to list raises here, before any bits are drawn
+    adj = G.neighbor_lists()
     if bits is None:
         bits = draw_vertex_bits(G.n, rule.bits_per_vertex, seed)
     members = []
     for v in range(G.n):
-        ball, vertex_map = extract_ball_with_map(G, v, rule.radius, t)
+        ball, vertex_map = extract_ball_with_map(G, v, rule.radius, t, adj=adj)
         local_bits = [bits[u] for u in vertex_map]
         decorated = canonicalize_decorated(ball, local_bits)
         if rule.decide(decorated):

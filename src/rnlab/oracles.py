@@ -15,11 +15,12 @@ oracle and ``rnlab sample`` all read types through it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import weakref
 from dataclasses import dataclass
-from collections import deque
+from collections import Counter, deque
 from typing import Callable
 
 import numpy as np
@@ -261,46 +262,40 @@ def cycle_key(k: int) -> str:
 
 def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes, tuple[int, tuple]]:
     """All isomorphism classes of connected graphs with <= s vertices and max
-    degree <= d, found by growing graphs one vertex or one edge at a time and
-    deduplicating on canonical keys."""
+    degree <= d, by canonical key, each with one (n, edges) representative.
+
+    Each class on n vertices grows by one new vertex joined to every set of
+    1..d vertices of degree below d.  That reaches every class (McKay, J.
+    Algorithms 26, 1998): removing a leaf of a BFS tree leaves a connected
+    graph whose degrees are at most d, and below d at the leaf's neighbors.
+    Raises ``BudgetExceeded`` when there are more than cap classes.
+    """
     if s < 1:
         raise ValueError("depth must be at least 1")
     start = (1, ())
     seen: dict[bytes, tuple[int, tuple]] = {unrooted_key(1, []): start}
     # a child is reached from many parents: one key per shape, for this call
     shape_keys: dict[tuple, bytes] = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for n, edges in frontier:
-            deg = [0] * n
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
-            children = []
-            if n < s:
-                for mask in range(1, 1 << n):
-                    t = [v for v in range(n) if mask >> v & 1]
-                    if len(t) > d or any(deg[v] + 1 > d for v in t):
-                        continue
-                    children.append((n + 1, tuple(sorted(edges + tuple((v, n) for v in t)))))
-            es = set(edges)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (u, v) not in es and deg[u] < d and deg[v] < d:
-                        children.append((n, tuple(sorted(edges + ((u, v),)))))
-            for child in children:
-                key = shape_keys.get(child)
-                if key is None:
-                    key = shape_keys[child] = unrooted_key(*child)
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetExceeded(
-                            f"more than {cap} connected classes at depth {s}"
-                        )
-                    seen[key] = child
-                    nxt.append(child)
-        frontier = nxt
+    generation = [start]
+    for n in range(1, s):
+        grown = []
+        for _, edges in generation:
+            deg = Counter(itertools.chain.from_iterable(edges))
+            open_ = [v for v in range(n) if deg[v] < d]
+            for k in range(1, min(d, len(open_)) + 1):
+                for attach in itertools.combinations(open_, k):
+                    child = (n + 1, tuple(sorted(edges + tuple((v, n) for v in attach))))
+                    key = shape_keys.get(child)
+                    if key is None:
+                        key = shape_keys[child] = unrooted_key(*child)
+                    if key not in seen:
+                        if len(seen) >= cap:
+                            raise BudgetExceeded(
+                                f"more than {cap} connected classes at depth {s}"
+                            )
+                        seen[key] = child
+                        grown.append(child)
+        generation = grown
     return seen
 
 
@@ -312,19 +307,15 @@ def _connected_induced_keys(G, s: int) -> set[bytes]:
     found: set[bytes] = set()
     # subsets of the same shape share their key: one key per shape, per call
     shape_keys: dict[tuple, bytes] = {}
-    visited: set[frozenset] = set()
-    n = G.n
-    queue: deque[frozenset] = deque()
-    for v in range(n):
-        fs = frozenset((v,))
-        visited.add(fs)
-        queue.append(fs)
+    adj = G.neighbor_lists()
+    queue = deque(frozenset((v,)) for v in range(G.n))
+    visited = set(queue)
     while queue:
         S = queue.popleft()
         verts = sorted(S)
         pos = {v: i for i, v in enumerate(verts)}
         edges = tuple(
-            (pos[u], pos[v]) for u in verts for v in G.neighbors(u) if v in S and u < v
+            (pos[u], pos[v]) for u in verts for v in adj[u] if v in S and u < v
         )
         shape = (len(verts), edges)
         key = shape_keys.get(shape)
@@ -333,7 +324,7 @@ def _connected_induced_keys(G, s: int) -> set[bytes]:
         found.add(key)
         if len(S) < s:
             for u in verts:
-                for w in G.neighbors(u):
+                for w in adj[u]:
                     if w not in S:
                         S2 = S | {w}
                         if S2 not in visited:
@@ -349,8 +340,8 @@ def _connected_induced_keys(G, s: int) -> set[bytes]:
 def observe(G, s: int) -> ObservationTable:
     """Exact observing oracle: for every connected class H with <= s vertices
     and max degree <= d, report whether H occurs in G as an induced subgraph."""
-    d_eff = min(G.d, s - 1) if s > 1 else 0
-    classes = enumerate_connected_classes(s, d_eff)
+    # a degree bound past s - 1 changes no class on <= s vertices
+    classes = enumerate_connected_classes(s, G.d)
     present = _connected_induced_keys(G, s)
     entries = {key.hex(): key in present for key in classes}
     return ObservationTable(depth=s, degree_bound=G.d, entries=entries)
@@ -361,59 +352,51 @@ def observe(G, s: int) -> ObservationTable:
 # ---------------------------------------------------------------------------
 
 
-def girth(G, limit: float = math.inf) -> float:
-    """Length of the shortest cycle when it is at most limit, else inf (so
-    always inf on forests).
+def _shortest_cycle(G, limit: float, odd: bool) -> float:
+    """Length of the shortest cycle (odd cycle, when odd is set) if it is at
+    most limit, else inf.
 
     A BFS of radius ceil(limit/2) from every vertex, the bounded form of
-    Itai & Rodeh (SIAM J. Comput. 7(4), 1978): a non-tree edge closes a
-    walk of depth[v] + depth[w] + 1 steps through a cycle no longer than
-    that, and a BFS from a vertex of a shortest cycle of length g closes it
-    at exactly g within radius ceil(g/2).  So the minimum candidate over all
-    roots is exact whenever it is at most limit.
+    Itai & Rodeh (SIAM J. Comput. 7(4), 1978).  A non-tree edge vw, counted
+    from its end nearer the root, closes a walk of depth[v] + depth[w] + 1
+    steps through a cycle no longer than that, and a BFS from a vertex of a
+    shortest cycle closes it at its length g within radius ceil(g/2).  With
+    odd set only edges joining two vertices of equal depth count: each
+    closes an odd walk of 2 * depth + 1 steps, so an odd cycle no longer,
+    and a shortest odd cycle has no shortcut, so a BFS from any of its
+    vertices reaches both ends of its far edge at equal depth.  A vertex at
+    depth best/2 or more closes nothing shorter than best.
     """
     radius = math.ceil(limit / 2) if limit < math.inf else math.inf
     best = math.inf
-    n = G.n
-    for root in range(n):
+    adj = G.neighbor_lists()
+    for root in range(G.n):
         depth = {root: 0}
-        parent = {root: -1}
         dq = deque([root])
         while dq:
             v = dq.popleft()
-            if 2 * depth[v] >= best or depth[v] >= radius:
+            dv = depth[v]
+            if 2 * dv >= best or dv >= radius:
                 continue
-            for w in G.neighbors(v):
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    parent[w] = v
+            for w in adj[v]:
+                dw = depth.get(w)
+                if dw is None:
+                    depth[w] = dv + 1
                     dq.append(w)
-                elif w != parent[v]:
-                    best = min(best, depth[v] + depth[w] + 1)
+                elif dw == dv or (dw > dv and not odd):
+                    best = min(best, dv + dw + 1)
     return best if best <= limit else math.inf
 
 
+def girth(G, limit: float = math.inf) -> float:
+    """Length of the shortest cycle when it is at most limit, else inf (so
+    always inf on forests)."""
+    return _shortest_cycle(G, limit, odd=False)
+
+
 def odd_girth(G) -> float:
-    """Length of the shortest odd cycle, or inf when bipartite.  Exact via
-    shortest paths in the bipartite double cover."""
-    best = math.inf
-    n = G.n
-    for root in range(n):
-        dist = {(root, 0): 0}
-        dq = deque([(root, 0)])
-        while dq:
-            v, side = dq.popleft()
-            dcur = dist[(v, side)]
-            if dcur >= best:
-                continue
-            for w in G.neighbors(v):
-                state = (w, side ^ 1)
-                if state not in dist:
-                    dist[state] = dcur + 1
-                    dq.append(state)
-        if (root, 1) in dist:
-            best = min(best, dist[(root, 1)])
-    return best
+    """Length of the shortest odd cycle, or inf when bipartite."""
+    return _shortest_cycle(G, math.inf, odd=True)
 
 
 def induced_cycle_lengths(G, s: int, step_cap: int = 2_000_000) -> set[int]:
@@ -427,21 +410,21 @@ def induced_cycle_lengths(G, s: int, step_cap: int = 2_000_000) -> set[int]:
         return set()
     lengths: set[int] = set()
     steps = 0
+    adj = G.neighbor_lists()
 
     def extend(path: list[int], banned: set[int]) -> None:
         nonlocal steps
         steps += 1
         if steps > step_cap:
             raise BudgetExceeded("induced cycle search exceeded its step cap")
-        last = path[-1]
         root = path[0]
-        for u in G.neighbors(last):
+        for u in adj[path[-1]]:
             if u <= root or u in banned:
                 continue
             if len(path) == 1:
                 extend(path + [u], banned | {u})
                 continue
-            around = G.neighbors(u)
+            around = adj[u]
             if any(x in around for x in path[1:-1]):
                 continue
             if root in around:

@@ -247,5 +247,5 @@ def load_profile(path) -> dict[int, BallStatistics]:
         try:
             per_radius = json.load(fh)["per_radius"]
             return {int(r): BallStatistics.from_json_dict(st) for r, st in per_radius.items()}
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
             raise GraphError(f"{path} is not a statistics profile: {e!r}") from None

@@ -134,12 +134,9 @@ def observable_test(G, P: PropertySpec, epsilon: float) -> TestVerdict:
         raise ValueError("epsilon must lie in (0, 1)")
     s = observation_depth(epsilon)
     lengths = induced_cycle_lengths(G, s)
-    entries = {}
-    for k in range(3, s + 1):
-        present = k in lengths
-        if P.id == "bipartite" and k % 2 == 0:
-            continue
-        entries[cycle_key(k)] = present
+    # an odd cycle is what keeps a graph from being bipartite
+    step = 2 if P.id == "bipartite" else 1
+    entries = {cycle_key(k): k in lengths for k in range(3, s + 1, step)}
     reject = any(entries.values())
     return TestVerdict(
         verdict="REJECT" if reject else "ACCEPT",

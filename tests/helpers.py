@@ -286,6 +286,58 @@ def path_key(k: int) -> str:
     return unrooted_key(k, [(i, i + 1) for i in range(k - 1)]).hex()
 
 
+def reference_connected_classes(s: int, d: int) -> set[bytes]:
+    """Keys of the connected graphs with <= s vertices and max degree <= d,
+    grown one vertex (joined to any subset of the vertices with room) or one
+    edge at a time: the vertex growth alone reaches every class, so this
+    searches far more children than it needs."""
+    seen = {unrooted_key(1, [])}
+    shape_keys: dict[tuple, bytes] = {}
+    frontier = [(1, ())]
+    while frontier:
+        nxt = []
+        for n, edges in frontier:
+            deg = [0] * n
+            for u, v in edges:
+                deg[u] += 1
+                deg[v] += 1
+            children = []
+            if n < s:
+                for mask in range(1, 1 << n):
+                    t = [v for v in range(n) if mask >> v & 1]
+                    if len(t) <= d and all(deg[v] < d for v in t):
+                        children.append((n + 1, tuple(sorted(edges + tuple((v, n) for v in t)))))
+            es = set(edges)
+            for u, v in combinations(range(n), 2):
+                if (u, v) not in es and deg[u] < d and deg[v] < d:
+                    children.append((n, tuple(sorted(edges + ((u, v),)))))
+            for child in children:
+                key = shape_keys.get(child)
+                if key is None:
+                    key = shape_keys[child] = unrooted_key(*child)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(child)
+        frontier = nxt
+    return seen
+
+
+def reference_odd_girth(G) -> float:
+    """Shortest odd cycle of G by networkx: the shortest path from (v, 0) to
+    (v, 1) in the bipartite double cover, over all v; inf when bipartite."""
+    import networkx as nx  # a test dependency, and the demos import this module too
+
+    g = nx.Graph()
+    g.add_nodes_from(range(G.n))
+    g.add_edges_from(G.edge_list())
+    cover = nx.tensor_product(g, nx.complete_graph(2))
+    best = math.inf
+    for v in range(G.n):
+        dist = nx.single_source_shortest_path_length(cover, (v, 0))
+        best = min(best, dist.get((v, 1), math.inf))
+    return best
+
+
 def gen_layered_weights(G, root: int, mode: str, beta: float = 0.0):
     """G with weights replaced by a function of BFS distance from the root.
 

@@ -884,6 +884,17 @@ class TestErrorBoundary:
             f"{files['sample']} is not a statistics profile: JSONDecodeError('Extra data"
         )
 
+    def test_infinite_count_in_a_profile(self, files, tmp_path, capsys):
+        bad = tmp_path / "inf.json"
+        bad.write_text(Path(files["profile"]).read_text().replace(
+            '"total_queries": 0', '"total_queries": Infinity', 1))
+        argv = ["distance", "--stats-a", str(bad), "--stats-b", files["profile"], "--rmax", "2"]
+        assert json_error(capsys, argv, tmp_path / "d.json") == {
+            "error": "GraphError",
+            "message": f"{bad} is not a statistics profile: "
+                       "OverflowError('cannot convert float infinity to integer')",
+        }
+
     def test_stats_file_is_not_a_graph(self, files, tmp_path, capsys):
         argv = ["sample", "--graph", files["profile"], "--queries", "5"]
         assert json_error(capsys, argv, tmp_path / "s.jsonl") == {

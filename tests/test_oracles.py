@@ -8,7 +8,9 @@ import pytest
 from rnlab import (
     AliasSampler,
     BudgetExceeded,
+    PropertySpec,
     RadonNikodymOracle,
+    TooLarge,
     cycle_key,
     enumerate_connected_classes,
     gen_binary_tree,
@@ -19,13 +21,17 @@ from rnlab import (
     gen_theta_graph,
     girth,
     induced_cycle_lengths,
+    observable_test,
     observe,
     odd_girth,
+    rank_rule,
+    run_local_rule,
     truncate_label,
     uniform_query,
 )
 from rnlab import GraphError, ball_index, build_graph, canonicalize, extract_ball, gen_grid
 from rnlab import balls, graphs
+from rnlab.balls import unrooted_key
 from helpers import (
     GIRTH8_CUBIC_EDGES,
     GIRTH8_CUBIC_N,
@@ -33,6 +39,8 @@ from helpers import (
     random_bounded_graph,
     random_tree,
     reference_alias_tables,
+    reference_connected_classes,
+    reference_odd_girth,
     reference_pick,
 )
 
@@ -379,8 +387,44 @@ class TestObserve:
         assert len(enumerate_connected_classes(4, 2)) == 6
 
     def test_class_cap(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="more than 30 connected classes at depth 6"):
             enumerate_connected_classes(6, 5, cap=30)
+        # the cap is the largest class count allowed: (4, 3) has 10 classes
+        assert len(enumerate_connected_classes(4, 3, cap=10)) == 10
+        with pytest.raises(BudgetExceeded, match="more than 9 connected classes at depth 4"):
+            enumerate_connected_classes(4, 3, cap=9)
+
+    @pytest.fixture(scope="class")
+    def atlas(self):
+        """(vertex count, max degree, unrooted key) of every connected graph
+        of networkx's atlas: all graphs on 1 to 7 vertices."""
+        out = []
+        for H in nx.graph_atlas_g()[1:]:
+            if nx.is_connected(H):
+                n = H.number_of_nodes()
+                out.append((n, max(d for _, d in H.degree), unrooted_key(n, list(H.edges()))))
+        return out
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_classes_match_the_graph_atlas(self, atlas, s):
+        counts = []
+        for d in range(5):
+            expected = {key for n, dmax, key in atlas if n <= s and dmax <= d}
+            classes = enumerate_connected_classes(s, d)
+            assert set(classes) == expected, (s, d)
+            counts.append(len(classes))
+        if s == 7:
+            assert counts == [1, 2, 12, 113, 462]
+
+    def test_classes_match_the_edge_growing_reference(self):
+        # past the atlas: the reference also adds edges and tries every vertex subset
+        classes = enumerate_connected_classes(8, 3)
+        assert len(classes) == 307
+        assert set(classes) == reference_connected_classes(8, 3)
+
+    def test_representatives_have_their_keys(self):
+        for key, (n, edges) in enumerate_connected_classes(6, 3).items():
+            assert unrooted_key(n, edges) == key
 
     # sha256 of the sorted "key value" lines of each table, with the table's
     # size and positive count, as computed one key per induced subset
@@ -394,11 +438,29 @@ class TestObserve:
         "cubic60_s5": (
             "a8f56fafd69023c374a74b6231dda8a7e1416b9204a53447914c51c80a5267e7", 20, 14
         ),
+        # tables with classes the old enumeration reached by adding an edge
+        # to a grown shape, pinned with that enumeration
+        "grid12x12_s6": (
+            "ee67489dd44ddf468d1e4c59d9fbcb01fd667973db5f92ec926d829fdbf79e69", 109, 20
+        ),
+        "girth8_s7": (
+            "39e3e8c58f97703b35ce4b97882ce79b3b190acacfca288b2150f23d6e7d312c", 113, 17
+        ),
+        "nxcubic200_s6": (
+            "19147ae2e86e10f15df7db2ee586e6e63826f401b0ba023a8c859424f3444ba6", 49, 22
+        ),
     }
     TABLE_INPUTS = {
         "grid12x12_s5": (lambda: gen_grid(12, 12), 5),
         "path200_s6": (lambda: gen_path(200), 6),
         "cubic60_s5": (lambda: gen_random_regular(60, 3, seed=1), 5),
+        "grid12x12_s6": (lambda: gen_grid(12, 12), 6),
+        "girth8_s7": (lambda: build_graph(GIRTH8_CUBIC_EDGES, [0.0] * GIRTH8_CUBIC_N, d=3, K=1.0), 7),
+        "nxcubic200_s6": (
+            lambda: build_graph(sorted(nx.random_regular_graph(3, 200, seed=1).edges()),
+                                [0.0] * 200, d=3, K=1.0),
+            6,
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
@@ -445,6 +507,25 @@ class TestCycleOracles:
         assert odd_girth(gen_cycle(5)) == 5
         assert odd_girth(gen_theta_graph((2, 3, 4))) == 5
 
+    def test_cycle_oracles_match_networkx(self, rng):
+        """girth against nx.girth, odd_girth against shortest paths in the
+        double cover, on random bounded-degree graphs and named families."""
+        graphs = [
+            random_bounded_graph(rng, int(rng.integers(1, 30)), int(rng.integers(2, 5)), 2.0,
+                                 edge_factor=float(rng.uniform(0.4, 1.6)))
+            for _ in range(200)
+        ]
+        graphs += [gen_cycle(n) for n in range(3, 12)]
+        graphs += [gen_grid(r, c) for r, c in ((1, 5), (2, 2), (3, 3), (3, 5), (4, 6))]
+        graphs += [gen_theta_graph(p) for p in ((2, 3, 4), (1, 2, 2), (3, 3, 5), (2, 4, 6))]
+        # the girth-8 graph and its double cover, as the local_blindness demo builds them
+        cover = [(u, GIRTH8_CUBIC_N + v) for a, b in GIRTH8_CUBIC_EDGES for u, v in ((a, b), (b, a))]
+        graphs += [build_graph(GIRTH8_CUBIC_EDGES, [0.0] * GIRTH8_CUBIC_N, d=3, K=1.0),
+                   build_graph(cover, [0.0] * (2 * GIRTH8_CUBIC_N), d=3, K=1.0)]
+        for G in graphs:
+            assert girth(G) == nx.girth(nx.Graph(G.edge_list())), G
+            assert odd_girth(G) == reference_odd_girth(G), G
+
     def test_girth8_graph_regression(self):
         G = build_graph(GIRTH8_CUBIC_EDGES, [0.0] * GIRTH8_CUBIC_N, d=3, K=1.0)
         assert girth(G) == 8
@@ -460,3 +541,40 @@ class TestCycleOracles:
         G = build_graph(GIRTH8_CUBIC_EDGES, [0.0] * GIRTH8_CUBIC_N, d=3, K=1.0)
         with pytest.raises(BudgetExceeded):
             induced_cycle_lengths(G, 12, step_cap=50)
+
+
+class TestDeepImplicitTrees:
+    """Whole-graph scans of an implicit tree too deep to list raise TooLarge
+    at once, instead of looping over its 2^depth - 1 vertices; shallower
+    trees answer as their materialization does."""
+
+    SCANS = {
+        "neighbor_lists": lambda T: T.neighbor_lists(),
+        "components": lambda T: graphs.components(T),
+        "girth": girth,
+        "odd_girth": odd_girth,
+        "observe": lambda T: observe(T, 3),
+        "observable_test": lambda T: observable_test(T, PropertySpec.forest(), 0.5),
+        "run_local_rule": lambda T: run_local_rule(T, rank_rule(), 2, seed=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    @pytest.mark.parametrize("depth", [23, 100])
+    def test_too_deep_to_list(self, name, depth):
+        T = gen_binary_tree(depth, 0.7, representation="implicit")
+        with pytest.raises(TooLarge, match=f"neighbors of 2\\^{depth} - 1 vertices"):
+            self.SCANS[name](T)
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_listable_depths_match_the_materialization(self, name):
+        T = gen_binary_tree(6, 0.7, representation="implicit")
+        G = T.materialize()
+        got, want = self.SCANS[name](T), self.SCANS[name](G)
+        if name == "neighbor_lists":
+            # the tree lists the parent first, the explicit graph ascending
+            assert [sorted(a) for a in got] == want
+            assert got == [T.neighbors(v) for v in range(T.n)]
+        elif name == "observe":
+            assert got.entries == want.entries
+        else:
+            assert got == want
