@@ -54,6 +54,7 @@ from .generators import (
 )
 from .graphs import (
     AliasSampler,
+    BudgetExceeded,
     DegreeExceeded,
     DuplicateEdge,
     GraphError,
@@ -90,7 +91,6 @@ from .local import (
 )
 from .oracles import (
     BallIndex,
-    BudgetExceeded,
     ObservationTable,
     OracleConfig,
     RadonNikodymOracle,

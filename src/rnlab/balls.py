@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import BudgetExceeded, GraphError, TooLarge, adjacency, bfs
+from .graphs import Budget, GraphError, TooLarge, adjacency, bfs
 
 # Relative slack applied before flooring.  Ratios are evaluated through
 # exp() of float log-weight differences, so a ratio that is exactly 2 in
@@ -225,7 +225,8 @@ class _RefinementSearch:
         self.best: Optional[bytes] = None
         self.best_perm: Optional[list[int]] = None
         self.automorphisms: list[list[int]] = []
-        self.leaves = 0
+        msg = f"canonical search exceeded its leaf budget of {self.MAX_LEAVES}"
+        self.budget = Budget(self.MAX_LEAVES, msg)
 
     def _refine(
         self, colors: list[int], cells: list[list[int]]
@@ -286,11 +287,7 @@ class _RefinementSearch:
     def _descend(self, colors: list[int], cells: list[list[int]], prefix: tuple[int, ...]) -> None:
         fresh = len(cells)
         if fresh == self.n:
-            self.leaves += 1
-            if self.leaves > self.MAX_LEAVES:
-                raise BudgetExceeded(
-                    f"canonical search exceeded its leaf budget of {self.MAX_LEAVES}"
-                )
+            self.budget.spend()
             code = _encode_ordered(colors, self.edges, self.deco)
             if self.best is None or code < self.best:
                 self.best = code

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import BudgetExceeded, GraphError, TooLarge, WeightedGraph, adjacency, two_coloring
+from .graphs import Budget, GraphError, TooLarge, WeightedGraph, adjacency, two_coloring
 from .simplex import solve_lp
 
 
@@ -88,14 +88,13 @@ def _cycle_edges(n: int, edges) -> list:
     return rejected
 
 
-# search nodes the backtracking predicates may visit before they give up
-# with BudgetExceeded
+# nodes of the backtracking predicates, and sets distance_to_property pushes
 SEARCH_NODE_CAP = 2_000_000
+DELETION_PUSH_CAP = 500_000
 
 
 def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
-    """Backtracking search for a (not necessarily induced) copy of H;
-    BudgetExceeded past SEARCH_NODE_CAP search nodes."""
+    """Backtracking search for a (not necessarily induced) copy of H."""
     if hn > n:
         return False
     adj = adjacency(n, edges)
@@ -104,13 +103,10 @@ def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
     order = sorted(range(hn), key=lambda v: -len(hadj[v]))
     assign = [-1] * hn
     used = [False] * n
-    nodes = 0
+    budget = Budget(SEARCH_NODE_CAP, f"subgraph search exceeded its node cap of {SEARCH_NODE_CAP}")
 
     def place(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_CAP:
-            raise BudgetExceeded(f"subgraph search exceeded its node cap of {SEARCH_NODE_CAP}")
+        budget.spend()
         if i == hn:
             return True
         hv = order[i]
@@ -135,18 +131,14 @@ def _has_subgraph_copy(n: int, edges, hn: int, hedges) -> bool:
 
 
 def _is_k_colorable(n: int, edges, k: int) -> bool:
-    """Backtracking k-coloring; BudgetExceeded past SEARCH_NODE_CAP search
-    nodes."""
+    """Backtracking k-coloring."""
     adj = adjacency(n, edges)
     order = sorted(range(n), key=lambda v: -len(adj[v]))
     colors = [-1] * n
-    nodes = 0
+    budget = Budget(SEARCH_NODE_CAP, f"coloring search exceeded its node cap of {SEARCH_NODE_CAP}")
 
     def go(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_CAP:
-            raise BudgetExceeded(f"coloring search exceeded its node cap of {SEARCH_NODE_CAP}")
+        budget.spend()
         if i == n:
             return True
         v = order[i]
@@ -242,7 +234,7 @@ def distance_to_property(Gp, P: PropertySpec, return_witness: bool = False):
     Deletion-only search is exact for subgraph-closed P: if some (H, q) in P
     beats it, dropping H's added edges stays in P (subgraph-closed) and only
     removes terms from the cost, so a deletion-only H is at least as good.
-    """
+    Raises ``BudgetExceeded`` past ``DELETION_PUSH_CAP`` pushed sets."""
     if P.id == "forest":
         dist, witness = _forest_distance(Gp)
         return (dist, witness) if return_witness else dist
@@ -258,12 +250,14 @@ def distance_to_property(Gp, P: PropertySpec, return_witness: bool = False):
     # best-first over deletion subsets, extended by edges after the last index
     # a subset is pushed only by itself minus its largest index, so never twice
     heap: list[tuple[float, int, frozenset]] = [(0.0, -1, frozenset())]
+    budget = Budget(DELETION_PUSH_CAP, f"deletion search pushed more than {DELETION_PUSH_CAP} sets")
     while heap:
         weight, last, dele = heapq.heappop(heap)
         kept = [edges[order[i]] for i in range(m) if i not in dele]
         if holds_on(P, n, kept):
             witness = tuple(sorted(edges[order[i]] for i in dele))
             return (weight, witness) if return_witness else weight
+        budget.spend(m - last - 1)
         for j in range(last + 1, m):
             heapq.heappush(heap, (weight + costs[j], j, dele | {j}))
     raise UnsupportedProperty(f"{P.id}: no deletion set reaches the property")

@@ -66,8 +66,25 @@ class TooLarge(GraphError):
     """An operation was asked to materialize or search beyond its size cap."""
 
 
-class BudgetExceeded(GraphError):
-    """A search ran out of its step, leaf or enumeration budget."""
+class BudgetExceeded(TooLarge):
+    """A search spent more than its :class:`Budget`: ``MAX_LEAVES`` of
+    ``balls._RefinementSearch``, or ``SEARCH_NODE_CAP``, ``DELETION_PUSH_CAP``,
+    ``BRANCH_NODE_CAP``, ``SUBSET_CAP``, ``CYCLE_STEP_CAP`` or ``CLASS_KEY_CAP``."""
+
+
+class Budget:
+    """The work one exponential search may do: ``spend(k)`` adds k to
+    ``used`` and raises ``BudgetExceeded(message)`` once it passes cap."""
+
+    __slots__ = ("cap", "message", "used")
+
+    def __init__(self, cap: int, message: str):
+        self.cap, self.message, self.used = cap, message, 0
+
+    def spend(self, k: int = 1) -> None:
+        self.used += k
+        if self.used > self.cap:
+            raise BudgetExceeded(self.message)
 
 
 def _log_sum_exp(values: np.ndarray) -> float:

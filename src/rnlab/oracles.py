@@ -27,9 +27,13 @@ import numpy as np
 
 from . import balls
 from .balls import CanonicalBallKey, LabeledBall, extract_ball, truncate_label, unrooted_key
-from .graphs import BudgetExceeded, GraphError, philox
+from .graphs import Budget, GraphError, philox
 
 WORDS_PER_QUERY = 4
+CLASS_KEY_CAP = 10_000
+# counts observe's n single vertices, but never raises on them
+SUBSET_CAP = 500_000
+CYCLE_STEP_CAP = 2_000_000
 
 
 @dataclass
@@ -70,9 +74,9 @@ class BallIndex:
     lookups alike.  A miss extracts the ball at the smallest root of each
     orbit still without a type and canonicalizes it; an entry is stored
     only after both succeed, so a lookup that raises (``BudgetExceeded``
-    from the canonical search, say) raises again next time.  Fills hold the
-    index's lock and are idempotent, so concurrent callers see the same
-    type ids.
+    past ``balls._RefinementSearch.MAX_LEAVES`` canonical leaves, say)
+    raises again next time.  Fills hold the index's lock and are
+    idempotent, so concurrent callers see the same type ids.
     """
 
     def __init__(self, G, r: int, t: int):
@@ -260,7 +264,7 @@ def cycle_key(k: int) -> str:
     return unrooted_key(k, [(i, (i + 1) % k) for i in range(k)]).hex()
 
 
-def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes, tuple[int, tuple]]:
+def enumerate_connected_classes(s: int, d: int) -> dict[bytes, tuple[int, tuple]]:
     """All isomorphism classes of connected graphs with <= s vertices and max
     degree <= d, by canonical key, each with one (n, edges) representative.
 
@@ -268,10 +272,11 @@ def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes
     1..d vertices of degree below d.  That reaches every class (McKay, J.
     Algorithms 26, 1998): removing a leaf of a BFS tree leaves a connected
     graph whose degrees are at most d, and below d at the leaf's neighbors.
-    Raises ``BudgetExceeded`` when there are more than cap classes.
+    Raises ``BudgetExceeded`` past ``CLASS_KEY_CAP`` keys, one per new shape.
     """
     if s < 1:
         raise ValueError("depth must be at least 1")
+    budget = Budget(CLASS_KEY_CAP, f"more than {CLASS_KEY_CAP} class keys at depth {s}, degree {d}")
     start = (1, ())
     seen: dict[bytes, tuple[int, tuple]] = {unrooted_key(1, []): start}
     # a child is reached from many parents: one key per shape, for this call
@@ -287,20 +292,13 @@ def enumerate_connected_classes(s: int, d: int, cap: int = 20_000) -> dict[bytes
                     child = (n + 1, tuple(sorted(edges + tuple((v, n) for v in attach))))
                     key = shape_keys.get(child)
                     if key is None:
+                        budget.spend()
                         key = shape_keys[child] = unrooted_key(*child)
                     if key not in seen:
-                        if len(seen) >= cap:
-                            raise BudgetExceeded(
-                                f"more than {cap} connected classes at depth {s}"
-                            )
                         seen[key] = child
                         grown.append(child)
         generation = grown
     return seen
-
-
-# induced subsets observe may visit
-SUBSET_CAP = 500_000
 
 
 def _connected_induced_keys(G, s: int) -> set[bytes]:
@@ -310,6 +308,7 @@ def _connected_induced_keys(G, s: int) -> set[bytes]:
     adj = G.neighbor_lists()
     queue = deque(frozenset((v,)) for v in range(G.n))
     visited = set(queue)
+    budget = Budget(SUBSET_CAP - G.n, "induced subgraph enumeration exceeded its cap")
     while queue:
         S = queue.popleft()
         verts = sorted(S)
@@ -328,10 +327,7 @@ def _connected_induced_keys(G, s: int) -> set[bytes]:
                     if w not in S:
                         S2 = S | {w}
                         if S2 not in visited:
-                            if len(visited) >= SUBSET_CAP:
-                                raise BudgetExceeded(
-                                    "induced subgraph enumeration exceeded its cap"
-                                )
+                            budget.spend()
                             visited.add(S2)
                             queue.append(S2)
     return found
@@ -339,7 +335,8 @@ def _connected_induced_keys(G, s: int) -> set[bytes]:
 
 def observe(G, s: int) -> ObservationTable:
     """Exact observing oracle: for every connected class H with <= s vertices
-    and max degree <= d, report whether H occurs in G as an induced subgraph."""
+    and max degree <= d, report whether H occurs in G as an induced subgraph.
+    Raises ``BudgetExceeded`` past ``CLASS_KEY_CAP`` keys or ``SUBSET_CAP`` subsets."""
     # a degree bound past s - 1 changes no class on <= s vertices
     classes = enumerate_connected_classes(s, G.d)
     present = _connected_induced_keys(G, s)
@@ -399,24 +396,21 @@ def odd_girth(G) -> float:
     return _shortest_cycle(G, math.inf, odd=True)
 
 
-def induced_cycle_lengths(G, s: int, step_cap: int = 2_000_000) -> set[int]:
+def induced_cycle_lengths(G, s: int) -> set[int]:
     """Lengths (<= s) of induced cycles in G, by DFS over induced paths.
 
     The minimal vertex of each cycle anchors the search and the orientation
     is fixed by requiring the second path vertex to be smaller than the
-    closing vertex, so each cycle is found once.
-    """
+    closing vertex, so each cycle is found once.  Raises ``BudgetExceeded``
+    past ``CYCLE_STEP_CAP`` extended paths."""
     if girth(G, s) > s:
         return set()
     lengths: set[int] = set()
-    steps = 0
+    budget = Budget(CYCLE_STEP_CAP, "induced cycle search exceeded its step cap")
     adj = G.neighbor_lists()
 
     def extend(path: list[int], banned: set[int]) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > step_cap:
-            raise BudgetExceeded("induced cycle search exceeded its step cap")
+        budget.spend()
         root = path[0]
         for u in adj[path[-1]]:
             if u <= root or u in banned:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import TooLarge, components, two_coloring, walk_order
+from .graphs import Budget, TooLarge, components, two_coloring, walk_order
 
 MAX_MATCHING_VERTICES = 200
 MAX_BRANCH_VERTICES = 45
@@ -316,7 +316,7 @@ def _branch_mwis(verts: list[int], adj, w) -> list[int]:
         for u in adj[v]:
             masks[pos[v]] |= 1 << pos[u]
     weights = [w[v] for v in verts]
-    nodes = 0
+    budget = Budget(BRANCH_NODE_CAP, "branch and bound node cap exceeded")
 
     def sparse_solve(cmask: int) -> tuple[float, int]:
         """Connected mask whose vertices all have degree <= 2 inside it."""
@@ -352,12 +352,9 @@ def _branch_mwis(verts: list[int], adj, w) -> list[int]:
         return val, chosen_mask
 
     def solve(mask: int) -> tuple[float, int]:
-        nonlocal nodes
         if mask == 0:
             return 0.0, 0
-        nodes += 1
-        if nodes > BRANCH_NODE_CAP:
-            raise TooLarge("branch and bound node cap exceeded")
+        budget.spend()
         comp = mask & -mask
         frontier = comp
         while frontier:

@@ -369,7 +369,7 @@ class TestSymmetricBalls:
         deco = [balls._label_bytes(lab) for lab in ball.labels]
         search = balls._RefinementSearch(ball.depths, ball.edges, adjacency(ball.n, ball.edges), deco)
         search.run()
-        assert search.leaves == 2
+        assert search.budget.used == 2
         assert search.automorphisms == [[0, 2, 1, 4, 3, 5]]
 
 

@@ -923,6 +923,18 @@ class TestErrorBoundary:
             "message": "ratio 1.0 at 309 label digits overflows a float",
         }
 
+    @pytest.mark.parametrize("argv, G, message", [
+        # run at the default caps, each in a few seconds
+        (["observe", "--s", "40"], gen_grid(3, 3),
+         "more than 10000 class keys at depth 40, degree 4"),
+        (["distance", "--property", "bipartite"], gen_disjoint_triangles(8),
+         "deletion search pushed more than 500000 sets"),
+    ], ids=["observe", "distance"])
+    def test_search_past_its_budget(self, graph_file, capsys, argv, G, message):
+        rc = main(argv + ["--graph", graph_file(G)])
+        out, err = capsys.readouterr()
+        assert (rc, json.loads(out), err) == (1, {"error": "BudgetExceeded", "message": message}, "")
+
     def test_error_of_a_command_without_a_handler(self, files, tmp_path, capsys):
         argv = ["test", "--graph", files["graph"], "--observable", "--property", "k_colorable",
                 "--colors", "3", "--epsilon", "0.3"]

@@ -13,7 +13,9 @@ No linter is installed, so these tests are the check:
 - every public name, and every public method and property of a class, is
   used by the system: by the package, a demo, the benchmark or the
   acceptance tests, or is listed in ``ALLOWED`` with the reason it stays
-  public.
+  public;
+- ``BudgetExceeded`` is raised only by ``graphs.Budget``, so every search
+  with a work cap spends a ``Budget`` instead of counting by hand.
 """
 import ast
 import io
@@ -382,3 +384,48 @@ def test_surface_check_catches_unused_and_stale(tmp_path):
         "unused Oracle.rule",
         "unused exported_only",
     ]
+
+
+def _hand_rolled_budgets(path: pathlib.Path) -> list[str]:
+    """Places that make a ``BudgetExceeded``, by a call or by raising the
+    class, outside the ``Budget`` class of graphs.py."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = set()
+    if path.name == "graphs.py":
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Budget":
+                inside = {id(n) for n in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            made = node.func
+        elif isinstance(node, ast.Raise):
+            made = node.exc
+        else:
+            continue
+        name = getattr(made, "id", None) or getattr(made, "attr", None)
+        if name == "BudgetExceeded" and id(node) not in inside:
+            found.append((node.lineno, f"{path.name}:{node.lineno}"))
+    return [place for _, place in sorted(found)]
+
+
+def test_budget_exceeded_only_from_budget():
+    src = pathlib.Path(rnlab.__file__).parent
+    assert [b for p in sorted(src.glob("*.py")) for b in _hand_rolled_budgets(p)] == []
+
+
+def test_budget_check_catches_hand_rolled_caps(tmp_path):
+    bad = tmp_path / "graphs.py"
+    bad.write_text(
+        "class Budget:\n"
+        "    def spend(self):\n        raise BudgetExceeded(self.message)\n"
+        "def search(nodes):\n"
+        "    if nodes > CAP:\n        raise graphs.BudgetExceeded('node cap')\n"
+        "    if nodes < 0:\n        raise BudgetExceeded\n"
+        "    error = BudgetExceeded('kept for later')\n"
+        "    raise ValueError(BudgetExceeded)\n"
+    )
+    assert _hand_rolled_budgets(bad) == ["graphs.py:6", "graphs.py:8", "graphs.py:9"]
+    elsewhere = tmp_path / "oracles.py"
+    elsewhere.write_text(bad.read_text())
+    assert _hand_rolled_budgets(elsewhere) == ["oracles.py:3", "oracles.py:6", "oracles.py:8", "oracles.py:9"]

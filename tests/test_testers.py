@@ -119,30 +119,9 @@ K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 class TestSearchNodeCap:
-    """The backtracking predicates give up with BudgetExceeded past
-    distances.SEARCH_NODE_CAP search nodes instead of running on."""
-
-    def test_coloring_search_gives_up(self, monkeypatch):
-        three = PropertySpec.k_colorable(3)
-        # K4 is not 3-colorable: one node per vertex, and the fourth finds
-        # every color taken
-        assert ball_violates(three, 4, K4)
-        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 3)
-        with pytest.raises(BudgetExceeded, match="^coloring search exceeded its node cap of 3$"):
-            ball_violates(three, 4, K4)
-        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 4)
-        assert ball_violates(three, 4, K4)
-
-    def test_subgraph_search_gives_up(self, monkeypatch):
-        # a 6-cycle holds no triangle: the search maps the first corner to
-        # each vertex and the second to each neighbor, 19 nodes in all
-        hexagon = [(i, (i + 1) % 6) for i in range(6)]
-        assert not ball_violates(TRIANGLE_FREE, 6, hexagon)
-        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 18)
-        with pytest.raises(BudgetExceeded, match="^subgraph search exceeded its node cap of 18$"):
-            ball_violates(TRIANGLE_FREE, 6, hexagon)
-        monkeypatch.setattr(distances, "SEARCH_NODE_CAP", 19)
-        assert not ball_violates(TRIANGLE_FREE, 6, hexagon)
+    """A ball whose predicate search gives up with BudgetExceeded past
+    distances.SEARCH_NODE_CAP nodes leaves no flag behind.  The cap's
+    boundary is in tests/test_budgets.py."""
 
     def test_ball_index_keeps_no_failed_flag(self, monkeypatch):
         three = PropertySpec.k_colorable(3)
