@@ -38,7 +38,6 @@ from .distances import (
     weighted_edit_distance,
 )
 from .generators import (
-    GeneratorSpec,
     InvalidSize,
     algebraic_connectivity,
     build_from_spec,

@@ -20,8 +20,8 @@ from collections import Counter
 
 import numpy as np
 
-from . import generators
 from .distances import PropertySpec, absolute_distance, distance_to_property
+from .generators import build_from_spec
 from .graphs import SEED_LIMIT, GraphError, graph_to_json, load_graph, philox, save_graph
 from .local import estimate_matching, independent_set_estimate
 from .oracles import RadonNikodymOracle, observe, uniform_query
@@ -151,10 +151,7 @@ def _property_from_name(name: str, forbidden: PropertySpec | None,
 
 
 def cmd_gen(args) -> int:
-    spec = generators.GeneratorSpec(
-        family=args.family, params=_parse_params(args.param), seed=args.seed
-    )
-    G = generators.build_from_spec(spec).materialize()
+    G = build_from_spec(args.family, _parse_params(args.param), args.seed).materialize()
     if args.out:
         save_graph(G, args.out)
     else:
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--csv")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive, default=1,
                    help="worker threads for row tasks; rows hold the interpreter "
                         "lock, so this is no faster, but the report must not change")
     common(p, cmd_scenario)

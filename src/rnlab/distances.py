@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Budget, GraphError, TooLarge, WeightedGraph, adjacency, two_coloring
+from .graphs import (
+    Budget,
+    GraphError,
+    TooLarge,
+    WeightedGraph,
+    adjacency,
+    check_ratio_bound,
+    two_coloring,
+)
 from .simplex import solve_lp
 
 
@@ -292,8 +300,10 @@ def absolute_distance(G, P: PropertySpec, K: float, exact: bool = False):
     The inner minimum runs over deletion sets; restricting to inclusion-
     minimal ones loses nothing.  The sup over the probability polytope of the
     resulting piecewise-linear concave function is a max-min LP solved
-    exactly over rationals.
+    exactly over rationals.  Raises GraphError for a K that
+    check_ratio_bound refuses.
     """
+    check_ratio_bound(K)
     edges = list(G.edge_list())
     m = len(edges)
     if m > MAX_LP_EDGES:
@@ -341,6 +351,7 @@ def absolute_distance_grid_check(G, P: PropertySpec, K: float, steps: int) -> fl
 
     Works on the integer numerators a: p(u) > K p(v) exactly when
     a_u * K.den > K.num * a_v, and the one division by steps comes last."""
+    check_ratio_bound(K)
     edges = list(G.edge_list())
     n = G.n
     sets = _minimal_deletion_sets(n, edges, P)

@@ -6,15 +6,16 @@ minimal valid ratio bound K, and are bit-reproducible given a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .graphs import (
+    DuplicateEdge,
     GraphError,
     LayeredBinaryTree,
+    SelfLoop,
     WeightedGraph,
+    as_int,
     build_graph,
     components,
 )
@@ -106,15 +107,10 @@ def gen_cycle(n: int, d: int = 2) -> WeightedGraph:
 def gen_grid(rows: int, cols: int) -> WeightedGraph:
     if rows < 1 or cols < 1:
         raise InvalidSize(f"grid needs positive dimensions, got {rows}x{cols}")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return build_graph(edges, [0.0] * (rows * cols), d=4, K=1.0)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    across = np.column_stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()))
+    down = np.column_stack((ids[:-1].ravel(), ids[1:].ravel()))
+    return build_graph(np.concatenate((across, down)), np.zeros(rows * cols), d=4, K=1.0)
 
 
 def gen_disjoint_triangles(k: int, d: int = 2) -> WeightedGraph:
@@ -150,14 +146,11 @@ def algebraic_connectivity(G: WeightedGraph) -> float:
     n = G.n
     if n > 3000:
         raise GraphError("algebraic connectivity check is dense-only (n <= 3000)")
+    tails, heads = G.arcs()
     L = np.zeros((n, n))
-    for u, v in G.edge_list():
-        L[u, u] += 1
-        L[v, v] += 1
-        L[u, v] -= 1
-        L[v, u] -= 1
-    eigs = np.linalg.eigvalsh(L)
-    return float(eigs[1])
+    L[tails, heads] = -1.0
+    np.fill_diagonal(L, np.bincount(tails, minlength=n))
+    return float(np.linalg.eigvalsh(L)[1])
 
 
 # gen_random_regular draws at most REGULAR_TRIES pairings, and keeps the first
@@ -177,22 +170,10 @@ def gen_random_regular(n: int, d: int, seed: int) -> WeightedGraph:
     for _ in range(REGULAR_TRIES):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        edge_set: set[tuple[int, int]] = set()
-        ok = True
-        for a, b in pairs:
-            a, b = int(a), int(b)
-            if a == b:
-                ok = False
-                break
-            e = (a, b) if a < b else (b, a)
-            if e in edge_set:
-                ok = False
-                break
-            edge_set.add(e)
-        if not ok:
+        try:
+            G = build_graph(stubs.reshape(-1, 2), np.zeros(n), d=d, K=1.0)
+        except (SelfLoop, DuplicateEdge):
             continue
-        G = build_graph(sorted(edge_set), [0.0] * n, d=d, K=1.0)
         if len(components(G)) > 1:
             continue
         if algebraic_connectivity(G) > SPECTRAL_GAP:
@@ -215,10 +196,9 @@ def gen_perturbed_union(n: int, profile: str = "uniform", seed: int = 0) -> Weig
         raise InvalidSize(f"need n >= 4, got {n}")
     H = gen_random_regular(n, 3, seed=seed)
     n_path = n * n
-    edges = [(i, i + 1) for i in range(n_path - 1)]
-    for u, v in H.edge_list():
-        edges.append((n_path + u, n_path + v))
-    edges.append((n_path - 1, n_path))
+    path = np.arange(n_path - 1)
+    bridge = [(n_path - 1, n_path)]
+    edges = np.concatenate((np.column_stack((path, path + 1)), H.edge_array() + n_path, bridge))
     total = n_path + n
     if profile == "uniform":
         lw = [0.0] * total
@@ -231,48 +211,37 @@ def gen_perturbed_union(n: int, profile: str = "uniform", seed: int = 0) -> Weig
     return build_graph(edges, lw, d=4, K=K)
 
 
-@dataclass
-class GeneratorSpec:
-    """Declarative request for a generated graph, used by the CLI."""
+# each family's call on its --param dict and the seed; an int parameter goes
+# through as_int, so a bool or a fraction is refused rather than truncated
+_FAMILIES = {
+    "binary_tree": lambda p, seed: gen_binary_tree(
+        as_int(p["depth"]), float(p.get("beta", LN2)),
+        representation=p.get("representation", "auto")),
+    "orbit_tree": lambda p, seed: gen_orbit_tree(as_int(p["depth"])),
+    "path": lambda p, seed: gen_path(as_int(p["n"]), d=as_int(p.get("d", 2))),
+    "cycle": lambda p, seed: gen_cycle(as_int(p["n"]), d=as_int(p.get("d", 2))),
+    "grid": lambda p, seed: gen_grid(as_int(p["rows"]), as_int(p["cols"])),
+    "random_regular": lambda p, seed: gen_random_regular(
+        as_int(p["n"]), as_int(p.get("d", 3)), seed=seed),
+    "perturbed_union": lambda p, seed: gen_perturbed_union(
+        as_int(p["n"]), profile=p.get("profile", "uniform"), seed=seed),
+    "disjoint_triangles": lambda p, seed: gen_disjoint_triangles(
+        as_int(p["k"]), d=as_int(p.get("d", 2))),
+    "theta": lambda p, seed: gen_theta_graph(tuple(as_int(a) for a in p.get("arms", [2, 3, 4]))),
+}
 
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
-
-def build_from_spec(spec: GeneratorSpec):
-    """The graph the spec asks for.  Raises GraphError for an unknown family
-    or a parameter that is missing or cannot be read as its type."""
-    p = dict(spec.params)
-    fam = spec.family
+def build_from_spec(family: str, params: dict, seed: int):
+    """The graph of the named family with these parameters and seed.  Raises
+    GraphError for an unknown family or a parameter that is missing or
+    cannot be read as its type."""
+    if family not in _FAMILIES:
+        raise GraphError(f"unknown generator family {family!r}")
     try:
-        if fam == "binary_tree":
-            return gen_binary_tree(int(p["depth"]), float(p.get("beta", LN2)),
-                                   representation=p.get("representation", "auto"))
-        if fam == "orbit_tree":
-            return gen_orbit_tree(int(p["depth"]))
-        if fam == "path":
-            return gen_path(int(p["n"]), d=int(p.get("d", 2)))
-        if fam == "cycle":
-            return gen_cycle(int(p["n"]), d=int(p.get("d", 2)))
-        if fam == "grid":
-            return gen_grid(int(p["rows"]), int(p["cols"]))
-        if fam == "random_regular":
-            if spec.seed is None:
-                raise ValueError("random_regular requires a seed")
-            return gen_random_regular(int(p["n"]), int(p.get("d", 3)), seed=spec.seed)
-        if fam == "perturbed_union":
-            return gen_perturbed_union(int(p["n"]), profile=p.get("profile", "uniform"),
-                                       seed=spec.seed or 0)
-        if fam == "disjoint_triangles":
-            return gen_disjoint_triangles(int(p["k"]), d=int(p.get("d", 2)))
-        if fam == "theta":
-            arms = p.get("arms", [2, 3, 4])
-            return gen_theta_graph(tuple(int(a) for a in arms))
+        return _FAMILIES[family](params, seed)
     except GraphError:
         raise
     except KeyError as e:
-        raise GraphError(f"family {fam!r} needs parameter {e.args[0]!r}") from None
+        raise GraphError(f"family {family!r} needs parameter {e.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as e:
-        raise GraphError(f"bad parameter for family {fam!r}: {e}") from None
-    raise GraphError(f"unknown generator family {fam!r}")
+        raise GraphError(f"bad parameter for family {family!r}: {e}") from None

@@ -28,6 +28,7 @@ import gc
 import json
 import math
 import operator
+import sys
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -421,6 +422,14 @@ def _as_edge_array(edge_list) -> np.ndarray:
     return edges
 
 
+def check_ratio_bound(K: float) -> None:
+    """Raise GraphError unless K is a ratio bound: finite and at least 1."""
+    if not math.isfinite(K):
+        raise GraphError(f"ratio bound must be finite, got {K}")
+    if K < 1.0:
+        raise GraphError(f"ratio bound must be at least 1, got {K}")
+
+
 def build_graph(
     edge_list: Iterable[Sequence[int]],
     log_weights: Sequence[float],
@@ -437,18 +446,18 @@ def build_graph(
 
     Raises SelfLoop, DuplicateEdge, DegreeExceeded or RatioBoundViolated when
     the input breaks the corresponding constraint, and GraphError for an id
-    outside [0, n).  The edge checks report the first failing edge in list
-    order; within one edge they check self-loop, range, duplicate (raised
-    at the second occurrence, in either orientation) and then the ratio.
-    The degree check follows the edge checks.  K = 1 is accepted and means
-    the distribution is constant across every connected component.
+    outside [0, n) or a K that check_ratio_bound refuses.  The edge checks
+    report the first failing edge in list order; within one edge they check
+    self-loop, range, duplicate (raised at the second occurrence, in either
+    orientation) and then the ratio.  The degree check follows the edge
+    checks.  K = 1 is accepted and means the distribution is constant across
+    every connected component.
     """
     lw = np.asarray(log_weights, dtype=np.float64)
     n = len(lw)
     if d < 1:
         raise GraphError(f"degree bound must be positive, got {d}")
-    if K < 1.0:
-        raise GraphError(f"ratio bound must be at least 1, got {K}")
+    check_ratio_bound(K)
     if not np.all(np.isfinite(lw)):
         raise GraphError("log-weights must be finite")
 
@@ -644,6 +653,10 @@ def walk_order(neighbors, start, count: int) -> list:
 _LAYER_STARTS = np.array([(1 << k) - 1 for k in range(64)], dtype=np.int64)
 
 
+# the largest |beta| whose ratio bound exp(|beta|) is a finite float
+MAX_BETA = math.log(sys.float_info.max)
+
+
 class LayeredBinaryTree(_GraphProtocol):
     """Complete binary tree with per-layer weights, stored implicitly.
 
@@ -662,6 +675,8 @@ class LayeredBinaryTree(_GraphProtocol):
             raise GraphError(f"depth must be positive, got {depth}")
         self.depth = int(depth)
         self.beta = float(beta)
+        if not abs(self.beta) <= MAX_BETA:
+            raise GraphError(f"beta must be finite with |beta| <= {MAX_BETA:.6g}, got {beta}")
         self.n = (1 << self.depth) - 1
         self.d = 3
         self.K = max(math.exp(abs(self.beta)), 1.0)
@@ -751,6 +766,17 @@ class LayeredBinaryTree(_GraphProtocol):
 
     def __repr__(self) -> str:
         return f"LayeredBinaryTree(depth={self.depth}, beta={self.beta})"
+
+
+def as_int(value) -> int:
+    """int(value) for a parameter given from outside the program, except
+    that a bool or a float with a fractional part raises ValueError instead
+    of being read as 0, 1 or its truncation."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 @contextlib.contextmanager

@@ -17,6 +17,8 @@ from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import GraphError, TooLarge, components, walk_order
 
 MASS_SLACK = 1e-9
@@ -338,19 +340,19 @@ def build_uniform_cover(G, epsilon: float, grid_dims: tuple = None) -> UniformCo
         rows, cols = grid_dims
         if rows * cols != G.n:
             raise UnsupportedFamily("grid dimensions do not match the graph")
-        covers = []
-        for j1 in range(m):
-            for j2 in range(m):
-                cov = frozenset(
-                    r * cols + c
-                    for r in range(rows)
-                    for c in range(cols)
-                    if r % m == j1 or c % m == j2
-                )
-                covers.append(cov)
+        # vertex r * cols + c lies in cover (j1, j2) when r % m == j1 or
+        # c % m == j2; r and c are below n, so reducing them by min(m, n)
+        # keeps those residues with a divisor that fits in int64
+        r, c = np.divmod(np.arange(G.n), cols)
+        r, c = r % min(m, G.n), c % min(m, G.n)
+        covers = tuple(
+            frozenset(np.flatnonzero((r == j1) | (c == j2)).tolist())
+            for j1 in range(m)
+            for j2 in range(m)
+        )
         bound = (m - 1) * (m - 1)
         cert = UniformCoverCertificate(
-            covers=tuple(covers), epsilon=epsilon, component_bound=bound
+            covers=covers, epsilon=epsilon, component_bound=bound
         )
     else:
         family = _detect_family(G)

@@ -23,7 +23,7 @@ import numpy as np
 from . import generators as gen
 from .balls import canonicalize, extract_ball
 from .distances import PropertySpec
-from .graphs import SEED_LIMIT, GraphError, build_graph, open_input
+from .graphs import SEED_LIMIT, GraphError, as_int, build_graph, open_input
 from .local import local_independent_set
 from .oracles import RadonNikodymOracle
 from .partitions import PartitionInfeasible, find_weighted_partition
@@ -85,6 +85,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Readers of scenario params.  A scenario reads every param while it builds
+# its row tasks, so a bad one is refused before any row runs.
+def _count(value, name: str, least: int) -> int:
+    """An int param of at least least; as_int refuses a bool or a fraction."""
+    value = as_int(value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """A finite float param; a bool is refused rather than read as 0 or 1."""
+    number = float(value)
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _epsilon(value) -> float:
+    epsilon = _real(value, "epsilon")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return epsilon
+
+
 # label digits of the balls interior_ball_mass compares
 INTERIOR_DIGITS = 2
 
@@ -121,19 +146,17 @@ def _phase_row(depth: int, beta: float, budget: int, seed: int) -> dict:
 
 
 def scenario_phase_transition(params: dict, seed: int) -> list[Callable[[], dict]]:
-    depth = int(params.get("depth", 16))
-    budget = int(params.get("budget", 50_000))
-    if budget < 1:
-        raise GraphError(f"budget must be at least 1, got {budget}")
+    depth = _count(params.get("depth", 16), "depth", 1)
+    budget = _count(params.get("budget", 50_000), "budget", 1)
     betas = params.get("betas", [0.0, 0.3, LN2, 1.0, 2.0])
     return [
-        (lambda b=float(b): _phase_row(depth, b, budget, seed)) for b in betas
+        (lambda b=_real(b, "beta"): _phase_row(depth, b, budget, seed)) for b in betas
     ]
 
 
 def scenario_convergence_to_orbit_tree(params: dict, seed: int) -> list[Callable[[], dict]]:
-    depths = params.get("depths", [10, 14, 18, 22])
-    radius = int(params.get("radius", 3))
+    depths = [_count(n, "depth", 1) for n in params.get("depths", [10, 14, 18, 22])]
+    radius = _count(params.get("radius", 3), "radius", 0)
 
     def row(n: int) -> dict:
         mass = interior_ball_mass(n, radius)
@@ -146,7 +169,7 @@ def scenario_convergence_to_orbit_tree(params: dict, seed: int) -> list[Callable
             "lower_bound": round(1.0 - 8.0 / n, 12),
         }
 
-    return [(lambda n=int(n): row(n)) for n in depths]
+    return [(lambda n=n: row(n)) for n in depths]
 
 
 _ESTIMATOR_FAMILIES = {
@@ -180,13 +203,13 @@ def scenario_estimator_error_curve(params: dict, seed: int) -> list[Callable[[],
     instances = params.get(
         "instances", [["path", 120], ["cycle", 121], ["tree", 6], ["grid", 10]]
     )
-    epsilons = params.get("epsilons", [0.05, 0.1, 0.2])
+    epsilons = [_epsilon(e) for e in params.get("epsilons", [0.05, 0.1, 0.2])]
     for kind, _ in instances:
         if str(kind) not in _ESTIMATOR_FAMILIES:
             raise GraphError(f"unknown estimator family {kind!r}")
     return [
         (
-            lambda kind=str(kind), size=int(size), e=float(e): _estimator_row(
+            lambda kind=str(kind), size=_count(size, "size", 1), e=e: _estimator_row(
                 kind, size, e, seed
             )
         )
@@ -218,10 +241,10 @@ def _perturbation_row(n: int, profile: str, r_max: int, seed: int) -> dict:
 
 
 def scenario_perturbation_sensitivity(params: dict, seed: int) -> list[Callable[[], dict]]:
-    sizes = params.get("sizes", [8, 16])
-    r_max = int(params.get("r_max", 3))
+    sizes = [_count(n, "size", 4) for n in params.get("sizes", [8, 16])]
+    r_max = _count(params.get("r_max", 3), "r_max", 1)
     return [
-        (lambda n=int(n), p=p: _perturbation_row(n, p, r_max, seed))
+        (lambda n=n, p=p: _perturbation_row(n, p, r_max, seed))
         for n in sizes
         for p in ("uniform", "adversarial")
     ]
@@ -245,8 +268,8 @@ def _calibration_row(name: str, G, epsilon: float, trials: int, seed: int) -> di
 
 
 def scenario_tester_calibration(params: dict, seed: int) -> list[Callable[[], dict]]:
-    trials = int(params.get("trials", 60))
-    epsilon = float(params.get("epsilon", 0.2))
+    trials = _count(params.get("trials", 60), "trials", 1)
+    epsilon = _epsilon(params.get("epsilon", 0.2))
     corpus = {
         "member_path": lambda: gen.gen_path(60),
         "member_tree": lambda: gen.gen_binary_tree(5, LN2),
@@ -277,9 +300,9 @@ def _entropy_row(depth: int, beta: float, seed: int) -> dict:
 
 
 def scenario_entropy_sweep(params: dict, seed: int) -> list[Callable[[], dict]]:
-    depths = params.get("depths", [25, 50, 100])
-    beta = float(params.get("beta", LN2))
-    return [(lambda n=int(n): _entropy_row(n, beta, seed)) for n in depths]
+    depths = [_count(n, "depth", 1) for n in params.get("depths", [25, 50, 100])]
+    beta = _real(params.get("beta", LN2), "beta")
+    return [(lambda n=n: _entropy_row(n, beta, seed)) for n in depths]
 
 
 SCENARIOS = {
@@ -299,7 +322,7 @@ def scenario_report_lines(cfg: ExperimentConfig) -> list[str]:
         raise GraphError(f"unknown scenario {cfg.scenario!r}")
     try:
         tasks = SCENARIOS[cfg.scenario](cfg.params, cfg.seed)
-    except (TypeError, ValueError, OverflowError) as e:  # a param of the wrong type
+    except (TypeError, ValueError, OverflowError) as e:  # a param of the wrong type or range
         raise GraphError(f"bad params for scenario {cfg.scenario!r}: {e}") from None
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -70,16 +70,22 @@ class BallStatistics:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BallStatistics":
+        """The statistic of a dict as ``to_json_dict`` writes it.  Raises
+        ValueError unless radius, digits, degree_bound and total_queries are
+        ints (a bool is not) and every mass is a finite nonnegative number."""
+        counts = {name: obj[name] for name in ("radius", "digits", "degree_bound")}
+        counts["total_queries"] = obj.get("total_queries", 0)
+        for name, value in counts.items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        masses = obj["weights"]
+        for v in masses.values():
+            if type(v) not in (int, float) or not 0.0 <= v < math.inf:
+                raise ValueError(f"masses must be finite nonnegative numbers, got {v!r}")
         return cls(
-            radius=int(obj["radius"]),
-            digits=int(obj["digits"]),
-            degree_bound=int(obj["degree_bound"]),
             ratio_bound=float(obj["ratio_bound"]),
-            weights={
-                CanonicalBallKey(bytes.fromhex(k)): float(v)
-                for k, v in obj["weights"].items()
-            },
-            total_queries=int(obj.get("total_queries", 0)),
+            weights={CanonicalBallKey(bytes.fromhex(k)): float(v) for k, v in masses.items()},
+            **counts,
         )
 
 

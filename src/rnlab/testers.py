@@ -49,12 +49,14 @@ def ball_violates(P: PropertySpec, n: int, edges) -> bool:
     return not holds_on(P, n, edges)
 
 
+# Both defaults take their cap before rounding up, so a tiny epsilon gets the
+# cap: 4 / epsilon can be infinite and epsilon**2 can underflow to 0.
 def default_radius(epsilon: float) -> int:
-    return min(math.ceil(4.0 / epsilon - 1e-9), 6)
+    return math.ceil(min(4.0 / epsilon - 1e-9, 6.0))
 
 
 def default_budget(epsilon: float) -> int:
-    return max(400, min(4000, math.ceil(8.0 / epsilon**2)))
+    return max(400, math.ceil(min(8.0 / max(epsilon**2, 1e-300), 4000.0)))
 
 
 def test_property(

@@ -33,6 +33,7 @@ from rnlab.balls import (
     _relabel,
     unrooted_key,
 )
+from rnlab.generators import REGULAR_TRIES, SPECTRAL_GAP, InvalidSize
 from rnlab.graphs import (
     RATIO_SLACK,
     BudgetExceeded,
@@ -948,3 +949,96 @@ def reference_bipartite_mwis(verts, adj, w, color) -> list:
         v for v in verts
         if (color[v] == 0 and level[pos[v]] >= 0) or (color[v] == 1 and level[pos[v]] < 0)
     ]
+
+
+def reference_algebraic_connectivity(G) -> float:
+    """algebraic_connectivity by the edge loop that filled the Laplacian
+    before it was filled from the arcs."""
+    n = G.n
+    L = np.zeros((n, n))
+    for u, v in G.edge_list():
+        L[u, u] += 1
+        L[v, v] += 1
+        L[u, v] -= 1
+        L[v, u] -= 1
+    return float(np.linalg.eigvalsh(L)[1])
+
+
+def reference_random_regular(n: int, d: int, seed: int):
+    """gen_random_regular with its own check of each pairing: a set of
+    edges, filled pair by pair, that rejects a self-loop or a repeat before
+    build_graph sees the pairing."""
+    if n * d % 2 != 0:
+        raise InvalidSize(f"n*d must be even, got n={n}, d={d}")
+    if d >= n:
+        raise InvalidSize(f"regular degree {d} needs more than {n} vertices")
+    rng = np.random.default_rng(seed)
+    for _ in range(REGULAR_TRIES):
+        stubs = np.repeat(np.arange(n), d)
+        rng.shuffle(stubs)
+        edge_set: set[tuple[int, int]] = set()
+        ok = True
+        for a, b in stubs.reshape(-1, 2):
+            a, b = int(a), int(b)
+            if a == b:
+                ok = False
+                break
+            e = (a, b) if a < b else (b, a)
+            if e in edge_set:
+                ok = False
+                break
+            edge_set.add(e)
+        if not ok:
+            continue
+        G = build_graph(sorted(edge_set), [0.0] * n, d=d, K=1.0)
+        if len(components(G)) > 1:
+            continue
+        if reference_algebraic_connectivity(G) > SPECTRAL_GAP:
+            return G
+    raise GraphError(
+        f"no {d}-regular graph on {n} vertices with spectral gap > {SPECTRAL_GAP} "
+        f"found in {REGULAR_TRIES} tries"
+    )
+
+
+def reference_grid(rows: int, cols: int):
+    """gen_grid by the loop over cells that listed its edges one by one."""
+    if rows < 1 or cols < 1:
+        raise InvalidSize(f"grid needs positive dimensions, got {rows}x{cols}")
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return build_graph(edges, [0.0] * (rows * cols), d=4, K=1.0)
+
+
+def reference_perturbed_union(n: int, profile: str = "uniform", seed: int = 0):
+    """gen_perturbed_union from edge lists of Python tuples, on
+    reference_random_regular."""
+    if n < 4:
+        raise InvalidSize(f"need n >= 4, got {n}")
+    H = reference_random_regular(n, 3, seed=seed)
+    n_path = n * n
+    edges = [(i, i + 1) for i in range(n_path - 1)]
+    for u, v in H.edge_list():
+        edges.append((n_path + u, n_path + v))
+    edges.append((n_path - 1, n_path))
+    if profile == "uniform":
+        return build_graph(edges, [0.0] * (n_path + n), d=4, K=1.0)
+    return build_graph(edges, [0.0] * n_path + [math.log(n)] * n, d=4, K=float(n))
+
+
+def reference_grid_covers(rows: int, cols: int, m: int) -> tuple:
+    """The covers of build_uniform_cover on the rows x cols grid at spacing
+    m, by a loop over every cell of every cover."""
+    return tuple(
+        frozenset(
+            r * cols + c for r in range(rows) for c in range(cols) if r % m == j1 or c % m == j2
+        )
+        for j1 in range(m)
+        for j2 in range(m)
+    )

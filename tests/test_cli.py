@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -304,6 +305,18 @@ class TestDistance:
         )
         assert rc == 0
         assert json.loads(out)["absolute_distance"] == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("K, message", [
+        ("nan", "ratio bound must be finite, got nan"),
+        ("inf", "ratio bound must be finite, got inf"),
+        ("0.5", "ratio bound must be at least 1, got 0.5"),
+        ("-1", "ratio bound must be at least 1, got -1.0"),
+    ])
+    def test_absolute_distance_ratio_bound_outside_one_to_infinity(self, K, message, graph_file,
+                                                                  tmp_path, capsys):
+        argv = ["distance", "--graph", graph_file(gen_cycle(5)), "--property", "bipartite",
+                "--absolute", "--K", K]
+        assert json_error(capsys, argv, tmp_path / "d.json") == {"error": "GraphError", "message": message}
 
     def test_h_free_forbidden_syntax(self, graph_file, capsys):
         g = graph_file(gen_disjoint_triangles(3))
@@ -695,6 +708,15 @@ class TestTest:
         assert obj["verdict"] == "REJECT"
         assert obj["violating_fraction"] == 1.0
 
+    @pytest.mark.parametrize("epsilon", ["1e-160", "1e-170", "5e-324"])
+    def test_tiny_epsilon_takes_the_capped_defaults(self, epsilon, graph_file, capsys):
+        # 8 / epsilon**2 is infinite at 1e-160 and divides by zero below
+        rc, out = run(capsys, ["test", "--graph", graph_file(gen_cycle(6)), "--property", "forest",
+                               "--epsilon", epsilon])
+        assert rc == 3
+        assert {k: json.loads(out)["params"][k] for k in ("budget", "radius")} == {
+            "budget": 4000, "radius": 6}
+
     def test_observable_mode(self, graph_file, capsys):
         g = graph_file(gen_cycle(4))
         rc, out = run(
@@ -892,7 +914,20 @@ class TestErrorBoundary:
         assert json_error(capsys, argv, tmp_path / "d.json") == {
             "error": "GraphError",
             "message": f"{bad} is not a statistics profile: "
-                       "OverflowError('cannot convert float infinity to integer')",
+                       "ValueError('total_queries must be an integer, got inf')",
+        }
+
+    @pytest.mark.parametrize("mass, shown", [("NaN", "nan"), ("-5.0", "-5.0")])
+    def test_mass_that_is_not_a_probability(self, mass, shown, files, tmp_path, capsys):
+        # a NaN mass printed a distance of NaN, which is not JSON; -5.0 one above 1
+        text = Path(files["profile"]).read_text()
+        bad = tmp_path / "mass.json"
+        bad.write_text(re.sub(r'("weights": \{\s*"[0-9a-f]+": )[-0-9.e]+', rf"\g<1>{mass}", text, count=1))
+        argv = ["distance", "--stats-a", str(bad), "--stats-b", files["profile"], "--rmax", "2"]
+        assert json_error(capsys, argv, tmp_path / "d.json") == {
+            "error": "GraphError",
+            "message": f"{bad} is not a statistics profile: "
+                       f"ValueError('masses must be finite nonnegative numbers, got {shown}')",
         }
 
     def test_stats_file_is_not_a_graph(self, files, tmp_path, capsys):
@@ -996,7 +1031,11 @@ class TestBadParams:
          "bad parameter for family 'binary_tree': unknown representation 'bogus'"),
         (["--family", "theta", "--param", "arms=5"],
          "bad parameter for family 'theta': 'int' object is not iterable"),
-    ], ids=["family", "missing", "not-an-int", "representation", "arms"])
+        (["--family", "path", "--param", "n=3.9"],
+         "bad parameter for family 'path': expected an integer, got 3.9"),
+        (["--family", "path", "--param", "n=true"],
+         "bad parameter for family 'path': expected an integer, got True"),
+    ], ids=["family", "missing", "not-an-int", "representation", "arms", "fraction", "bool"])
     def test_gen(self, argv, message, tmp_path, capsys):
         obj = json_error(capsys, ["gen", *argv], tmp_path / "g.json")
         assert obj == {"error": "GraphError", "message": message}
@@ -1019,6 +1058,25 @@ class TestBadParams:
     ], ids=["negative-budget", "zero-budget", "family"])
     def test_scenario_values_out_of_range(self, name, param, message, tmp_path, capsys):
         argv = ["scenario", "--name", name, "--param", param, "--param", "epsilons=[0.3]"]
+        obj = json_error(capsys, argv, tmp_path / "r.jsonl")
+        assert obj == {"error": "GraphError", "message": f"bad params for scenario '{name}': {message}"}
+
+    @pytest.mark.parametrize("name, param, message", [
+        ("estimator_error_curve", "epsilons=[1.5]", "epsilon must lie in (0, 1), got 1.5"),
+        ("tester_calibration", "trials=0", "trials must be at least 1, got 0"),
+        ("tester_calibration", "epsilon=0", "epsilon must lie in (0, 1), got 0.0"),
+        ("perturbation_sensitivity", "r_max=0", "r_max must be at least 1, got 0"),
+        ("entropy_sweep", "depths=[2.5]", "expected an integer, got 2.5"),
+        ("entropy_sweep", "depths=[true]", "expected an integer, got True"),
+        ("entropy_sweep", "beta=NaN", "beta must be a finite number, got nan"),
+        ("phase_transition", "betas=[Infinity]", "beta must be a finite number, got inf"),
+        ("convergence_to_orbit_tree", "radius=-1", "radius must be at least 0, got -1"),
+    ])
+    def test_scenario_refused_before_any_row(self, name, param, message, tmp_path, capsys,
+                                             monkeypatch):
+        # with two threads a row runs only in the pool, and there is none
+        monkeypatch.setattr(rnlab.scenarios, "ThreadPoolExecutor", None)
+        argv = ["scenario", "--name", name, "--param", param, "--threads", "2"]
         obj = json_error(capsys, argv, tmp_path / "r.jsonl")
         assert obj == {"error": "GraphError", "message": f"bad params for scenario '{name}': {message}"}
 
@@ -1166,6 +1224,10 @@ class TestUsageErrors:
           "--colors", "0"], "argument --colors: must be at least 1, got 0"),
         (["distance", "--graph", "G", "--property", "k_colorable", "--colors", "0"],
          "argument --colors: must be at least 1, got 0"),
+        (["scenario", "--name", "entropy_sweep", "--threads", "0"],
+         "argument --threads: must be at least 1, got 0"),
+        (["scenario", "--name", "entropy_sweep", "--threads", "-4"],
+         "argument --threads: must be at least 1, got -4"),
     ])
     def test_counts_below_one(self, argv, message, graph_file, capsys):
         argv = [graph_file(gen_grid(2, 2)) if a == "G" else a for a in argv]

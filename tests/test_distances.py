@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rnlab import (
+    GraphError,
     PropertySpec,
     SizeMismatch,
     TooLarge,
@@ -298,6 +299,20 @@ class TestAbsoluteDistance:
     def test_unsupported(self):
         with pytest.raises(UnsupportedProperty):
             absolute_distance(gen_path(3), PropertySpec(id="planar"), 2)
+
+    @pytest.mark.parametrize("K, message", [
+        (math.nan, "ratio bound must be finite, got nan"),
+        (math.inf, "ratio bound must be finite, got inf"),
+        (0.5, "ratio bound must be at least 1, got 0.5"),
+        (-1, "ratio bound must be at least 1, got -1"),
+    ])
+    def test_ratio_bound_below_one_or_not_finite(self, K, message):
+        # a path holds the property, so no LP would have looked at K
+        for G in (gen_cycle(5), gen_path(3)):
+            with pytest.raises(GraphError, match=f"^{message}$"):
+                absolute_distance(G, FOREST, K)
+            with pytest.raises(GraphError, match=f"^{message}$"):
+                absolute_distance_grid_check(G, FOREST, K, steps=4)
 
 
 class TestEpsilonCycles:

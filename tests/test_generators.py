@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from rnlab import (
-    GeneratorSpec,
     GraphError,
     InvalidSize,
     LayeredBinaryTree,
+    UnsupportedFamily,
     WeightedGraph,
     algebraic_connectivity,
     build_from_spec,
     build_graph,
+    build_uniform_cover,
     canonicalize,
     extract_ball,
     gen_binary_tree,
@@ -24,8 +25,18 @@ from rnlab import (
     gen_random_regular,
     gen_theta_graph,
     ratio,
+    verify_uniform_cover,
 )
-from helpers import gen_layered_weights, same_graph
+from helpers import (
+    gen_layered_weights,
+    reference_algebraic_connectivity,
+    reference_grid,
+    reference_grid_covers,
+    reference_perturbed_union,
+    reference_random_regular,
+    same_graph,
+)
+from rnlab.partitions import UniformCoverCertificate
 
 LN2 = math.log(2.0)
 
@@ -216,34 +227,158 @@ class TestLayeredWeights:
 
 
 class TestGeneratorSpec:
+    """build_from_spec(family, params, seed), the family table the CLI's
+    gen command reads."""
+
     def test_build_binary_tree(self):
-        spec = GeneratorSpec(family="binary_tree", params={"depth": 4, "beta": LN2})
-        G = build_from_spec(spec)
+        G = build_from_spec("binary_tree", {"depth": 4, "beta": LN2}, seed=0)
         assert G.n == 15
 
     def test_build_random_regular_spec_seed(self):
-        spec = GeneratorSpec(family="random_regular", params={"n": 14, "d": 3}, seed=9)
-        a, b = build_from_spec(spec), build_from_spec(spec)
+        a, b = (build_from_spec("random_regular", {"n": 14, "d": 3}, seed=9) for _ in range(2))
         assert same_graph(a, b)
 
     def test_unknown_family(self):
-        with pytest.raises(Exception):
-            build_from_spec(GeneratorSpec(family="klein_bottle", params={}))
+        with pytest.raises(GraphError, match="unknown generator family 'klein_bottle'"):
+            build_from_spec("klein_bottle", {}, seed=0)
 
     def test_every_family_passes_validation(self):
         specs = [
-            GeneratorSpec("binary_tree", {"depth": 5, "beta": 0.4}),
-            GeneratorSpec("path", {"n": 9}),
-            GeneratorSpec("cycle", {"n": 9}),
-            GeneratorSpec("grid", {"rows": 3, "cols": 5}),
-            GeneratorSpec("random_regular", {"n": 12, "d": 3}, seed=4),
-            GeneratorSpec("perturbed_union", {"n": 6}, seed=4),
-            GeneratorSpec("orbit_tree", {"depth": 3}),
-            GeneratorSpec("disjoint_triangles", {"k": 3}),
-            GeneratorSpec("theta", {"arms": [2, 3, 3]}),
+            ("binary_tree", {"depth": 5, "beta": 0.4}),
+            ("path", {"n": 9}),
+            ("cycle", {"n": 9}),
+            ("grid", {"rows": 3, "cols": 5}),
+            ("random_regular", {"n": 12, "d": 3}),
+            ("perturbed_union", {"n": 6}),
+            ("orbit_tree", {"depth": 3}),
+            ("disjoint_triangles", {"k": 3}),
+            ("theta", {"arms": [2, 3, 3]}),
         ]
-        for spec in specs:
-            G = build_from_spec(spec)
+        for family, params in specs:
+            G = build_from_spec(family, params, seed=4)
             # rebuilding through the validator must accept generator output
             H = build_graph(G.edge_list(), list(G.log_weights), d=G.d, K=G.K)
             assert same_graph(H, G)
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("binary_tree", {}, "GraphError: family 'binary_tree' needs parameter 'depth'"),
+        ("binary_tree", {"depth": "x"},
+         "GraphError: bad parameter for family 'binary_tree': invalid literal for int() with base 10: 'x'"),
+        ("binary_tree", {"depth": 0}, "InvalidSize: depth must be positive, got 0"),
+        ("binary_tree", {"depth": 3, "beta": "b"},
+         "GraphError: bad parameter for family 'binary_tree': could not convert string to float: 'b'"),
+        ("binary_tree", {"depth": 3, "representation": "bogus"},
+         "GraphError: bad parameter for family 'binary_tree': unknown representation 'bogus'"),
+        ("orbit_tree", {"depth": None},
+         "GraphError: bad parameter for family 'orbit_tree': int() argument must be a string, "
+         "a bytes-like object or a real number, not 'NoneType'"),
+        ("path", {"n": 3, "d": 0}, "GraphError: degree bound must be positive, got 0"),
+        ("path", {"n": math.inf},
+         "GraphError: bad parameter for family 'path': cannot convert float infinity to integer"),
+        ("path", {"n": math.nan},
+         "GraphError: bad parameter for family 'path': cannot convert float NaN to integer"),
+        ("cycle", {"n": 5, "d": 1}, "DegreeExceeded: vertex 0 has degree 2 > d=1"),
+        ("grid", {"rows": 2}, "GraphError: family 'grid' needs parameter 'cols'"),
+        ("grid", {"rows": 0, "cols": 3}, "InvalidSize: grid needs positive dimensions, got 0x3"),
+        ("random_regular", {"n": 3, "d": 4},
+         "InvalidSize: regular degree 4 needs more than 3 vertices"),
+        ("random_regular", {"n": 40, "d": 2},
+         "GraphError: no 2-regular graph on 40 vertices with spectral gap > 0.1 found in 300 tries"),
+        ("perturbed_union", {"n": 5, "profile": "weird"},
+         "InvalidSize: n*d must be even, got n=5, d=3"),
+        ("perturbed_union", {"n": 6, "profile": "weird"},
+         "GraphError: bad parameter for family 'perturbed_union': unknown profile 'weird'"),
+        ("disjoint_triangles", {"k": 0}, "InvalidSize: need at least 1 triangle, got 0"),
+        ("theta", {"arms": [0, 2]}, "InvalidSize: theta arms need at least one edge segment"),
+        ("theta", {"arms": ["a"]},
+         "GraphError: bad parameter for family 'theta': invalid literal for int() with base 10: 'a'"),
+        ("theta", {"arms": [1, 1]}, "DuplicateEdge: edge (0, 1) appears twice"),
+        # a bool or a fraction is refused, not read as 0, 1 or truncated
+        ("path", {"n": 3.9}, "GraphError: bad parameter for family 'path': expected an integer, got 3.9"),
+        ("path", {"n": True}, "GraphError: bad parameter for family 'path': expected an integer, got True"),
+        ("cycle", {"n": 5, "d": 2.5},
+         "GraphError: bad parameter for family 'cycle': expected an integer, got 2.5"),
+        ("theta", {"arms": [2, 3, 0.5]},
+         "GraphError: bad parameter for family 'theta': expected an integer, got 0.5"),
+    ])
+    def test_error_texts(self, family, params, message):
+        with pytest.raises(GraphError) as e:
+            build_from_spec(family, params, seed=3)
+        assert f"{type(e.value).__name__}: {e.value}" == message
+
+    def test_integral_floats_and_digit_strings_read_as_ints(self):
+        for n in (4, 4.0, "4"):
+            assert same_graph(build_from_spec("path", {"n": n}, seed=0), gen_path(4))
+
+
+def _same_arrays(G, H):
+    """G and H hold equal CSR arrays, log-weights, bounds and orbit labels."""
+    assert np.array_equal(G._indptr, H._indptr)
+    assert np.array_equal(G._indices, H._indices)
+    assert np.array_equal(G.log_weights, H.log_weights)
+    assert (G.d, G.K) == (H.d, H.K)
+    assert (G._orbit_labels is None) == (H._orbit_labels is None)
+    if G._orbit_labels is not None:
+        assert np.array_equal(G._orbit_labels, H._orbit_labels)
+
+
+def _outcome(make, *args):
+    """make(*args), or the type and text of the GraphError it raises."""
+    try:
+        return make(*args)
+    except GraphError as e:
+        return type(e), str(e)
+
+
+class TestSameGraphsAsTheLoops:
+    """The generators that build through index arrays give the graphs, the
+    draws and the errors of the per-edge loops kept in helpers.py."""
+
+    # a connected 2-regular graph is a cycle, whose spectral gap is below 0.1
+    # past 19 vertices, so every larger d = 2 case spends all its tries
+    @pytest.mark.parametrize("d, sizes", [
+        (2, [*range(1, 13), 15, 19, 20]),
+        (3, [*range(1, 13), 15, 19, 20, 33, 64, 100]),
+        (4, [*range(1, 13), 15, 19, 20, 25, 33, 64, 100]),
+    ])
+    def test_random_regular(self, d, sizes):
+        errors = 0
+        for n in sizes:
+            for seed in range(15):
+                got = _outcome(gen_random_regular, n, d, seed)
+                want = _outcome(reference_random_regular, n, d, seed)
+                if isinstance(want, tuple):
+                    errors += 1
+                    assert got == want, (n, d, seed)
+                else:
+                    _same_arrays(got, want)
+                    assert algebraic_connectivity(got) == reference_algebraic_connectivity(want)
+        assert errors > 0
+
+    def test_grid(self):
+        for rows in range(1, 12):
+            for cols in range(1, 12):
+                _same_arrays(gen_grid(rows, cols), reference_grid(rows, cols))
+
+    @pytest.mark.parametrize("profile", ["uniform", "adversarial"])
+    def test_perturbed_union(self, profile):
+        for n in (4, 6, 10):
+            for seed in range(3):
+                _same_arrays(gen_perturbed_union(n, profile, seed),
+                             reference_perturbed_union(n, profile, seed))
+
+    def test_grid_covers(self):
+        for rows in range(2, 10):
+            for cols in range(2, 10):
+                G = gen_grid(rows, cols)
+                for epsilon in (0.3, 0.5, 0.7, 0.9):
+                    m = math.ceil(2.0 / epsilon - 1e-9)
+                    want = reference_grid_covers(rows, cols, m)
+                    try:
+                        cert = build_uniform_cover(G, epsilon, grid_dims=(rows, cols))
+                    except UnsupportedFamily:
+                        cert = UniformCoverCertificate(want, epsilon, (m - 1) * (m - 1))
+                        assert not verify_uniform_cover(G, cert)
+                        continue
+                    assert cert.covers == want
+                    assert cert.component_bound == (m - 1) * (m - 1)

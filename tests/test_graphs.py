@@ -49,7 +49,7 @@ from rnlab import (
     two_coloring,
     walk_order,
 )
-from rnlab.graphs import RATIO_SLACK, _key_type, philox
+from rnlab.graphs import MAX_BETA, RATIO_SLACK, _key_type, philox
 
 LN2 = math.log(2.0)
 
@@ -190,6 +190,10 @@ class TestVectorizedBuilder:
             ([(1, 0), (0, 1)], 2, 3.0, DuplicateEdge, "edge (0, 1) appears twice"),
             ([(0, 1), (2, 1)], 2, 2.0, RatioBoundViolated, "edge (1, 2) has weight ratio exp(1.09861) > K=2.0"),
             ([(0, 1), (1, 2), (2, 0)], 1, 3.0, DegreeExceeded, "vertex 0 has degree 2 > d=1"),
+            # a K that is not a number of at least 1 was kept and written as NaN
+            ([(0, 1)], 2, 0.5, GraphError, "ratio bound must be at least 1, got 0.5"),
+            ([(0, 1)], 2, math.nan, GraphError, "ratio bound must be finite, got nan"),
+            ([(0, 1)], 2, math.inf, GraphError, "ratio bound must be finite, got inf"),
         ]
         for edges, d, K, kind, text in cases:
             with pytest.raises(GraphError) as e:
@@ -335,6 +339,12 @@ class TestBijectionIdentity:
 
 
 class TestLayeredBinaryTree:
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1e300, math.nextafter(MAX_BETA, 1e3)])
+    def test_beta_without_a_finite_ratio_bound(self, beta):
+        with pytest.raises(GraphError, match=r"^beta must be finite with \|beta\| <= 709\.783, got "):
+            LayeredBinaryTree(3, beta)
+        assert LayeredBinaryTree(3, -MAX_BETA).K == math.exp(MAX_BETA)
+
     def test_sizes_and_indexing(self):
         T = LayeredBinaryTree(5, LN2)
         assert T.n == 31

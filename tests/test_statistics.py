@@ -304,6 +304,12 @@ def test_sweep_without_orbits_is_bounded(monkeypatch):
         sweep(gen_binary_tree(70, LN2, representation="implicit"), 1, 2)
 
 
+def _stat(**fields) -> dict:
+    """A statistic as to_json_dict writes it, with these fields replaced."""
+    return {"radius": 1, "digits": 2, "degree_bound": 2, "ratio_bound": 1.0,
+            "total_queries": 0, "weights": {"00": 1.0}} | fields
+
+
 class TestSerialization:
     """A profile is the one statistics file format: profile_to_json writes
     it, as ``rnlab stats`` does, and load_profile reads it."""
@@ -342,6 +348,17 @@ class TestSerialization:
         ({"per_radius": {"1": {"radius": 1, "digits": 2, "degree_bound": 2,
                                "ratio_bound": 1.0, "weights": {"zz": 1.0}}}}, "ValueError"),
         ([1, 2], "TypeError"),
+        # the counts are ints and the masses finite nonnegative numbers
+        ({"per_radius": {"1": _stat(radius=1.9)}}, "ValueError('radius must be an integer, got 1.9')"),
+        ({"per_radius": {"1": _stat(digits=True)}}, "ValueError('digits must be an integer, got True')"),
+        ({"per_radius": {"1": _stat(total_queries=2.0)}},
+         "ValueError('total_queries must be an integer, got 2.0')"),
+        ({"per_radius": {"1": _stat(weights={"00": math.nan})}},
+         "ValueError('masses must be finite nonnegative numbers, got nan')"),
+        ({"per_radius": {"1": _stat(weights={"00": -5.0})}},
+         "ValueError('masses must be finite nonnegative numbers, got -5.0')"),
+        ({"per_radius": {"1": _stat(weights={"00": "0.5"})}},
+         "ValueError(\"masses must be finite nonnegative numbers, got '0.5'\")"),
     ])
     def test_other_file_kinds_rejected(self, tmp_path, obj, reason):
         path = tmp_path / "p.json"

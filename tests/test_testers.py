@@ -1,6 +1,8 @@
 import math
 import time
 
+import numpy as np
+
 import pytest
 
 from rnlab import (
@@ -179,6 +181,32 @@ class TestDefaults:
         assert default_budget(0.5) == 400
         assert default_budget(0.05) == 3200
         assert default_budget(0.01) == 4000
+
+    def test_caps_hold_for_every_epsilon(self):
+        """The caps are taken before rounding up, so an epsilon whose 4 / epsilon
+        is infinite or whose square underflows gets them; wherever the rounded
+        forms answered, the values are theirs."""
+        def rounded_first(epsilon):
+            return (min(math.ceil(4.0 / epsilon - 1e-9), 6),
+                    max(400, min(4000, math.ceil(8.0 / epsilon**2))))
+
+        sweep = np.concatenate([
+            np.logspace(-323, 0, 20_000, endpoint=False),
+            np.linspace(0.0, 1.0, 20_000, endpoint=False)[1:],
+            [4 / k for k in range(5, 40)], [math.sqrt(8 / k) for k in range(9, 4100)],
+        ])
+        answered = 0
+        for epsilon in sweep.tolist():
+            got = default_radius(epsilon), default_budget(epsilon)
+            assert got[0] <= 6 and 400 <= got[1] <= 4000, epsilon
+            try:
+                want = rounded_first(epsilon)
+            except (OverflowError, ZeroDivisionError):
+                assert got == (6, 4000), epsilon
+                continue
+            answered += 1
+            assert got == want, epsilon
+        assert 0 < answered < len(sweep)
 
     def test_observation_depth(self):
         assert observation_depth(0.2) == 11
