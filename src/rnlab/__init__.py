@@ -91,7 +91,6 @@ from .local import (
 from .oracles import (
     BallIndex,
     ObservationTable,
-    OracleConfig,
     RadonNikodymOracle,
     ball_index,
     cycle_key,

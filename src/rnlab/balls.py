@@ -386,11 +386,13 @@ def rooted_ball_view(n: int, edges: Sequence[tuple[int, int]], root: int) -> Lab
     )
 
 
-def unrooted_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
+def unrooted_key(n: int, edges: Sequence[tuple[int, int]], transitive: bool = False) -> bytes:
     """Canonical key of an unlabeled connected graph: minimum over root
-    choices of the rooted key with unit labels.  Used by observation tables."""
+    choices of the rooted key with unit labels.  Used by observation tables.
+    Set transitive for a vertex-transitive graph: its rooted key is the same
+    at every root, so only vertex 0 is tried."""
     best: Optional[bytes] = None
-    for root in range(n):
+    for root in range(1 if transitive else n):
         key = canonicalize(rooted_ball_view(n, edges, root)).data
         if best is None or key < best:
             best = key

@@ -22,7 +22,8 @@ import numpy as np
 
 from .distances import PropertySpec, absolute_distance, distance_to_property
 from .generators import build_from_spec
-from .graphs import SEED_LIMIT, GraphError, graph_to_json, load_graph, philox, save_graph
+from .graphs import (SEED_LIMIT, GraphError, check_epsilon, graph_to_json, load_graph, philox,
+                     save_graph)
 from .local import estimate_matching, independent_set_estimate
 from .oracles import RadonNikodymOracle, observe, uniform_query
 from .partitions import build_uniform_cover, find_weighted_partition
@@ -115,9 +116,10 @@ def _epsilon(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
-    return value
+    try:
+        return check_epsilon(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _write(text: str, path: str | None) -> None:

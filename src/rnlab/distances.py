@@ -39,11 +39,34 @@ class UnsupportedProperty(GraphError):
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """A graph property closed under subgraphs and disjoint unions."""
+    """A graph property closed under subgraphs and disjoint unions.  Built,
+    it is valid: an unknown id is UnsupportedProperty, and an h_free without
+    its forbidden graph or a k_colorable without a color a ValueError."""
 
     id: str
     forbidden: Optional[tuple[int, tuple[tuple[int, int], ...]]] = None
     colors: Optional[int] = None
+
+    def __post_init__(self):
+        if self.id == "h_free":
+            if self.forbidden is None:
+                raise ValueError("h_free needs a forbidden graph")
+            n, edges = self.forbidden[0], tuple(self.forbidden[1])
+            if n < 0:
+                raise ValueError(f"the forbidden graph needs a vertex count of at least 0, got {n}")
+            # no search for a copy would check a self-loop or an outside endpoint
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"forbidden edge {u}-{v} is a self-loop")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"forbidden edge {u}-{v} has an endpoint outside 0..{n - 1}")
+            canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+            object.__setattr__(self, "forbidden", (n, canon))  # frozen, so set directly
+        elif self.id == "k_colorable":
+            if self.colors is None or self.colors < 1:
+                raise ValueError("need at least one color")
+        elif self.id not in ("forest", "bipartite"):
+            raise UnsupportedProperty(self.id)
 
     @staticmethod
     def forest() -> "PropertySpec":
@@ -56,22 +79,11 @@ class PropertySpec:
     @staticmethod
     def h_free(n: int, edges) -> "PropertySpec":
         """Graphs with no copy of H, the graph on vertices 0..n-1 with the
-        given edges.  A self-loop or an endpoint outside 0..n-1 is a
-        ValueError: no search for a copy would check such an edge."""
-        if n < 0:
-            raise ValueError(f"the forbidden graph needs a vertex count of at least 0, got {n}")
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"forbidden edge {u}-{v} is a self-loop")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"forbidden edge {u}-{v} has an endpoint outside 0..{n - 1}")
-        canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        return PropertySpec(id="h_free", forbidden=(n, canon))
+        given edges."""
+        return PropertySpec(id="h_free", forbidden=(n, edges))
 
     @staticmethod
     def k_colorable(k: int) -> "PropertySpec":
-        if k < 1:
-            raise ValueError("need at least one color")
         return PropertySpec(id="k_colorable", colors=k)
 
 
@@ -173,9 +185,7 @@ def holds_on(P: PropertySpec, n: int, edges) -> bool:
     if P.id == "h_free":
         hn, hedges = P.forbidden
         return not _has_subgraph_copy(n, edges, hn, hedges)
-    if P.id == "k_colorable":
-        return _is_k_colorable(n, edges, P.colors)
-    raise UnsupportedProperty(P.id)
+    return _is_k_colorable(n, edges, P.colors)
 
 
 def is_member(G, P: PropertySpec) -> bool:
@@ -246,8 +256,6 @@ def distance_to_property(Gp, P: PropertySpec, return_witness: bool = False):
     if P.id == "forest":
         dist, witness = _forest_distance(Gp)
         return (dist, witness) if return_witness else dist
-    if P.id not in ("bipartite", "h_free", "k_colorable"):
-        raise UnsupportedProperty(P.id)
     edges = list(Gp.edge_list())
     m = len(edges)
     if m > MAX_DELETION_EDGES:
@@ -308,8 +316,6 @@ def absolute_distance(G, P: PropertySpec, K: float, exact: bool = False):
     m = len(edges)
     if m > MAX_LP_EDGES:
         raise TooLarge(f"{m} edges; LP formulation limited to {MAX_LP_EDGES}")
-    if P.id not in ("forest", "bipartite", "h_free", "k_colorable"):
-        raise UnsupportedProperty(P.id)
     n = G.n
     sets = _minimal_deletion_sets(n, edges, P)
     if sets == [frozenset()]:

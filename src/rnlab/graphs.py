@@ -430,6 +430,14 @@ def check_ratio_bound(K: float) -> None:
         raise GraphError(f"ratio bound must be at least 1, got {K}")
 
 
+def check_epsilon(epsilon: float) -> float:
+    """epsilon, the proximity parameter, when it lies strictly between 0
+    and 1; else ValueError.  Every epsilon a caller passes is read here."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return epsilon
+
+
 def build_graph(
     edge_list: Iterable[Sequence[int]],
     log_weights: Sequence[float],

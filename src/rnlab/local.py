@@ -104,7 +104,7 @@ def local_independent_set(G, epsilon: float, seed: int = 0) -> tuple[frozenset, 
 def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozenset, float, bool]:
     """local_independent_set without the warning, plus whether the result
     carries the accuracy guarantee: False exactly when the greedy pass ran.
-    Raises ValueError unless 0 < epsilon < 1, before any bound is tried."""
+    An epsilon that ``check_epsilon`` refuses raises before any bound is tried."""
     w = G.probabilities.tolist()
     adj = G.neighbor_lists()
 
@@ -116,10 +116,8 @@ def independent_set_estimate(G, epsilon: float, seed: int = 0) -> tuple[frozense
         inside = {v: [u for u in adj[v] if u not in removed] for v in comp}
         return component_mwis(sorted(comp), inside, w)
 
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
     try:
-        parts = solve_pieces(G, epsilon / 2.0, solve)
+        parts = solve_pieces(G, epsilon, solve)
     except PartitionInfeasible:
         taken: set[int] = set()
         blocked: set[int] = set()
@@ -145,8 +143,8 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
     epsilon/2, match each component exactly, add up.
 
     The estimate is deterministic; seed is accepted for the signature shared
-    with independent_set_estimate, and callers pass it.  Raises ValueError
-    unless 0 < epsilon < 1, before any bound is tried.
+    with independent_set_estimate, and callers pass it.  An epsilon that
+    ``check_epsilon`` refuses raises before any bound is tried.
     """
     if G.n == 0:
         raise GraphError("the graph has no vertices, so no matching ratio")
@@ -162,6 +160,4 @@ def estimate_matching(G, epsilon: float, seed: int = 0) -> float:
         pos = {v: i for i, v in enumerate(comp)}
         return matching_size(len(comp), [[pos[u] for u in adj[v] if u in pos] for v in comp])
 
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return sum(solve_pieces(G, epsilon / 2.0, solve)) / G.n
+    return sum(solve_pieces(G, epsilon, solve)) / G.n

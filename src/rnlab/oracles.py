@@ -36,14 +36,6 @@ SUBSET_CAP = 500_000
 CYCLE_STEP_CAP = 2_000_000
 
 
-@dataclass
-class OracleConfig:
-    radius: int
-    depth: int = 2
-    query_budget: int = 1000
-    seed: int = 0
-
-
 class BallIndex:
     """Ball types of one graph at radius r and label depth t, filled lazily.
 
@@ -261,7 +253,7 @@ class ObservationTable:
 
 
 def cycle_key(k: int) -> str:
-    return unrooted_key(k, [(i, (i + 1) % k) for i in range(k)]).hex()
+    return unrooted_key(k, [(i, (i + 1) % k) for i in range(k)], transitive=True).hex()
 
 
 def enumerate_connected_classes(s: int, d: int) -> dict[bytes, tuple[int, tuple]]:

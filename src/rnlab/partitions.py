@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, TooLarge, components, walk_order
+from .distances import n_epsilon_cycles
+from .graphs import GraphError, TooLarge, check_epsilon, components, walk_order
 
 MASS_SLACK = 1e-9
 
@@ -242,6 +243,12 @@ def _plan(G) -> _Plan:
     return G.derived("partition_plan", lambda: _Plan(G))
 
 
+def _default_bound(n: int, epsilon: float) -> int:
+    """ceil(1/epsilon), or n (at least 1) once that is no smaller, as every
+    bound past n cuts alike; 1/epsilon is taken only when it is below n."""
+    return math.ceil(1.0 / epsilon) if epsilon * n > 1.0 else max(n, 1)
+
+
 def find_weighted_partition(G, epsilon: float, K_target: int = None) -> PartitionCertificate:
     """Sphere-cutting heuristic at one component bound.
 
@@ -262,10 +269,9 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
     same searches and cuts, with one bound asked for.  A graph too large to
     list its masses raises ``TooLarge``.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_epsilon(epsilon)
     if K_target is None:
-        K_target = math.ceil(1.0 / epsilon)
+        K_target = _default_bound(G.n, epsilon)
     if K_target < 1:
         raise ValueError("component bound must be positive")
     return _plan(G).certificate(epsilon, K_target)[0]
@@ -273,9 +279,10 @@ def find_weighted_partition(G, epsilon: float, K_target: int = None) -> Partitio
 
 def solve_pieces(G, epsilon: float, solve) -> list:
     """solve(piece, removed) for each component left by the first usable
-    partition at epsilon, in component order.
+    partition at epsilon/2 (an estimate's ladder at accuracy epsilon), in
+    component order; an epsilon ``check_epsilon`` refuses raises first.
 
-    The component bounds climb from ceil(1/epsilon), doubling while below
+    The component bounds climb from ceil(2/epsilon), doubling while below
     G.n, and end at G.n.  A bound is dropped when no partition is found
     there (PartitionInfeasible) or when solve gives out on one of its
     pieces (TooLarge); PartitionInfeasible naming the last failure is raised
@@ -287,11 +294,11 @@ def solve_pieces(G, epsilon: float, solve) -> list:
     sealed regions, ordered by their smallest vertex as ``components``
     orders them.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_epsilon(epsilon)
     plan = _plan(G)
+    epsilon /= 2.0  # the partition's own, 0 for the smallest subnormal
     bounds = []
-    k = math.ceil(1.0 / epsilon)
+    k = _default_bound(G.n, epsilon)
     while k < G.n:
         bounds.append(k)
         k *= 2
@@ -331,52 +338,51 @@ def _detect_family(G) -> str:
 
 
 def build_uniform_cover(G, epsilon: float, grid_dims: tuple = None) -> UniformCoverCertificate:
-    """Shift construction: with spacing m = ceil(2/epsilon), cover j removes
-    positions congruent to j mod m along a traversal; grids use both axes."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    m = math.ceil(2.0 / epsilon - 1e-9)
+    """Shift construction: with spacing m = n_epsilon_cycles(epsilon), cover
+    j removes positions congruent to j mod m along a traversal; grids use
+    both axes.  Cover 0 holds the first vertex and no cover is larger, so
+    the verifier's size test runs on it before the others are built, and
+    fails before m is taken when epsilon * n <= 1."""
+    check_epsilon(epsilon)
+    n = G.n
+    failed = "shift construction failed its own verifier at this size/epsilon"
     if grid_dims is not None:
         rows, cols = grid_dims
-        if rows * cols != G.n:
+        if rows * cols != n:
             raise UnsupportedFamily("grid dimensions do not match the graph")
-        # vertex r * cols + c lies in cover (j1, j2) when r % m == j1 or
-        # c % m == j2; r and c are below n, so reducing them by min(m, n)
-        # keeps those residues with a divisor that fits in int64
-        r, c = np.divmod(np.arange(G.n), cols)
-        r, c = r % min(m, G.n), c % min(m, G.n)
+    else:
+        family = _detect_family(G)
+        if family == "single":
+            return UniformCoverCertificate(covers=(frozenset(),), epsilon=epsilon,
+                                           component_bound=1)
+    if epsilon * n <= 1.0:
+        raise UnsupportedFamily(failed)
+    m = n_epsilon_cycles(epsilon)
+    if grid_dims is not None:
+        # vertex r * cols + c lies in cover (j1, j2) when r % m == j1 or c % m == j2
+        r, c = np.divmod(np.arange(n), cols)
+        r, c = r % m, c % m
+        if np.count_nonzero((r == 0) | (c == 0)) >= epsilon * n:
+            raise UnsupportedFamily(failed)
         covers = tuple(
             frozenset(np.flatnonzero((r == j1) | (c == j2)).tolist())
             for j1 in range(m)
             for j2 in range(m)
         )
         bound = (m - 1) * (m - 1)
-        cert = UniformCoverCertificate(
-            covers=covers, epsilon=epsilon, component_bound=bound
-        )
     else:
-        family = _detect_family(G)
-        if family == "single":
-            return UniformCoverCertificate(
-                covers=(frozenset(),), epsilon=epsilon, component_bound=1
-            )
         # a path walks from its smaller end, a cycle from vertex 0
         start = 0
         if family == "path":
             start = min(v for v, nbrs in enumerate(G.neighbor_lists()) if len(nbrs) == 1)
-        order = walk_order(G.neighbor_lists().__getitem__, start, G.n)
-        covers = tuple(
-            frozenset(order[pos] for pos in range(G.n) if pos % m == j)
-            for j in range(m)
-        )
+        order = walk_order(G.neighbor_lists().__getitem__, start, n)
+        if len(order[::m]) >= epsilon * n:
+            raise UnsupportedFamily(failed)
+        covers = tuple(frozenset(order[j::m]) for j in range(m))
         bound = max(
             (len(c) for cov in covers for c in components(G, cov)), default=0
         )
-        cert = UniformCoverCertificate(
-            covers=covers, epsilon=epsilon, component_bound=bound
-        )
+    cert = UniformCoverCertificate(covers=covers, epsilon=epsilon, component_bound=bound)
     if not verify_uniform_cover(G, cert):
-        raise UnsupportedFamily(
-            "shift construction failed its own verifier at this size/epsilon"
-        )
+        raise UnsupportedFamily(failed)
     return cert

@@ -23,7 +23,7 @@ import numpy as np
 from . import generators as gen
 from .balls import canonicalize, extract_ball
 from .distances import PropertySpec
-from .graphs import SEED_LIMIT, GraphError, as_int, build_graph, open_input
+from .graphs import SEED_LIMIT, GraphError, as_int, build_graph, check_epsilon, open_input
 from .local import local_independent_set
 from .oracles import RadonNikodymOracle
 from .partitions import PartitionInfeasible, find_weighted_partition
@@ -101,13 +101,6 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool) or not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
-
-
-def _epsilon(value) -> float:
-    epsilon = _real(value, "epsilon")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return epsilon
 
 
 # label digits of the balls interior_ball_mass compares
@@ -203,7 +196,8 @@ def scenario_estimator_error_curve(params: dict, seed: int) -> list[Callable[[],
     instances = params.get(
         "instances", [["path", 120], ["cycle", 121], ["tree", 6], ["grid", 10]]
     )
-    epsilons = [_epsilon(e) for e in params.get("epsilons", [0.05, 0.1, 0.2])]
+    epsilons = params.get("epsilons", [0.05, 0.1, 0.2])
+    epsilons = [check_epsilon(_real(e, "epsilon")) for e in epsilons]
     for kind, _ in instances:
         if str(kind) not in _ESTIMATOR_FAMILIES:
             raise GraphError(f"unknown estimator family {kind!r}")
@@ -269,7 +263,7 @@ def _calibration_row(name: str, G, epsilon: float, trials: int, seed: int) -> di
 
 def scenario_tester_calibration(params: dict, seed: int) -> list[Callable[[], dict]]:
     trials = _count(params.get("trials", 60), "trials", 1)
-    epsilon = _epsilon(params.get("epsilon", 0.2))
+    epsilon = check_epsilon(_real(params.get("epsilon", 0.2), "epsilon"))
     corpus = {
         "member_path": lambda: gen.gen_path(60),
         "member_tree": lambda: gen.gen_binary_tree(5, LN2),

@@ -26,11 +26,16 @@ import numpy as np
 # canonicalize is not called here; bench/layertrace.py wraps this name
 from .balls import CanonicalBallKey, canonicalize, extract_ball
 from .graphs import GraphError, open_input
-from .oracles import BallIndex, OracleConfig, RadonNikodymOracle, ball_index
+from .oracles import BallIndex, RadonNikodymOracle, ball_index
 
 
 class ParamMismatch(GraphError):
     pass
+
+
+# float error allowed in a sum of masses that should be at most 1 (an exact
+# statistic of a vertex-transitive graph has one key of mass about 1 + 1e-15)
+SUM_SLACK = 1e-9
 
 
 @dataclass
@@ -72,7 +77,8 @@ class BallStatistics:
     def from_json_dict(cls, obj: dict) -> "BallStatistics":
         """The statistic of a dict as ``to_json_dict`` writes it.  Raises
         ValueError unless radius, digits, degree_bound and total_queries are
-        ints (a bool is not) and every mass is a finite nonnegative number."""
+        ints (a bool is not), every mass is a finite nonnegative number and
+        the masses sum to at most 1 + SUM_SLACK."""
         counts = {name: obj[name] for name in ("radius", "digits", "degree_bound")}
         counts["total_queries"] = obj.get("total_queries", 0)
         for name, value in counts.items():
@@ -82,6 +88,10 @@ class BallStatistics:
         for v in masses.values():
             if type(v) not in (int, float) or not 0.0 <= v < math.inf:
                 raise ValueError(f"masses must be finite nonnegative numbers, got {v!r}")
+        # masses are nonnegative, so this bounds each of them too
+        total = math.fsum(masses.values())
+        if total > 1.0 + SUM_SLACK:
+            raise ValueError(f"masses must sum to at most 1, got {total!r}")
         return cls(
             ratio_bound=float(obj["ratio_bound"]),
             weights={CanonicalBallKey(bytes.fromhex(k)): float(v) for k, v in masses.items()},
@@ -127,22 +137,23 @@ def exact_stats(G, r: int, t: int) -> BallStatistics:
     )
 
 
-def empirical_stats(G, config: OracleConfig) -> BallStatistics:
-    """Sampled ball statistic through the relative-weight oracle."""
-    if config.query_budget < 1:
-        raise ValueError(f"query budget must be at least 1, got {config.query_budget}")
-    oracle = RadonNikodymOracle(G, config.radius, config.depth, seed=config.seed)
-    roots = oracle.sample_roots(config.query_budget)
+def empirical_stats(G, r: int, t: int, budget: int, seed: int = 0) -> BallStatistics:
+    """Sampled ball statistic at radius r and t label digits from budget
+    queries to the relative-weight oracle with this seed."""
+    if budget < 1:
+        raise ValueError(f"query budget must be at least 1, got {budget}")
+    oracle = RadonNikodymOracle(G, r, t, seed=seed)
+    roots = oracle.sample_roots(budget)
     # per root, not per type: masses summed root by root keep their float bits
     uniq, counts = np.unique(roots, return_counts=True)
     types = oracle.index.types(uniq)
     return BallStatistics(
-        radius=config.radius,
-        digits=config.depth,
+        radius=r,
+        digits=t,
         degree_bound=G.d,
         ratio_bound=G.K,
-        weights=_key_weights(oracle.index, types, counts * (1.0 / config.query_budget)),
-        total_queries=config.query_budget,
+        weights=_key_weights(oracle.index, types, counts * (1.0 / budget)),
+        total_queries=budget,
     )
 
 
@@ -176,12 +187,7 @@ def stats_profile(G, r_max: int, t: int) -> dict[int, BallStatistics]:
 def empirical_profile(
     G, r_max: int, t: int, budget: int, seed: int = 0
 ) -> dict[int, BallStatistics]:
-    return {
-        r: empirical_stats(
-            G, OracleConfig(radius=r, depth=t, query_budget=budget, seed=seed)
-        )
-        for r in range(1, r_max + 1)
-    }
+    return {r: empirical_stats(G, r, t, budget, seed) for r in range(1, r_max + 1)}
 
 
 def vertex_entropy(G) -> float:
@@ -190,9 +196,10 @@ def vertex_entropy(G) -> float:
     if reps is not None:
         total = 0.0
         for rep, mass in reps:
+            # log p(rep) from log-weights: p(rep) itself can underflow to 0
+            # while its orbit keeps positive mass
             if mass > 0.0:
-                pv = G.p(rep)
-                total -= mass * math.log(pv)
+                total -= mass * (G.log_weight(rep) - G.log_z)
         return total
     p = G.probabilities
     nz = p[p > 0]

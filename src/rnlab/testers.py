@@ -17,7 +17,8 @@ import numpy as np
 
 # canonicalize is not called here; bench/layertrace.py wraps this name
 from .balls import canonicalize
-from .distances import PropertySpec, UnsupportedProperty, holds_on
+from .distances import PropertySpec, UnsupportedProperty, holds_on, n_epsilon_cycles
+from .graphs import TooLarge, check_epsilon
 from .oracles import RadonNikodymOracle, cycle_key, induced_cycle_lengths
 
 
@@ -77,8 +78,7 @@ def test_property(
     The verdict's params record the graph's ratio bound G.K, which reports
     and CLI output carry unchanged.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_epsilon(epsilon)
     r = radius if radius is not None else default_radius(epsilon)
     c = budget if budget is not None else default_budget(epsilon)
     if c < 1:
@@ -116,8 +116,17 @@ def test_property(
     )
 
 
+# the deepest observation: its evidence table holds a cycle key per length up to it
+MAX_OBSERVATION_DEPTH = 101
+
+
 def observation_depth(epsilon: float) -> int:
-    return math.ceil(2.0 / epsilon - 1e-9) + 1
+    """n_epsilon_cycles(epsilon) + 1, or TooLarge past MAX_OBSERVATION_DEPTH.
+    2/epsilon meets the cap before it is rounded up, so an epsilon whose
+    2/epsilon is huge, or infinite, is refused at once."""
+    if 2.0 / epsilon > MAX_OBSERVATION_DEPTH - 1:
+        raise TooLarge(f"observation depth above {MAX_OBSERVATION_DEPTH} at epsilon {epsilon}")
+    return n_epsilon_cycles(epsilon) + 1
 
 
 def observable_test(G, P: PropertySpec, epsilon: float) -> TestVerdict:
@@ -132,9 +141,7 @@ def observable_test(G, P: PropertySpec, epsilon: float) -> TestVerdict:
         raise UnsupportedProperty(
             "observation-based testing covers forest and bipartite"
         )
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    s = observation_depth(epsilon)
+    s = observation_depth(check_epsilon(epsilon))
     lengths = induced_cycle_lengths(G, s)
     # an odd cycle is what keeps a graph from being bipartite
     step = 2 if P.id == "bipartite" else 1

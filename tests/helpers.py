@@ -42,7 +42,14 @@ from rnlab.graphs import (
     bfs,
     components,
 )
-from rnlab.partitions import SEED_TRIES, PartitionCertificate, PartitionInfeasible
+from rnlab.partitions import (
+    SEED_TRIES,
+    PartitionCertificate,
+    PartitionInfeasible,
+    UniformCoverCertificate,
+    UnsupportedFamily,
+    verify_uniform_cover,
+)
 from rnlab.solvers import component_mwis, is_independent, matching_size
 from rnlab.statistics import BallStatistics, _sweep
 
@@ -1042,3 +1049,60 @@ def reference_grid_covers(rows: int, cols: int, m: int) -> tuple:
         for j1 in range(m)
         for j2 in range(m)
     )
+
+
+# The epsilon-derived sizes as they were computed before one rule served each,
+# without a cap: the references for the sizes wherever the capped rules answer.
+
+
+def reference_default_bound(epsilon: float) -> int:
+    """find_weighted_partition's default component bound: ceil(1/epsilon)."""
+    return math.ceil(1.0 / epsilon)
+
+
+def reference_observation_depth(epsilon: float) -> int:
+    """observation_depth: ceil(2/epsilon - 1e-9) + 1."""
+    return math.ceil(2.0 / epsilon - 1e-9) + 1
+
+
+def reference_cycle_key(k: int) -> str:
+    """The k-cycle's key, minimized over every root."""
+    return unrooted_key(k, [(i, (i + 1) % k) for i in range(k)]).hex()
+
+
+def reference_uniform_cover(G, epsilon, grid_dims=None) -> UniformCoverCertificate:
+    """build_uniform_cover as it built every cover before verifying any:
+    spacing m = ceil(2/epsilon - 1e-9), each path or cycle cover by a scan
+    of all n positions.  The reference for its covers and its failures."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    m = math.ceil(2.0 / epsilon - 1e-9)
+    adj = G.neighbor_lists()
+    if grid_dims is not None:
+        rows, cols = grid_dims
+        if rows * cols != G.n:
+            raise UnsupportedFamily("grid dimensions do not match the graph")
+        covers = reference_grid_covers(rows, cols, m)
+        bound = (m - 1) * (m - 1)
+    else:
+        degs = [len(nbrs) for nbrs in adj]
+        if G.n == 1:
+            return UniformCoverCertificate(covers=(frozenset(),), epsilon=epsilon,
+                                           component_bound=1)
+        if len(components(G)) != 1:
+            raise UnsupportedFamily("cover construction needs a connected graph")
+        if not (all(d <= 2 for d in degs) and (degs.count(1) == 2 or all(d == 2 for d in degs))):
+            raise UnsupportedFamily(
+                "cover construction supports paths, cycles, and grids (pass grid_dims)")
+        order = [degs.index(1) if 1 in degs else 0]
+        while len(order) < G.n:
+            step = [w for w in adj[order[-1]] if len(order) < 2 or w != order[-2]]
+            order.append(step[0])
+        covers = tuple(
+            frozenset(order[pos] for pos in range(G.n) if pos % m == j) for j in range(m)
+        )
+        bound = max((len(c) for cov in covers for c in components(G, cov)), default=0)
+    cert = UniformCoverCertificate(covers=covers, epsilon=epsilon, component_bound=bound)
+    if not verify_uniform_cover(G, cert):
+        raise UnsupportedFamily("shift construction failed its own verifier at this size/epsilon")
+    return cert

@@ -11,7 +11,6 @@ import pytest
 
 from rnlab import (
     ExperimentConfig,
-    OracleConfig,
     PropertySpec,
     ball_index,
     build_graph,
@@ -67,7 +66,7 @@ def fingerprint(G, kind, args):
         st = exact_stats(G, *args)
     else:
         r, t, budget, seed = args
-        st = empirical_stats(G, OracleConfig(radius=r, depth=t, query_budget=budget, seed=seed))
+        st = empirical_stats(G, r, t, budget, seed=seed)
     return [(k.hex(), v.hex()) for k, v in st.weights.items()]
 
 
@@ -101,7 +100,7 @@ def test_outputs_pinned():
         ("be561bfb5e", "0x1.e1e1e1e1e1e1ep-3"),
         ("bea12d794f", "0x1.e1e1e1e1e1e1dp-5"),
     ]
-    sampled = empirical_stats(G, OracleConfig(radius=1, depth=2, query_budget=70, seed=5))
+    sampled = empirical_stats(G, 1, 2, 70, seed=5)
     assert [(tag(k.data), v.hex()) for k, v in sampled.weights.items()] == [
         ("b6dfb361ba", "0x1.5f15f15f15f16p-4"),
         ("fc8eb5173b", "0x1.3333333333333p-2"),

@@ -1143,7 +1143,8 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             main(argv + [f"--epsilon={epsilon}"])
         assert e.value.code == 2
-        assert f"argument --epsilon: must lie in (0, 1), got {float(epsilon)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument --epsilon: epsilon must lie in (0, 1), got {float(epsilon)}" in err
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--graph", "G"],

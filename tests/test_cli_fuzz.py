@@ -9,12 +9,13 @@ error object of that refusal; a file it accepts runs like any graph (exit 0,
 1 with an error object, or 3 for a REJECT).  No other exception may escape.
 
 Statistics profiles, scenario configs, the ``--param`` values of ``gen``
-and ``scenario`` and the ``--K`` of ``rnlab distance --absolute`` are
-derived the same way from valid ones.  Each ends in exit code 0 with output
-that is strict JSON (no NaN or Infinity), 1 with the JSON error object, or 2
-for a usage error.  These tests check types and ranges, not memory: the
-sizes they ask for stay small, since a valid but huge size is a request to
-do that much work.
+and ``scenario``, the ``--K`` of ``rnlab distance --absolute``, the
+``--forbidden`` graph of ``test`` and ``distance`` and the ``--epsilon`` of
+every command that takes one are derived the same way from valid ones.  Each
+ends in exit code 0 (or 3 for a REJECT) with output that is strict JSON (no
+NaN or Infinity), 1 with the JSON error object, or 2 for a usage error.
+These tests check types and ranges, not memory: the sizes they ask for stay
+small, since a valid but huge size is a request to do that much work.
 """
 import contextlib
 import copy
@@ -26,7 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnlab import GraphError, build_graph, load_graph, load_profile, profile_to_json, stats_profile
+from rnlab import (GraphError, build_graph, gen_grid, gen_path, load_graph, load_profile,
+                   profile_to_json, stats_profile)
 from rnlab.cli import main
 
 FIELDS = ("n", "d", "K", "edges", "log_weights")
@@ -162,12 +164,13 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def _check_outcome(code, out):
-    """Exit 0 with strict JSON, 1 with the JSON error object, or 2."""
-    assert code in (0, 1, 2), (code, out)
+def _check_outcome(code, out, reject=False):
+    """Exit 0 with strict JSON, 1 with the JSON error object, or 2; 3 with
+    strict JSON too where a REJECT is an answer."""
+    assert code in (0, 1, 2, 3) if reject else code in (0, 1, 2), (code, out)
     if code == 1:
         assert set(_strict_json(out)) == {"error", "message"}
-    elif code == 0:
+    elif code in (0, 3):
         _strict_json(out)
 
 
@@ -334,6 +337,10 @@ def test_broken_profiles(workdir, profile, data):
             assert (code, json.loads(out)) == (1, refusal)
         else:
             _check_outcome(code, out)
+            if code == 0:
+                # a weighted sum of total variation distances, each at most
+                # 1 up to the float error a profile's masses may carry
+                assert 0.0 <= _strict_json(out)["statistical_distance"] <= 1.0 + 1e-9
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -350,3 +357,68 @@ def test_absolute_distance_ratio_bounds(workdir, K):
     _check_outcome(code, out)
     if code == 0:
         assert 0.0 <= _strict_json(out)["absolute_distance"] <= 1.0
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="0123-:,x ", max_size=10),
+    st.builds("{}:{}".format, st.integers(-1, 4), st.lists(
+        st.builds("{}-{}".format, st.integers(-1, 5), st.integers(-1, 5)), max_size=4,
+    ).map(",".join)),
+))
+def test_forbidden_graphs(workdir, forbidden):
+    path = workdir / "graph.json"
+    path.write_bytes(_dumps(VALID))
+    for argv in (["test", "--epsilon", "0.3"], ["distance"]):
+        argv += ["--graph", str(path), "--property", "h_free", f"--forbidden={forbidden}"]
+        _check_outcome(*_run(argv), reject=True)
+
+
+# the commands that take --epsilon, each on a graph it can answer on
+EPSILON_COMMANDS = {
+    "test": ["test", "--graph", "@", "--property", "forest"],
+    "test-observable": ["test", "--graph", "@", "--property", "bipartite", "--observable"],
+    "partition": ["partition", "--graph", "@"],
+    "partition-cover": ["partition", "--graph", "@path", "--cover"],
+    "partition-grid": ["partition", "--graph", "@grid", "--cover", "--grid-dims", "3,3"],
+    "estimate-independence": ["estimate", "--what", "independence", "--graph", "@"],
+    "estimate-matching": ["estimate", "--what", "matching", "--graph", "@path"],
+}
+# the ends of the accepted range, subnormals included, and the smallest
+# epsilon whose observation depth is answered and one just below it
+EDGE_EPSILONS = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-12, 0.02, 0.0199,
+                 0.5, math.nextafter(1.0, 0.0)]
+
+
+@pytest.fixture(scope="module")
+def epsilon_graphs(workdir):
+    paths = {}
+    for name, G in {"@": GRAPH, "@path": gen_path(6), "@grid": gen_grid(3, 3)}.items():
+        paths[name] = workdir / f"eps{len(paths)}.json"
+        paths[name].write_bytes(_dumps(G.to_json_dict()))
+    return paths
+
+
+def _check_epsilon_everywhere(workdir, graphs, epsilon: str):
+    for name, argv in EPSILON_COMMANDS.items():
+        argv = [str(graphs[a]) if a in graphs else a for a in argv]
+        code, out = _run(argv + [f"--epsilon={epsilon}"])
+        _check_outcome(code, out, reject=name.startswith("test"))
+    with contextlib.chdir(workdir):
+        _check_scenario(["scenario", "--name", "estimator_error_curve",
+                         '--param=instances=[["path", 12], ["grid", 3]]',
+                         f"--param=epsilons=[{epsilon}]"])
+
+
+@pytest.mark.parametrize("epsilon", EDGE_EPSILONS)
+def test_epsilon_edges_answer(workdir, epsilon_graphs, epsilon):
+    _check_epsilon_everywhere(workdir, epsilon_graphs, repr(epsilon))
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True).map(repr),
+    st.sampled_from(["0", "1", "-5e-324", "nan", "inf", "1e-400", "0x1p-1074", "x"]),
+))
+def test_epsilon_values(workdir, epsilon_graphs, epsilon):
+    _check_epsilon_everywhere(workdir, epsilon_graphs, epsilon)

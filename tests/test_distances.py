@@ -68,6 +68,24 @@ class TestMembership:
             PropertySpec.h_free(n, edges)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"id": "planar"}, UnsupportedProperty, "planar"),
+        ({"id": "k_colorable"}, ValueError, "need at least one color"),
+        ({"id": "k_colorable", "colors": 0}, ValueError, "need at least one color"),
+        ({"id": "h_free"}, ValueError, "h_free needs a forbidden graph"),
+        ({"id": "h_free", "forbidden": (3, ((0, 1), (1, 1)))}, ValueError,
+         "forbidden edge 1-1 is a self-loop"),
+    ])
+    def test_spec_checks_itself_when_built(self, fields, error, message):
+        with pytest.raises(error) as e:
+            PropertySpec(**fields)
+        assert str(e.value) == message
+
+    def test_forbidden_edges_stored_sorted(self):
+        built = PropertySpec(id="h_free", forbidden=(3, [(2, 1), (1, 0)]))
+        assert built == PropertySpec.h_free(3, [(0, 1), (1, 2)])
+        assert built.forbidden == (3, ((0, 1), (1, 2)))
+
     def test_k_colorable(self):
         assert is_member(gen_cycle(5), PropertySpec.k_colorable(3))
         assert not is_member(gen_cycle(5), PropertySpec.k_colorable(2))

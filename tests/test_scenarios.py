@@ -104,6 +104,12 @@ class TestEntropySweep:
             assert row["edge_entropy"] == pytest.approx(want, abs=1e-9)
             assert abs(row["edge_entropy"] - row["limit"]) < 1.0 / row["depth"] + 1e-9
 
+    def test_heavy_weights_on_deep_trees(self):
+        # at beta 8 the deep layers' vertices have p(v) = 0 in floats; the
+        # entropy is the same at every depth, as the mass sits at the top
+        cfg = ExperimentConfig("entropy_sweep", {"depths": [25, 100], "beta": 8.0}, seed=0)
+        assert [row["vertex_entropy"] for row in rows_of(cfg)] == [0.006042156017] * 2
+
 
 class TestReportMechanics:
     def test_unknown_scenario(self):

@@ -11,7 +11,6 @@ import pytest
 from rnlab import (
     BallStatistics,
     CanonicalBallKey,
-    OracleConfig,
     ParamMismatch,
     build_graph,
     canonicalize,
@@ -92,34 +91,29 @@ class TestEmpiricalStats:
         target = exact_stats(G, 1, 2)
         dists = []
         for budget in (500, 32_000):
-            est = empirical_stats(
-                G, OracleConfig(radius=1, depth=2, query_budget=budget, seed=7)
-            )
+            est = empirical_stats(G, 1, 2, budget, seed=7)
             dists.append(tv(est, target))
         assert dists[1] < dists[0]
         assert dists[1] < 0.02
 
     def test_deterministic_in_seed(self, grid4):
-        cfg = OracleConfig(radius=1, depth=2, query_budget=1000, seed=3)
-        a = empirical_stats(grid4, cfg)
-        b = empirical_stats(grid4, cfg)
+        a = empirical_stats(grid4, 1, 2, 1000, seed=3)
+        b = empirical_stats(grid4, 1, 2, 1000, seed=3)
         assert a.weights == b.weights
 
     def test_support_subset_of_exact(self, critical_tree):
-        est = empirical_stats(
-            critical_tree, OracleConfig(radius=2, depth=2, query_budget=2000, seed=1)
-        )
+        est = empirical_stats(critical_tree, 2, 2, 2000, seed=1)
         target = exact_stats(critical_tree, 2, 2)
         assert set(est.weights) <= set(target.weights)
 
     def test_records_budget(self, grid4):
-        est = empirical_stats(grid4, OracleConfig(radius=1, depth=2, query_budget=123))
+        est = empirical_stats(grid4, 1, 2, 123)
         assert est.total_queries == 123
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, grid4, budget):
         with pytest.raises(ValueError, match="budget must be at least 1"):
-            empirical_stats(grid4, OracleConfig(radius=1, query_budget=budget))
+            empirical_stats(grid4, 1, 2, budget)
         with pytest.raises(ValueError, match="budget must be at least 1"):
             empirical_profile(grid4, 2, 2, budget=budget)
 
@@ -236,6 +230,19 @@ class TestEntropies:
             ws = [mpmath.exp(-beta * k) for k in range(depth) for _ in range(2**k)]
             z = mpmath.fsum(ws)
             expected = -mpmath.fsum(w / z * mpmath.log(w / z) for w in ws)
+        assert vertex_entropy(G) == pytest.approx(float(expected), abs=1e-12)
+
+    def test_vertex_entropy_of_a_deep_heavy_tree(self):
+        # at depth 100 and beta 8 the deepest layers keep positive mass while
+        # each of their vertices has p(v) = 0 in floats; the entropy is the
+        # layer sum of mass * (beta * k + log Z), high precision as reference
+        depth, beta = 100, 8.0
+        G = gen_binary_tree(depth, beta, representation="implicit")
+        assert G.p(2**99 - 1) == 0.0 and G.layer_masses[-1] > 0.0
+        with mpmath.workdps(50):
+            layers = [2**k * mpmath.exp(-beta * k) for k in range(depth)]
+            z = mpmath.fsum(layers)
+            expected = mpmath.fsum(w / z * (beta * k + mpmath.log(z)) for k, w in enumerate(layers))
         assert vertex_entropy(G) == pytest.approx(float(expected), abs=1e-12)
 
     def test_edge_entropy_uniform_zero(self, grid4):
@@ -359,6 +366,11 @@ class TestSerialization:
          "ValueError('masses must be finite nonnegative numbers, got -5.0')"),
         ({"per_radius": {"1": _stat(weights={"00": "0.5"})}},
          "ValueError(\"masses must be finite nonnegative numbers, got '0.5'\")"),
+        # and no statistic holds more than all the mass
+        ({"per_radius": {"1": _stat(weights={"00": 2**64})}},
+         "ValueError('masses must sum to at most 1, got 1.8446744073709552e+19')"),
+        ({"per_radius": {"1": _stat(weights={"00": 0.75, "01": 0.5})}},
+         "ValueError('masses must sum to at most 1, got 1.25')"),
     ])
     def test_other_file_kinds_rejected(self, tmp_path, obj, reason):
         path = tmp_path / "p.json"
@@ -366,6 +378,12 @@ class TestSerialization:
         expected = f"{path} is not a statistics profile: {reason}"
         with pytest.raises(GraphError, match="^" + re.escape(expected)):
             load_profile(str(path))
+
+    def test_float_error_in_the_sum_is_allowed(self):
+        # a cycle's exact statistic has one key, of mass 1.0000000000000013
+        stats = exact_stats(gen_cycle(60), 2, 2)
+        assert sum(stats.weights.values()) > 1.0
+        assert BallStatistics.from_json_dict(stats.to_json_dict()).weights == stats.weights
 
     def test_json_dict_round_trip(self, weighted_p3):
         stats = exact_stats(weighted_p3, 1, 3)

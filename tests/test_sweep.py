@@ -13,7 +13,6 @@ import pytest
 
 from helpers import random_bounded_graph, reference_exact_stats
 from rnlab import (
-    OracleConfig,
     PropertySpec,
     RadonNikodymOracle,
     WeightedGraph,
@@ -131,8 +130,8 @@ def _prefill(G, how):
         run_tester(G, PropertySpec.forest(), 0.3, seed=1, radius=2)
         run_tester(G, PropertySpec.bipartite(), 0.25, seed=4, radius=3)
     elif how == "empirical":
-        empirical_stats(G, OracleConfig(radius=3, depth=2, query_budget=40, seed=2))
-        empirical_stats(G, OracleConfig(radius=1, depth=2, query_budget=10, seed=6))
+        empirical_stats(G, 3, 2, 40, seed=2)
+        empirical_stats(G, 1, 2, 10, seed=6)
 
 
 def _assert_matches_reference(stats, G, r, t, keys_before):
@@ -222,9 +221,8 @@ def test_sweep_extracts_each_root_once_per_radius_and_types_as_often(monkeypatch
 
 def test_sweep_extracts_only_the_roots_still_untyped(monkeypatch):
     G = weighted_grid()
-    config = OracleConfig(radius=2, depth=2, query_budget=8, seed=2)
-    empirical_stats(G, config)
-    sampled = set(RadonNikodymOracle(G, 2, 2, seed=config.seed).sample_roots(8).tolist())
+    empirical_stats(G, 2, 2, 8, seed=2)
+    sampled = set(RadonNikodymOracle(G, 2, 2, seed=2).sample_roots(8).tolist())
     assert 0 < len(sampled) < G.n
     extracted, _ = _count_calls(monkeypatch)
     exact_stats(G, 2, 2)
